@@ -1,26 +1,21 @@
-"""Build script: compiles the optional training kernel extension.
+"""Build script: compiles the optional C training kernel.
 
-The package works without the extension (a numpy fallback is selected at
-import time), so a failed compile must not fail the install.
+The kernel is a plain shared library that ``som_atlas.kernels`` loads through
+``ctypes``; it needs no Python headers and no code generator. The package
+works without it (the numpy reference is selected at import time), so a
+failed compile must not fail the install.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
+kernel = Extension(
+    "som_atlas.kernels._kernel",
+    sources=["src/som_atlas/kernels/_kernel.c"],
+    # -ffp-contract=off: the numpy reference must stay bit-identical, so
+    # fused multiply-adds are forbidden in the hot loop.
+    extra_compile_args=["-O3", "-ffp-contract=off"],
+    libraries=["m"],
+    optional=True,
+)
 
-ext_modules = []
-if cythonize is not None:
-    ext = Extension(
-        "som_atlas.kernels._native",
-        sources=["src/som_atlas/kernels/_native.pyx"],
-        # -ffp-contract=off: the pure-numpy fallback must stay bit-identical,
-        # so fused multiply-adds are forbidden in the hot loop.
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-        optional=True,
-    )
-    ext_modules = cythonize([ext], language_level="3")
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[kernel])

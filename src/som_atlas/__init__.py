@@ -2,8 +2,9 @@
 
 Train hexagonal Kohonen maps on numeric logs, classify and cluster the data,
 detect correlated attributes through component-plane comparison, and render
-per-attribute heatmaps. Training runs on a compiled kernel when available and
-on a bit-identical numpy fallback otherwise (``som_atlas.kernels.BACKEND``).
+per-attribute heatmaps. Training runs on a small C kernel, loaded through
+``ctypes`` when the install compiled it, and on a bit-identical numpy
+reference otherwise (``som_atlas.kernels.BACKEND`` names the choice).
 """
 
 from .analysis import (

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SchemaMismatchError
-from .ingest import DataTable, denormalize
+from .ingest import AttributeSpec, DataTable, denormalize
 from .som import SomModel, find_bmu
 
 
@@ -109,19 +109,25 @@ def _require_schema(model: SomModel) -> None:
         raise ValueError("model has no attribute schema; train or load one first")
 
 
+def _normalize_value(spec: AttributeSpec, v: float) -> tuple[float, bool]:
+    """One raw value scaled by its stored training range and clamped to [0, 1].
+
+    Returns the value and whether it lay outside the range.
+    """
+    clamped = bool(v < spec.raw_min or v > spec.raw_max)
+    if spec.quasi_constant:
+        return 0.5, clamped
+    t = (v - spec.raw_min) / (spec.raw_max - spec.raw_min)
+    return min(1.0, max(0.0, t)), clamped
+
+
 def _normalize_row(model: SomModel, raw: np.ndarray) -> tuple[np.ndarray, bool]:
     """Normalize one raw row with the stored training ranges, clamping to [0, 1]."""
     x = np.empty(model.dim)
     clamped = False
     for i, spec in enumerate(model.schema):
-        v = raw[i]
-        if v < spec.raw_min or v > spec.raw_max:
-            clamped = True
-        if spec.quasi_constant:
-            x[i] = 0.5
-        else:
-            t = (v - spec.raw_min) / (spec.raw_max - spec.raw_min)
-            x[i] = min(1.0, max(0.0, t))
+        x[i], out = _normalize_value(spec, raw[i])
+        clamped = clamped or out
     return x, clamped
 
 
@@ -356,14 +362,8 @@ def predict_forward(
         if name not in index_of:
             raise ValueError(f"unknown attribute {name!r}")
         i = index_of[name]
-        spec = model.schema[i]
-        if value < spec.raw_min or value > spec.raw_max:
-            clamped = True
-        if spec.quasi_constant:
-            x[i] = 0.5
-        else:
-            t = (value - spec.raw_min) / (spec.raw_max - spec.raw_min)
-            x[i] = min(1.0, max(0.0, t))
+        x[i], out = _normalize_value(model.schema[i], value)
+        clamped = clamped or out
         mask.append(i)
 
     neuron, distance = find_bmu(model, x, mask=sorted(mask))

@@ -1,36 +1,79 @@
 """Kernel backend selection.
 
-The hot training loop exists twice: a Cython extension (``_native``) and a
-numpy fallback (``pure``) that produce bit-identical results. The extension
-is preferred when importable; ``SOM_ATLAS_KERNELS=python`` forces the
-fallback, ``SOM_ATLAS_KERNELS=native`` makes a missing extension an error.
+The hot training loop exists twice: a small C file (``_kernel.c``) and a
+numpy reference (``pure``) that produce bit-identical results. ``setup.py``
+compiles the C file, when a compiler is available, into a shared library
+next to this module; ``load`` binds such a library through ``ctypes``. The
+library is used if it loads, ``pure`` otherwise; nothing is compiled at
+import. ``BACKEND`` names the choice, and ``pure`` stays importable as the
+reference either way.
 """
 
+import ctypes
 import os
+import sysconfig
+from pathlib import Path
+
+import numpy as np
+from numpy.ctypeslib import ndpointer
 
 from . import pure
 from .pure import bmu
 
-_requested = os.environ.get("SOM_ATLAS_KERNELS", "").strip().lower()
+_LIBRARY = Path(__file__).with_name("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
 
-if _requested in ("python", "pure"):
-    _impl = pure
-    BACKEND = "python"
-elif _requested == "native":
-    from . import _native as _impl  # noqa: F401  (ImportError is the point)
+# weights, data, order, grid_dist, alphas, sigmas: the C loop's array arguments.
+_ARRAYS = (
+    ndpointer(np.float64, 2, flags="C_CONTIGUOUS,WRITEABLE"),
+    ndpointer(np.float64, 2, flags="C_CONTIGUOUS"),
+    ndpointer(np.int64, 1, flags="C_CONTIGUOUS"),
+    ndpointer(np.int32, 2, flags="C_CONTIGUOUS"),
+    ndpointer(np.float64, 1, flags="C_CONTIGUOUS"),
+    ndpointer(np.float64, 1, flags="C_CONTIGUOUS"),
+)
 
+
+def load(path):
+    """Bind the compiled kernel at ``path`` as a ``pure.train_loop`` twin.
+
+    Raises ``OSError`` when the library cannot be loaded.
+    """
+    c_loop = ctypes.CDLL(os.fspath(path)).train_loop
+    c_loop.restype = None
+    c_loop.argtypes = [*_ARRAYS, ndpointer(np.float64, 1), *[ctypes.c_int64] * 5]
+
+    def train_loop(weights, data, order, grid_dist, alphas, sigmas, competitive_start):
+        for kind, array in zip(_ARRAYS, (weights, data, order, grid_dist, alphas, sigmas)):
+            kind.from_param(array)  # dtype, ndim and layout, before shapes are read
+        n_neurons, dim = weights.shape
+        total = order.shape[0]
+        if (
+            data.shape[1] != dim
+            or grid_dist.shape != (n_neurons, n_neurons)
+            or alphas.shape != (total,)
+            or sigmas.shape != (total,)
+        ):
+            raise ValueError("train_loop argument shapes disagree")
+        if total and not (0 <= order.min() and order.max() < data.shape[0]):
+            raise IndexError(f"order holds a row index outside [0, {data.shape[0]})")
+        if grid_dist.min() < 0:
+            raise ValueError("grid distances must be non-negative")
+        max_dist = int(grid_dist.max())
+        # ctypes truncates integers to 64 bits silently; clamping keeps the meaning.
+        competitive_start = min(max(int(competitive_start), 0), total)
+        c_loop(weights, data, order, grid_dist, alphas, sigmas, np.empty(max_dist + 1),
+               max_dist, n_neurons, dim, total, competitive_start)
+        return weights
+
+    train_loop.__doc__ = pure.train_loop.__doc__
+    return train_loop
+
+
+try:
+    train_loop = load(_LIBRARY)
     BACKEND = "native"
-elif _requested:
-    raise ValueError(f"unknown SOM_ATLAS_KERNELS value: {_requested!r}")
-else:
-    try:
-        from . import _native as _impl
+except OSError:
+    train_loop = pure.train_loop
+    BACKEND = "python"
 
-        BACKEND = "native"
-    except ImportError:
-        _impl = pure
-        BACKEND = "python"
-
-train_loop = _impl.train_loop
-
-__all__ = ["BACKEND", "bmu", "train_loop"]
+__all__ = ["BACKEND", "bmu", "load", "train_loop"]

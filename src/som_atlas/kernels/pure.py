@@ -1,7 +1,7 @@
-"""Pure-numpy training kernels; the reference the compiled extension mirrors.
+"""Pure-numpy training kernels; the reference the compiled C kernel mirrors.
 
 Numerical lockstep contract: every floating-point operation here must happen
-in the same order, with the same intermediate roundings, as in ``_native.pyx``.
+in the same order, with the same intermediate roundings, as in ``_kernel.c``.
 That is why best-matching-unit distances accumulate dimension by dimension
 (one strict left-to-right chain per neuron), why the neighborhood factor is
 looked up from a per-step table built with libm ``exp``, and why the update
@@ -50,7 +50,9 @@ def train_loop(
     pull every neuron v toward the row by ``theta(u, v, s) * alphas[s]``. For
     s >= ``competitive_start`` only u itself moves (theta collapses to a
     Kronecker delta). ``sigmas[s]`` is the neighborhood radius for the
-    cooperative steps; entries past ``competitive_start`` are ignored.
+    cooperative steps; entries past ``competitive_start`` are ignored. A
+    radius so small that ``2 * sigma**2`` underflows to zero also gives the
+    Kronecker delta, the Gaussian's limit.
     """
     n_neurons, dim = weights.shape
     max_dist = int(grid_dist.max())
@@ -75,28 +77,30 @@ def train_loop(
         u = int(np.argmin(acc))
 
         alpha = float(alphas[s])
-        if s >= competitive_start:
-            if alpha == 1.0:
-                # Unit coefficient must reproduce the input bit-exactly.
-                wt[:, u] = x
-            else:
-                col = wt[:, u]
-                np.subtract(x, col, out=tdim)
-                tdim *= alpha
-                col += tdim
-        else:
+        if s < competitive_start:
             sigma = float(sigmas[s])
             denom = 2.0 * sigma * sigma
-            for d in range(max_dist + 1):
-                theta[d] = math.exp(-(d * d) / denom)
+            if denom == 0.0:
+                # 2 sigma^2 underflowed: the Gaussian's limit is a Kronecker delta.
+                theta[:] = 0.0
+                theta[0] = 1.0
+            else:
+                for d in range(max_dist + 1):
+                    theta[d] = math.exp(-(d * d) / denom)
             np.take(theta, grid_dist[u], out=coef)
             coef *= alpha
             for j in range(dim):
                 np.subtract(x[j], wt[j], out=dbuf)
                 dbuf *= coef
                 wt[j] += dbuf
-            if alpha == 1.0:
-                wt[:, u] = x
+        else:
+            col = wt[:, u]
+            np.subtract(x, col, out=tdim)
+            tdim *= alpha
+            col += tdim
+        if alpha == 1.0:
+            # Unit coefficient must reproduce the input bit-exactly.
+            wt[:, u] = x
 
     weights[:, :] = wt.T
     return weights

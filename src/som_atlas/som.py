@@ -80,8 +80,9 @@ class SomModel:
                 f"weights shape {w.shape} does not match "
                 f"{self.grid.n_nodes} neurons x {self.dim} attributes"
             )
-        if w.size and (w.min() < 0.0 or w.max() > 1.0):
-            raise ValueError("codebook weights must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
+            raise ValueError("codebook weights must be finite and lie in [0, 1]")
         if self.schema is not None:
             self.schema = tuple(self.schema)
             if len(self.schema) != self.dim:
@@ -222,8 +223,8 @@ def train(
                 f"initial weights shape {weights.shape} does not match "
                 f"{grid.n_nodes} neurons x {dim} attributes"
             )
-        if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
-            raise ValueError("initial weights must lie in [0, 1]")
+        if weights.size and not (weights.min() >= 0.0 and weights.max() <= 1.0):
+            raise ValueError("initial weights must be finite and lie in [0, 1]")
 
     competitive_start = (schedule.epochs - 1) * n_rows
     kernels.train_loop(

@@ -37,6 +37,17 @@ def small_model(width=2, height=2, dim=2, weights=None) -> SomModel:
     return SomModel(grid=grid, dim=dim, weights=np.asarray(weights, dtype=np.float64))
 
 
+class TestSomModel:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
+    def test_rejects_weights_outside_unit_box(self, bad):
+        with pytest.raises(ValueError):
+            SomModel(HexGrid(2, 1), 1, [[bad], [0.5]])
+
+    def test_accepts_box_edges(self):
+        m = SomModel(HexGrid(2, 1), 1, [[0.0], [1.0]])
+        assert m.weights.tolist() == [[0.0], [1.0]]
+
+
 class TestInitCodebook:
     def test_same_seed_identical(self):
         a = init_codebook(HexGrid(4, 3), 5, seed=99)
@@ -302,6 +313,13 @@ class TestTrain:
         a = train(table, grid, TrainingSchedule(epochs=4, seed=1))
         b = train(table, grid, TrainingSchedule(epochs=4, seed=2))
         assert not np.array_equal(a.weights, b.weights)
+
+    def test_nan_initial_weights_rejected(self):
+        table = norm_table([[0.5, 0.5]])
+        init = np.full((4, 2), 0.5)
+        init[2, 1] = math.nan
+        with pytest.raises(ValueError):
+            train(table, HexGrid(2, 2), TrainingSchedule(epochs=1), initial_weights=init)
 
     def test_empty_table_rejected(self):
         table = NormalizedTable(schema=norm_table([[0.5]]).schema, rows=np.empty((0, 1)))
