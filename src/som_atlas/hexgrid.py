@@ -82,15 +82,11 @@ def _axial_to_offset(q: int, r: int) -> tuple[int, int]:
     return r, q + (r - (r & 1)) // 2
 
 
-def distance_matrix(grid: HexGrid) -> np.ndarray:
-    """All-pairs hop distances as an (n_nodes, n_nodes) int32 matrix.
+def axial_coords(grid: HexGrid) -> np.ndarray:
+    """Axial (q, r) of every node as a (2, n_nodes) int32 array, by linear index.
 
-    Memory is O(n_nodes^2); fine for the map sizes this package targets.
+    The hop distance between two nodes is ``max(|dq|, |dr|, |dq + dr|)`` of
+    their coordinate difference, the same value ``HexGrid.distance`` returns.
     """
     rows, cols = np.divmod(np.arange(grid.n_nodes), grid.width)
-    q = cols - (rows - (rows & 1)) // 2
-    r = rows
-    dq = q[:, None] - q[None, :]
-    dr = r[:, None] - r[None, :]
-    dist = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
-    return dist.astype(np.int32)
+    return np.array(_offset_to_axial(rows, cols), dtype=np.int32)

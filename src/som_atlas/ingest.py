@@ -60,13 +60,7 @@ class DataTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schema", tuple(self.schema))
-        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D matrix")
-        if rows.shape[1] != len(self.schema):
-            raise ValueError(
-                f"{rows.shape[1]} columns but schema has {len(self.schema)} attributes"
-            )
+        rows = _row_matrix(self.rows, self.schema)
         if not np.all(np.isfinite(rows)):
             raise ValueError("table contains non-finite values")
         names = [a.name for a in self.schema]
@@ -96,9 +90,10 @@ class NormalizedTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schema", tuple(self.schema))
-        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if rows.size and (rows.min() < 0.0 or rows.max() > 1.0):
-            raise ValueError("normalized values must lie in [0, 1]")
+        rows = _row_matrix(self.rows, self.schema)
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
+            raise ValueError("normalized values must be finite and lie in [0, 1]")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -108,6 +103,15 @@ class NormalizedTable:
     @property
     def n_attrs(self) -> int:
         return self.rows.shape[1]
+
+
+def _row_matrix(rows, schema) -> np.ndarray:
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-D matrix")
+    if rows.shape[1] != len(schema):
+        raise ValueError(f"{rows.shape[1]} columns but schema has {len(schema)} attributes")
+    return rows
 
 
 def _observed_spec(name: str, index: int, column: np.ndarray) -> AttributeSpec:

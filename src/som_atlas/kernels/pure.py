@@ -2,11 +2,12 @@
 
 Numerical lockstep contract: every floating-point operation here must happen
 in the same order, with the same intermediate roundings, as in ``_kernel.c``.
-That is why best-matching-unit distances accumulate dimension by dimension
-(one strict left-to-right chain per neuron), why the neighborhood factor is
-looked up from a per-step table built with libm ``exp``, and why the update
-is three separately rounded elementwise steps. Change both files together or
-not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
+That is why best-matching-unit distances are an axis-0 reduction over
+(dim, n_neurons) rows, which adds dimensions left to right (one strict chain
+per neuron), why the neighborhood factor is looked up by hop distance from
+the axial ``coords`` in a per-step table built with libm ``exp``, and why the
+update is three separately rounded elementwise steps. Change both files
+together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -35,31 +36,40 @@ def bmu(weights: np.ndarray, x: np.ndarray, mask=None) -> tuple[int, float]:
     return u, math.sqrt(float(acc[u]))
 
 
+def max_hops(coords: np.ndarray) -> int:
+    """Largest hop distance between two of the axial ``coords``; sizes theta."""
+    q, r = coords.astype(np.int64)
+    return int(max(np.ptp(q), np.ptp(r), np.ptp(q + r)))
+
+
 def train_loop(
     weights: np.ndarray,
     data: np.ndarray,
     order: np.ndarray,
-    grid_dist: np.ndarray,
+    coords: np.ndarray,
     alphas: np.ndarray,
     sigmas: np.ndarray,
     competitive_start: int,
 ) -> np.ndarray:
-    """Run the full presentation loop, mutating ``weights`` in place.
+    """Run a sequence of presentations, mutating ``weights`` in place.
 
     One step s: present row ``order[s]``, find its best matching unit u, then
-    pull every neuron v toward the row by ``theta(u, v, s) * alphas[s]``. For
+    pull every neuron v toward the row by ``theta(u, v, s) * alphas[s]``, theta
+    being a Gaussian of radius ``sigmas[s]`` in the hop distance
+    ``max(|dq|, |dr|, |dq + dr|)`` between their axial ``coords`` (2, n). For
     s >= ``competitive_start`` only u itself moves (theta collapses to a
-    Kronecker delta). ``sigmas[s]`` is the neighborhood radius for the
-    cooperative steps; entries past ``competitive_start`` are ignored. A
-    radius so small that ``2 * sigma**2`` underflows to zero also gives the
-    Kronecker delta, the Gaussian's limit.
+    Kronecker delta) and ``sigmas[s]`` is ignored. A radius so small that
+    ``2 * sigma**2`` underflows to zero also gives the Kronecker delta, the
+    Gaussian's limit.
     """
     n_neurons, dim = weights.shape
-    max_dist = int(grid_dist.max())
+    max_dist = max_hops(coords)
+    q, r = coords.astype(np.intp)
+    cube = np.stack([q, r, q + r])  # hop distance: largest |difference| of a row
 
     wt = np.ascontiguousarray(weights.T)  # (dim, n_neurons): per-dimension rows
+    buf = np.empty_like(wt)
     acc = np.empty(n_neurons)
-    dbuf = np.empty(n_neurons)
     coef = np.empty(n_neurons)
     theta = np.empty(max_dist + 1)
     tdim = np.empty(dim)
@@ -67,13 +77,11 @@ def train_loop(
     for s in range(order.shape[0]):
         x = data[order[s]]
 
-        # Competition: squared distances accumulated per dimension so each
-        # neuron sees the identical rounding chain as the C scan.
-        acc[:] = 0.0
-        for j in range(dim):
-            np.subtract(wt[j], x[j], out=dbuf)
-            dbuf *= dbuf
-            acc += dbuf
+        # Competition: the axis-0 reduction adds dimension rows left to right,
+        # so each neuron sees the identical rounding chain as the C scan.
+        np.subtract(wt, x[:, None], out=buf)
+        buf *= buf
+        np.add.reduce(buf, axis=0, out=acc)
         u = int(np.argmin(acc))
 
         alpha = float(alphas[s])
@@ -85,14 +93,12 @@ def train_loop(
                 theta[:] = 0.0
                 theta[0] = 1.0
             else:
-                for d in range(max_dist + 1):
-                    theta[d] = math.exp(-(d * d) / denom)
-            np.take(theta, grid_dist[u], out=coef)
+                theta[:] = [math.exp(-(d * d) / denom) for d in range(max_dist + 1)]
+            np.take(theta, np.abs(cube - cube[:, u, None]).max(axis=0), out=coef)
             coef *= alpha
-            for j in range(dim):
-                np.subtract(x[j], wt[j], out=dbuf)
-                dbuf *= coef
-                wt[j] += dbuf
+            np.subtract(x[:, None], wt, out=buf)
+            buf *= coef
+            wt += buf
         else:
             col = wt[:, u]
             np.subtract(x, col, out=tdim)

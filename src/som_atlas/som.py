@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .hexgrid import HexGrid, distance_matrix
+from .hexgrid import HexGrid, axial_coords
 from .ingest import AttributeSpec, NormalizedTable
 
 DEFAULT_EPOCHS = 200
@@ -130,15 +130,9 @@ def find_bmu(model: SomModel, x, mask=None) -> tuple[int, float]:
 
 def learning_rate(s: int, schedule: TrainingSchedule, n_rows: int) -> float:
     """Learning rate at presentation ``s``; linear from alpha0 to alpha_end."""
-    lam = schedule.epochs * n_rows
-    if not (0 <= s < lam):
-        raise ValueError(f"iteration {s} outside [0, {lam})")
-    # Constant schedules must stay exactly constant (lerp would wobble by an
-    # ulp mid-ramp, e.g. 0.7 + 0.3 != 1.0).
-    if lam == 1 or schedule.alpha_end == schedule.alpha0:
-        return schedule.alpha0
-    t = s / (lam - 1)
-    return schedule.alpha0 * (1.0 - t) + schedule.alpha_end * t
+    # alpha does not depend on the radius, which only a grid can resolve.
+    schedule = replace(schedule, sigma0=schedule.sigma0 or 1.0)
+    return float(_rates(schedule, n_rows, s, s + 1)[0][0])
 
 
 def neighborhood(
@@ -147,19 +141,16 @@ def neighborhood(
     """Cooperation factor theta(u, v, s) in [0, 1].
 
     Gaussian in hex distance with radius sigma(s) shrinking linearly to zero
-    at the start of the final epoch; within the final epoch it degenerates to
-    1 for v == u and 0 otherwise.
+    at the start of the final epoch; within the final epoch, or when
+    ``2 * sigma**2`` underflows to zero, it degenerates to 1 for v == u and 0
+    otherwise, as in the training kernels.
     """
-    schedule = schedule.resolved(grid)
-    lam = schedule.epochs * n_rows
-    if not (0 <= s < lam):
-        raise ValueError(f"iteration {s} outside [0, {lam})")
+    sigma = float(_rates(schedule.resolved(grid), n_rows, s, s + 1)[1][0])
     d = grid.distance(u, v)
-    competitive_start = (schedule.epochs - 1) * n_rows
-    if s >= competitive_start:
+    denom = 2.0 * sigma * sigma
+    if denom == 0.0:
         return 1.0 if u == v else 0.0
-    sigma = schedule.sigma0 * (1.0 - s / competitive_start)
-    return math.exp(-(d * d) / (2.0 * sigma * sigma))
+    return math.exp(-(d * d) / denom)
 
 
 def update_step(
@@ -176,21 +167,15 @@ def update_step(
     x = np.array(x, dtype=np.float64)
     if x.shape != (model.dim,):
         raise ValueError(f"input has shape {x.shape}, model expects ({model.dim},)")
-    schedule = schedule.resolved(model.grid)
-    alpha = learning_rate(s, schedule, n_rows)
-    competitive_start = (schedule.epochs - 1) * n_rows
-    if s >= competitive_start:
-        sigma, single_competitive = 0.0, 0
-    else:
-        sigma, single_competitive = schedule.sigma0 * (1.0 - s / competitive_start), 1
+    alphas, sigmas, cooperative = _rates(schedule.resolved(model.grid), n_rows, s, s + 1)
     kernels.train_loop(
         model.weights,
         x[None, :],
         np.zeros(1, dtype=np.int64),
-        distance_matrix(model.grid),
-        np.array([alpha]),
-        np.array([sigma]),
-        single_competitive,
+        axial_coords(model.grid),
+        alphas,
+        sigmas,
+        cooperative,
     )
     return model
 
@@ -226,16 +211,14 @@ def train(
         if weights.size and not (weights.min() >= 0.0 and weights.max() <= 1.0):
             raise ValueError("initial weights must be finite and lie in [0, 1]")
 
-    competitive_start = (schedule.epochs - 1) * n_rows
-    kernels.train_loop(
-        weights,
-        np.ascontiguousarray(table.rows),
-        _presentation_order(schedule, n_rows),
-        distance_matrix(grid),
-        _alpha_schedule(schedule, n_rows),
-        _sigma_schedule(schedule, n_rows),
-        competitive_start,
-    )
+    coords = axial_coords(grid)
+    # Spawn key 1 keeps the shuffle stream independent of the codebook stream.
+    rng = np.random.default_rng(np.random.SeedSequence(schedule.seed, spawn_key=(1,)))
+    for start in range(0, schedule.epochs * n_rows, n_rows):
+        order = rng.permutation(n_rows) if schedule.shuffle else np.arange(n_rows)
+        alphas, sigmas, cooperative = _rates(schedule, n_rows, start, start + n_rows)
+        kernels.train_loop(weights, table.rows, order.astype(np.int64, copy=False), coords,
+                           alphas, sigmas, cooperative)
     return SomModel(
         grid=grid,
         dim=dim,
@@ -258,29 +241,28 @@ def quantization_error(model: SomModel, table: NormalizedTable) -> float:
     return total / table.n_rows
 
 
-def _presentation_order(schedule: TrainingSchedule, n_rows: int) -> np.ndarray:
-    if not schedule.shuffle:
-        return np.tile(np.arange(n_rows, dtype=np.int64), schedule.epochs)
-    # Spawn key 1 keeps the shuffle stream independent of the codebook stream.
-    rng = np.random.default_rng(np.random.SeedSequence(schedule.seed, spawn_key=(1,)))
-    chunks = [rng.permutation(n_rows) for _ in range(schedule.epochs)]
-    return np.concatenate(chunks).astype(np.int64)
+def _rates(
+    schedule: TrainingSchedule, n_rows: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(alphas, sigmas, cooperative) at global steps ``start .. stop - 1``.
 
-
-def _alpha_schedule(schedule: TrainingSchedule, n_rows: int) -> np.ndarray:
+    alpha is linear from alpha0 to alpha_end over all steps; sigma is linear
+    from sigma0 to zero at the final epoch, which is purely competitive (sigma
+    0); ``cooperative`` counts the range's steps before it.
+    """
     lam = schedule.epochs * n_rows
-    # Elementwise identical to learning_rate(), constant special case included.
+    if not (0 <= start < stop <= lam):
+        raise ValueError(f"iterations [{start}, {stop}) outside [0, {lam})")
+    s = np.arange(start, stop, dtype=np.float64)
+    # Constant schedules must stay exactly constant (lerp would wobble by an
+    # ulp mid-ramp, e.g. 0.7 + 0.3 != 1.0).
     if lam == 1 or schedule.alpha_end == schedule.alpha0:
-        return np.full(lam, schedule.alpha0)
-    t = np.arange(lam, dtype=np.float64) / (lam - 1)
-    return schedule.alpha0 * (1.0 - t) + schedule.alpha_end * t
-
-
-def _sigma_schedule(schedule: TrainingSchedule, n_rows: int) -> np.ndarray:
-    lam = schedule.epochs * n_rows
+        alphas = np.full(s.size, schedule.alpha0)
+    else:
+        t = s / (lam - 1)
+        alphas = schedule.alpha0 * (1.0 - t) + schedule.alpha_end * t
     competitive_start = (schedule.epochs - 1) * n_rows
-    sigmas = np.zeros(lam, dtype=np.float64)
-    if competitive_start > 0:
-        s = np.arange(competitive_start, dtype=np.float64)
-        sigmas[:competitive_start] = schedule.sigma0 * (1.0 - s / competitive_start)
-    return sigmas
+    cooperative = min(max(competitive_start - start, 0), stop - start)
+    sigmas = np.zeros(s.size)
+    sigmas[:cooperative] = schedule.sigma0 * (1.0 - s[:cooperative] / competitive_start)
+    return alphas, sigmas, cooperative

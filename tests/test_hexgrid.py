@@ -2,11 +2,12 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from som_atlas.hexgrid import HexGrid, distance_matrix
+from som_atlas.hexgrid import HexGrid, axial_coords
 
 
 def bfs_distances(grid: HexGrid, start: int) -> list[int]:
@@ -97,13 +98,14 @@ def test_metric_axioms(data):
         assert grid.distance(a, b) >= 1
 
 
-def test_distance_matrix_agrees_with_scalar():
+def test_axial_hop_rows_agree_with_scalar():
+    # The kernels' hop row of a winner u: max(|dq|, |dr|, |dq + dr|).
     grid = HexGrid(6, 4)
-    mat = distance_matrix(grid)
-    assert mat.shape == (24, 24)
+    q, r = axial_coords(grid)
+    assert q.shape == (24,) and q.dtype == np.int32
     for a in range(grid.n_nodes):
-        for b in range(grid.n_nodes):
-            assert mat[a, b] == grid.distance(a, b)
+        row = np.maximum(np.maximum(abs(q - q[a]), abs(r - r[a])), abs(q + r - q[a] - r[a]))
+        assert row.tolist() == [grid.distance(a, b) for b in range(grid.n_nodes)]
 
 
 def test_index_out_of_range():

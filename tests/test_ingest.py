@@ -11,6 +11,7 @@ from som_atlas.errors import CsvFormatError
 from som_atlas.ingest import (
     QUASI_CONSTANT_EPS,
     AttributeSpec,
+    NormalizedTable,
     append_time_counter,
     denormalize,
     normalize,
@@ -143,6 +144,25 @@ def test_normalize_empty_rejected():
     table = DataTable(schema=(AttributeSpec("a", 0, 0.0, 1.0),), rows=np.empty((0, 1)))
     with pytest.raises(ValueError):
         normalize(table)
+
+
+_UNIT = AttributeSpec("a", 0, 0.0, 1.0)
+_UNIT_B = AttributeSpec("b", 1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "schema,rows",
+    [
+        ((_UNIT,), [[0.5], [np.nan]]),
+        ((_UNIT,), [0.5, 0.25]),
+        ((_UNIT, _UNIT_B), [[0.5], [0.25]]),
+        ((_UNIT,), [[1.5]]),
+    ],
+    ids=["nan-row", "one-dimensional", "schema-wider-than-rows", "above-one"],
+)
+def test_normalized_table_rejects_bad_rows(schema, rows):
+    with pytest.raises(ValueError):
+        NormalizedTable(schema=schema, rows=np.array(rows))
 
 
 def test_denormalize_endpoints_and_midpoint():

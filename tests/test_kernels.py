@@ -9,32 +9,31 @@ import numpy as np
 import pytest
 
 from som_atlas import kernels
-from som_atlas.hexgrid import HexGrid, distance_matrix
+from som_atlas.hexgrid import HexGrid, axial_coords
 from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
-from som_atlas.som import (
-    TrainingSchedule,
-    _alpha_schedule,
-    _presentation_order,
-    _sigma_schedule,
-    train,
-)
+from som_atlas.som import TrainingSchedule, _rates, train
 
 from conftest import make_table
 
-ARGS = ("weights", "data", "order", "grid_dist", "alphas", "sigmas", "competitive_start")
+ARGS = ("weights", "data", "order", "coords", "alphas", "sigmas", "competitive_start")
 
 
-def _run_both(native_train_loop, kw):
-    """Run both backends on copies of ``kw["weights"]``; return (pure, native) weights."""
-    wa = kw["weights"].copy()
-    wb = kw["weights"].copy()
-    pure.train_loop(wa, *(kw[a] for a in ARGS[1:]))
-    assert native_train_loop(wb, *(kw[a] for a in ARGS[1:])) is wb
+def _run_both(native_train_loop, epochs):
+    """Run both backends epoch by epoch on copies of the first epoch's weights.
+
+    Returns the (pure, native) weights after the last epoch.
+    """
+    wa = epochs[0]["weights"].copy()
+    wb = epochs[0]["weights"].copy()
+    for kw in epochs:
+        pure.train_loop(wa, *(kw[a] for a in ARGS[1:]))
+        assert native_train_loop(wb, *(kw[a] for a in ARGS[1:])) is wb
     return wa, wb
 
 
 def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.05):
+    """Per-epoch kernel arguments, as ``train()`` passes them."""
     rng = np.random.default_rng(seed)
     grid = HexGrid(width, height)
     sched = TrainingSchedule(
@@ -42,15 +41,20 @@ def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.
     ).resolved(grid)
     weights = rng.random((grid.n_nodes, dim))
     data = rng.random((n_rows, dim))
-    return {
-        "weights": weights,
-        "data": data,
-        "order": _presentation_order(sched, n_rows),
-        "grid_dist": distance_matrix(grid),
-        "alphas": _alpha_schedule(sched, n_rows),
-        "sigmas": _sigma_schedule(sched, n_rows),
-        "competitive_start": (sched.epochs - 1) * n_rows,
-    }
+    out = []
+    for epoch in range(epochs):
+        start = epoch * n_rows
+        alphas, sigmas, cooperative = _rates(sched, n_rows, start, start + n_rows)
+        out.append({
+            "weights": weights,
+            "data": data,
+            "order": rng.permutation(n_rows),
+            "coords": axial_coords(grid),
+            "alphas": alphas,
+            "sigmas": sigmas,
+            "competitive_start": cooperative,
+        })
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -61,6 +65,8 @@ def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.
         dict(width=1, height=1, dim=2, n_rows=5, epochs=3),
         dict(width=8, height=2, dim=7, n_rows=9, epochs=1),  # purely competitive
         dict(width=3, height=3, dim=1, n_rows=4, epochs=10),
+        dict(width=1, height=9, dim=2, n_rows=6, epochs=3),
+        dict(width=9, height=1, dim=2, n_rows=6, epochs=3),
     ],
 )
 def test_backends_bit_identical(seed, shape, native_train_loop):
@@ -79,12 +85,27 @@ def test_backends_bit_identical_with_unit_alpha(native_train_loop):
 def test_unit_alpha_copies_row_exactly(competitive_start, native_train_loop):
     # 0.9 + (0.01 - 0.9) != 0.01: only the explicit copy makes the row exact.
     x = np.array([[0.01, 1e-17]])
-    args = (x, np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int32),
+    args = (x, np.zeros(1, dtype=np.int64), np.zeros((2, 1), dtype=np.int32),
             np.ones(1), np.ones(1), competitive_start)
     for impl in (pure.train_loop, native_train_loop):
         weights = np.array([[0.9, 0.3]])
         impl(weights, *args)
         assert weights.tobytes() == x.tobytes()
+
+
+def test_competition_adds_dimensions_left_to_right(native_train_loop):
+    # Neuron 0's squared distance is 0.25 + 8 * 2**-56: left to right every
+    # term is a quarter ulp and rounds away, tying neuron 1 (0.25), so the
+    # lower index wins; summed in any other order the small terms add up to
+    # 2**-53 and neuron 1 would win.
+    weights = np.array([[0.5] + [2.0**-28] * 8, [0.5] + [0.0] * 8])
+    x = np.zeros((1, 9))
+    assert kernels.bmu(weights, x[0])[0] == 0
+    for impl in (pure.train_loop, native_train_loop):
+        w = weights.copy()
+        impl(w, x, np.zeros(1, dtype=np.int64), axial_coords(HexGrid(2, 1)),
+             np.full(1, 0.5), np.zeros(1), 0)
+        assert w[0, 0] == 0.25 and w[1, 0] == 0.5
 
 
 def test_backends_bit_identical_on_large_map(native_train_loop):
@@ -95,8 +116,9 @@ def test_backends_bit_identical_on_large_map(native_train_loop):
 
 @pytest.mark.parametrize("competitive_start", [-1, 2**64 + 1])
 def test_competitive_start_outside_step_range(competitive_start, native_train_loop):
-    kw = _workload(6, width=3, height=3, dim=2, n_rows=5, epochs=2)
-    wa, wb = _run_both(native_train_loop, {**kw, "competitive_start": competitive_start})
+    epochs = _workload(6, width=3, height=3, dim=2, n_rows=5, epochs=2)
+    epochs = [{**kw, "competitive_start": competitive_start} for kw in epochs]
+    wa, wb = _run_both(native_train_loop, epochs)
     assert wa.tobytes() == wb.tobytes()
 
 
@@ -116,7 +138,7 @@ def test_sigma_underflow_gives_finite_identical_weights(native_train_loop, monke
 
 
 def test_wrapper_rejects_bad_input_before_c(native_train_loop):
-    kw = _workload(1, width=3, height=2, dim=2, n_rows=4, epochs=2)
+    kw = _workload(1, width=3, height=2, dim=2, n_rows=4, epochs=2)[0]
 
     def call(**change):
         args = {**kw, "weights": kw["weights"].copy(), **change}
@@ -132,9 +154,11 @@ def test_wrapper_rejects_bad_input_before_c(native_train_loop):
     with pytest.raises(ValueError):
         call(alphas=kw["alphas"][:-1].copy())
     with pytest.raises(ValueError):
-        call(grid_dist=kw["grid_dist"][:-1].copy())
+        call(coords=kw["coords"][:, :-1].copy())
     with pytest.raises(ValueError):
-        call(grid_dist=-kw["grid_dist"])
+        call(coords=np.vstack([kw["coords"], kw["coords"][:1]]))
+    with pytest.raises(TypeError):
+        call(coords=kw["coords"].astype(np.int64))
     with pytest.raises(TypeError):
         call(order=kw["order"].astype(np.int32))
     with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 """Codebook init, BMU search, schedules, the update rule, and full training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ class TestNeighborhood:
         with pytest.raises(ValueError):
             neighborhood(grid, 0, 1, 4, sched, n_rows=2)
 
+    def test_sigma_underflow_is_kronecker_delta(self):
+        # 2 * (1e-170)**2 underflows to 0 in a cooperative epoch; the kernels
+        # then use the Gaussian's limit, and so must this.
+        grid = HexGrid(3, 3)
+        sched = TrainingSchedule(epochs=3, sigma0=1e-170)
+        assert neighborhood(grid, 4, 4, 0, sched, n_rows=3) == 1.0
+        assert neighborhood(grid, 4, 5, 0, sched, n_rows=3) == 0.0
+
 
 class TestUpdateStep:
     def test_unit_coefficient_copies_input(self):
@@ -219,14 +228,14 @@ class TestUpdateStep:
         before = m.weights.copy()
         # alpha_end must stay positive; drive alpha to ~0 via a long schedule
         # then test the documented alpha=0 semantics through the kernel.
-        from som_atlas.hexgrid import distance_matrix
+        from som_atlas.hexgrid import axial_coords
         from som_atlas.kernels import train_loop
 
         train_loop(
             m.weights,
             np.array([[0.9, 0.9, 0.9]]),
             np.zeros(1, dtype=np.int64),
-            distance_matrix(m.grid),
+            axial_coords(m.grid),
             np.array([0.0]),
             np.array([1.0]),
             1,
@@ -325,6 +334,32 @@ class TestTrain:
         table = NormalizedTable(schema=norm_table([[0.5]]).schema, rows=np.empty((0, 1)))
         with pytest.raises(ValueError):
             train(table, HexGrid(2, 2), TrainingSchedule(epochs=1))
+
+    def test_update_steps_reproduce_file_order_training(self):
+        rng = np.random.default_rng(12)
+        rows = rng.random((7, 3))
+        grid = HexGrid(4, 3)
+        sched = TrainingSchedule(epochs=3, alpha0=0.8, alpha_end=0.02, shuffle=False, seed=5)
+        init = init_codebook(grid, 3, sched.seed).weights
+        trained = train(norm_table(rows), grid, sched, initial_weights=init)
+        m = SomModel(grid=grid, dim=3, weights=init.copy())
+        for s in range(sched.epochs * len(rows)):
+            update_step(m, rows[s % len(rows)], s=s, schedule=sched, n_rows=len(rows))
+        assert m.weights.tobytes() == trained.weights.tobytes()
+
+    def test_large_map_memory_is_linear_in_neurons(self):
+        # A 100x100 map: an all-pairs distance matrix alone would be 400 MB of
+        # int32 and its int64 temporaries several GB.
+        table = norm_table(np.random.default_rng(13).random((3, 2)))
+        grid = HexGrid(100, 100)
+        sched = TrainingSchedule(epochs=2, seed=1)
+        tracemalloc.start()
+        try:
+            train(table, grid, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_mirror_columns_stay_mirrored(self):
         rng = np.random.default_rng(7)
