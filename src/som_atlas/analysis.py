@@ -1,7 +1,10 @@
 """Post-training analytics over a trained map.
 
-Classification sends raw rows through the stored normalization and returns
-each row's best matching unit. Component planes slice one attribute out of
+Classification scales raw rows with the stored training ranges
+(``ingest.apply_schema``, the one normalization path) and finds every row's
+best matching unit with the batched ``kernels.bmu``, a chunk of rows at a
+time, so memory stays bounded however long the log; forward prediction uses
+the same two calls on one masked row. Component planes slice one attribute out of
 the codebook for rendering; their pairwise Pearson coefficients quantify the
 "two planes look alike" judgement, including inverse relations at r close to
 -1. K-means over the codebook groups neurons into operating regimes, and the
@@ -20,9 +23,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import SchemaMismatchError
-from .ingest import AttributeSpec, DataTable, denormalize
+from .ingest import DataTable, apply_schema, denormalize
 from .som import SomModel, find_bmu
+
+# Rows normalized and searched per batch in ``classify``; bounds the
+# normalized copy whatever the table length.
+_CLASSIFY_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -109,28 +117,6 @@ def _require_schema(model: SomModel) -> None:
         raise ValueError("model has no attribute schema; train or load one first")
 
 
-def _normalize_value(spec: AttributeSpec, v: float) -> tuple[float, bool]:
-    """One raw value scaled by its stored training range and clamped to [0, 1].
-
-    Returns the value and whether it lay outside the range.
-    """
-    clamped = bool(v < spec.raw_min or v > spec.raw_max)
-    if spec.quasi_constant:
-        return 0.5, clamped
-    t = (v - spec.raw_min) / (spec.raw_max - spec.raw_min)
-    return min(1.0, max(0.0, t)), clamped
-
-
-def _normalize_row(model: SomModel, raw: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Normalize one raw row with the stored training ranges, clamping to [0, 1]."""
-    x = np.empty(model.dim)
-    clamped = False
-    for i, spec in enumerate(model.schema):
-        x[i], out = _normalize_value(spec, raw[i])
-        clamped = clamped or out
-    return x, clamped
-
-
 def classify(model: SomModel, table: DataTable) -> list[BmuAssignment]:
     """Assign every raw row to its best matching unit.
 
@@ -150,10 +136,12 @@ def classify(model: SomModel, table: DataTable) -> list[BmuAssignment]:
             raise SchemaMismatchError(f"column {pos}: got {got!r}, model expects {want!r}")
 
     out = []
-    for r in range(table.n_rows):
-        x, clamped = _normalize_row(model, table.rows[r])
-        neuron, distance = find_bmu(model, x)
-        out.append(BmuAssignment(row=r, neuron=neuron, distance=distance, clamped=clamped))
+    for start in range(0, table.n_rows, _CLASSIFY_CHUNK):
+        x, clamped = apply_schema(model.schema, table.rows[start : start + _CLASSIFY_CHUNK])
+        neurons, distances = kernels.bmu(model.weights, x)
+        batch = zip(neurons.tolist(), distances.tolist(), clamped.tolist())
+        for row, (neuron, distance, flag) in enumerate(batch, start):
+            out.append(BmuAssignment(row=row, neuron=neuron, distance=distance, clamped=flag))
     return out
 
 
@@ -307,7 +295,8 @@ def cluster_stats(
             f"{len(assignments)} assignments for {table.n_rows} rows; "
             "classify the same table first"
         )
-    row_labels = np.array([clusters.neuron_labels[a.neuron] for a in assignments], dtype=int)
+    neurons = np.fromiter((a.neuron for a in assignments), dtype=np.intp, count=len(assignments))
+    row_labels = clusters.neuron_labels[neurons]
 
     stats: list[tuple[AttributeStats, ...]] = []
     for c in range(clusters.k):
@@ -355,18 +344,16 @@ def predict_forward(
     if target not in index_of:
         raise ValueError(f"unknown target attribute {target!r}")
 
-    x = np.zeros(model.dim)
-    mask = []
-    clamped = False
-    for name, value in values.items():
+    for name in values:
         if name not in index_of:
             raise ValueError(f"unknown attribute {name!r}")
-        i = index_of[name]
-        x[i], out = _normalize_value(model.schema[i], value)
-        clamped = clamped or out
-        mask.append(i)
+    mask = sorted(index_of[name] for name in values)
+    schema = [model.schema[i] for i in mask]
+    normalized, clamped = apply_schema(schema, [[values[spec.name] for spec in schema]])
+    x = np.zeros(model.dim)
+    x[mask] = normalized[0]
 
-    neuron, distance = find_bmu(model, x, mask=sorted(mask))
+    neuron, distance = find_bmu(model, x, mask=mask)
     cluster = int(clusters.neuron_labels[neuron])
     return ForwardPrediction(
         neuron=neuron,
@@ -374,7 +361,7 @@ def predict_forward(
         cluster=cluster,
         target=target,
         stats=clusters.stats[cluster][index_of[target]],
-        clamped=clamped,
+        clamped=bool(clamped[0]),
     )
 
 

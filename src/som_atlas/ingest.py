@@ -214,22 +214,48 @@ def normalize(table: DataTable) -> NormalizedTable:
     """
     if table.n_rows == 0:
         raise ValueError("cannot normalize an empty table")
-    out = np.empty_like(table.rows)
-    schema = []
-    for i in range(table.n_attrs):
-        col = table.rows[:, i]
-        spec = _observed_spec(table.schema[i].name, i, col)
+    schema = tuple(
+        _observed_spec(spec.name, i, table.rows[:, i]) for i, spec in enumerate(table.schema)
+    )
+    for spec in schema:
+        if not math.isfinite(spec.raw_max - spec.raw_min):
+            raise ValueError(
+                f"attribute {spec.name!r}: range [{spec.raw_min}, {spec.raw_max}] "
+                "is wider than float64 can hold"
+            )
         if spec.quasi_constant:
             warnings.warn(
                 f"attribute {spec.name!r} is quasi-constant "
                 f"(range {spec.raw_max - spec.raw_min:g}); pinned to 0.5",
                 stacklevel=2,
             )
-            out[:, i] = 0.5
-        else:
-            out[:, i] = (col - spec.raw_min) / (spec.raw_max - spec.raw_min)
-        schema.append(spec)
-    return NormalizedTable(schema=tuple(schema), rows=out)
+    # Every value lies in its observed range, so apply_schema clips nothing.
+    rows, _ = apply_schema(schema, table.rows)
+    return NormalizedTable(schema=schema, rows=rows)
+
+
+def apply_schema(schema, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Scale raw ``rows`` by the ranges in ``schema``: (normalized, clamped).
+
+    Each value becomes ``(v - raw_min) / (raw_max - raw_min)`` clipped to
+    [0, 1], with NaN (from a range wider than float64) sent to 0 as Python's
+    ``min(1.0, max(0.0, t))`` does, or 0.5 for a quasi-constant attribute.
+    A -0.0 is kept: no distance can tell it from 0.0, and ``normalize`` has
+    always kept it. ``clamped`` flags, per row, whether any value lay outside
+    its attribute's range.
+    """
+    rows = _row_matrix(rows, schema)
+    low = np.array([spec.raw_min for spec in schema])
+    high = np.array([spec.raw_max for spec in schema])
+    pinned = np.array([spec.quasi_constant for spec in schema], dtype=bool)
+    clamped = ((rows < low) | (rows > high)).any(axis=1)
+    out = rows - low
+    # A quasi-constant range may be 0; its columns are overwritten below.
+    out /= np.where(pinned, 1.0, high - low)
+    out[~(out >= 0.0)] = 0.0
+    out[out > 1.0] = 1.0
+    out[:, pinned] = 0.5
+    return out, clamped
 
 
 def denormalize(value: float, spec: AttributeSpec) -> float:

@@ -8,7 +8,8 @@ compiles the C file, when a compiler is available, into a shared library
 next to this module; ``load`` binds such a library through ``ctypes``. The
 library is used if it loads, ``pure`` otherwise; nothing is compiled at
 import. ``BACKEND`` names the choice, and ``pure`` stays importable as the
-reference either way.
+reference either way. The batched best-matching-unit search ``bmu`` used
+after training has one implementation, in ``pure``, on every backend.
 """
 
 import ctypes

@@ -17,23 +17,45 @@ import math
 import numpy as np
 
 
-def bmu(weights: np.ndarray, x: np.ndarray, mask=None) -> tuple[int, float]:
-    """Best matching unit of ``x``: (linear index, Euclidean distance).
+# Rows per ``bmu`` chunk are chosen so that one (rows, neurons) scratch
+# buffer holds at most this many float64 values (but always at least one row).
+BMU_SCRATCH = 2**16
 
-    ``mask``, when given, is an ascending array of attribute indices; the
-    distance is computed over those dimensions only. Ties break toward the
-    lowest linear index.
+
+def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """Best matching units of the rows of ``X``: (intp indices, float64 distances).
+
+    ``X`` is 2-D, one row per query. ``mask``, when given, is an ascending
+    array of attribute indices; distances are computed over those dimensions
+    only. Each neuron's squared distance starts from 0 and adds
+    ``(w[:, j] - x[j])**2`` over the columns j in ascending order, the
+    rounding chain of the training scan; ties break toward the lowest neuron
+    index, and the distance is the square root of the winner's sum.
+
+    Rows are scanned in chunks of ``max(1, BMU_SCRATCH // n_neurons)``, so the
+    two (chunk, n_neurons) scratch buffers stay bounded however many rows
+    there are.
     """
     n = weights.shape[0]
-    acc = np.zeros(n)
-    buf = np.empty(n)
+    rows = X.shape[0]
     cols = range(weights.shape[1]) if mask is None else mask
-    for j in cols:
-        np.subtract(weights[:, j], x[j], out=buf)
-        buf *= buf
-        acc += buf
-    u = int(np.argmin(acc))
-    return u, math.sqrt(float(acc[u]))
+    wt = np.ascontiguousarray(weights.T)  # (dim, n_neurons): per-dimension rows
+    chunk = max(1, min(BMU_SCRATCH // n, rows))
+    acc = np.empty((chunk, n))
+    buf = np.empty((chunk, n))
+    idx = np.empty(rows, dtype=np.intp)
+    dist = np.empty(rows)
+    for start in range(0, rows, chunk):
+        stop = min(start + chunk, rows)
+        a, b = acc[: stop - start], buf[: stop - start]
+        a.fill(0.0)
+        for j in cols:
+            np.subtract(wt[j], X[start:stop, j, None], out=b)
+            b *= b
+            a += b
+        np.argmin(a, axis=1, out=idx[start:stop])
+        np.sqrt(a[np.arange(stop - start), idx[start:stop]], out=dist[start:stop])
+    return idx, dist
 
 
 def max_hops(coords: np.ndarray) -> int:

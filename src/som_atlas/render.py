@@ -18,6 +18,10 @@ from .hexgrid import HexGrid
 
 _SQRT3 = math.sqrt(3.0)
 
+# Candidate pixels tested per batch of hexagons in ``_render_ppm`` (at least
+# one hexagon's bounding box); bounds its temporaries on large maps.
+_PPM_SCRATCH = 2**16
+
 # Categorical colors for cluster maps; cycled when k exceeds 12.
 CLUSTER_PALETTE = (
     (31, 119, 180),
@@ -83,8 +87,8 @@ def render_cluster_map(
 
 
 def _render(fills, grid, format, cell_radius, caption):
-    if cell_radius <= 0:
-        raise ValueError("cell_radius must be positive")
+    if not (math.isfinite(cell_radius) and cell_radius > 0):
+        raise ValueError(f"cell_radius must be a positive finite number, got {cell_radius}")
     if format == "svg":
         return _render_svg(fills, grid, cell_radius, caption)
     if format == "ppm":
@@ -130,30 +134,46 @@ def _render_svg(fills, grid, r, caption) -> bytes:
 
 
 def _render_ppm(fills, grid, r) -> bytes:
+    """P3 raster; a pixel is painted when its centre lies in a hexagon.
+
+    Hexagons are tested with the point-in-hexagon expressions below, each
+    over its bounding box, a batch of hexagons at a time. Neighbours share
+    edges, so a pixel centre on an edge can pass two tests: the highest hex
+    index owns it, as if the hexagons were painted in index order. Pixels no
+    hexagon owns stay white.
+    """
     w, h = _canvas_size(grid, r)
     pw, ph = math.ceil(w), math.ceil(h)
-    raster = np.full((ph, pw, 3), 255, dtype=np.uint8)
-
     half_width = _SQRT3 * r / 2.0
-    for idx in range(grid.n_nodes):
-        row, col = divmod(idx, grid.width)
-        cx, cy = _hex_center(row, col, r)
-        y0 = max(0, math.floor(cy - r))
-        y1 = min(ph, math.ceil(cy + r))
-        x0 = max(0, math.floor(cx - half_width))
-        x1 = min(pw, math.ceil(cx + half_width))
-        color = np.asarray(fills[idx], dtype=np.uint8)
-        for py in range(y0, y1):
-            dy = (py + 0.5) - cy
-            for px in range(x0, x1):
-                dx = (px + 0.5) - cx
-                # Point-in-hexagon for a pointy-top cell of circumradius r.
-                if abs(dx) <= half_width and abs(dy) <= r - abs(dx) / _SQRT3:
-                    raster[py, px] = color
 
-    out = [f"P3\n{pw} {ph}\n255"]
-    for py in range(ph):
-        for px in range(pw):
-            red, green, blue = raster[py, px]
-            out.append(f"{red} {green} {blue}")
-    return ("\n".join(out) + "\n").encode("ascii")
+    rows, cols = np.divmod(np.arange(grid.n_nodes), grid.width)
+    cx, cy = _hex_center(rows, cols, r)
+    y0 = np.maximum(0, np.floor(cy - r).astype(np.intp))
+    y1 = np.minimum(ph, np.ceil(cy + r).astype(np.intp))
+    x0 = np.maximum(0, np.floor(cx - half_width).astype(np.intp))
+    x1 = np.minimum(pw, np.ceil(cx + half_width).astype(np.intp))
+    box_h = int((y1 - y0).max())
+    box_w = int((x1 - x0).max())
+
+    owner = np.full((ph, pw), -1, dtype=np.intp)
+    batch = max(1, _PPM_SCRATCH // max(1, box_h * box_w))
+    for start in range(0, grid.n_nodes, batch):
+        hexes = slice(start, start + batch)
+        py = y0[hexes, None] + np.arange(box_h)  # (hexes, box_h)
+        px = x0[hexes, None] + np.arange(box_w)  # (hexes, box_w)
+        adx = np.abs((px + 0.5) - cx[hexes, None])
+        ady = np.abs((py + 0.5) - cy[hexes, None])
+        # Point-in-hexagon for a pointy-top cell of circumradius r.
+        inside = (
+            (py < y1[hexes, None])[:, :, None]
+            & ((px < x1[hexes, None]) & (adx <= half_width))[:, None, :]
+            & (ady[:, :, None] <= (r - adx / _SQRT3)[:, None, :])
+        )
+        k, a, b = np.nonzero(inside)
+        np.maximum.at(owner, (py[k, a], px[k, b]), k + start)
+
+    # One line per fill and white last, so an unowned pixel's -1 picks white.
+    table = np.array([f"{red} {green} {blue}" for red, green, blue in fills] + ["255 255 255"],
+                     dtype=object)
+    lines = ["P3", f"{pw} {ph}", "255", *table[owner.ravel()], ""]
+    return "\n".join(lines).encode("ascii")

@@ -125,7 +125,8 @@ def find_bmu(model: SomModel, x, mask=None) -> tuple[int, float]:
         if mask.min() < 0 or mask.max() >= model.dim:
             raise ValueError("mask index out of range")
         mask = np.sort(mask)
-    return kernels.bmu(model.weights, x, mask)
+    idx, dist = kernels.bmu(model.weights, x[None, :], mask)
+    return int(idx[0]), float(dist[0])
 
 
 def learning_rate(s: int, schedule: TrainingSchedule, n_rows: int) -> float:
@@ -235,9 +236,12 @@ def quantization_error(model: SomModel, table: NormalizedTable) -> float:
         raise ValueError("quantization error of an empty table is undefined")
     if table.n_attrs != model.dim:
         raise ValueError(f"table has {table.n_attrs} attributes, model expects {model.dim}")
+    _, dist = kernels.bmu(model.weights, table.rows)
+    # Left to right in Python floats, as a per-row loop adds them: numpy's
+    # pairwise sum, and from Python 3.12 the builtin ``sum``, round differently.
     total = 0.0
-    for row in table.rows:
-        total += kernels.bmu(model.weights, row)[1]
+    for d in dist.tolist():
+        total += d
     return total / table.n_rows
 
 

@@ -52,3 +52,16 @@ def test_missing_input_exits_3(tmp_path):
 def test_output_in_missing_directory_exits_3(log_csv, tmp_path):
     assert train(log_csv, tmp_path / "absent" / "m.model") == cli.EXIT_IO
     assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("command", ["planes", "cluster"])
+@pytest.mark.parametrize("fmt", ["svg", "ppm"])
+def test_non_finite_or_zero_radius_exits_1(log_csv, tmp_path, command, fmt, radius):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    argv = [command, "--model", str(tmp_path / "m.model"), "--outdir", str(tmp_path / "out"),
+            "--format", fmt, "--radius", radius]
+    if command == "cluster":
+        argv += ["--k", "2"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert not list((tmp_path / "out").glob(f"*.{fmt}"))

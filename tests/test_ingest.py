@@ -13,6 +13,7 @@ from som_atlas.ingest import (
     AttributeSpec,
     NormalizedTable,
     append_time_counter,
+    apply_schema,
     denormalize,
     normalize,
     parse_csv,
@@ -136,6 +137,56 @@ def test_normalize_constant_column_pinned():
     assert np.all(ntable.rows[:, 0] == 0.5)
     assert ntable.schema[0].quasi_constant
     assert not ntable.schema[1].quasi_constant
+
+
+def test_normalize_is_the_column_formula_bit_for_bit():
+    # With numpy's minimum of -0.0 and 0.0 read as +0.0, the formula keeps
+    # "-0" as -0.0; a copied row (unit alpha) carries that sign into the model.
+    table = parse_csv(io.StringIO("a,b\n-0,3\n0,1e-3\n1,7.25\n0.3,2\n"))
+    expected = np.column_stack(
+        [(col - col.min()) / (col.max() - col.min()) for col in table.rows.T]
+    )
+    assert normalize(table).rows.tobytes() == expected.tobytes()
+
+
+def test_normalize_rejects_range_wider_than_float64():
+    table = make_table([[-1e308], [0.0], [1e308]], names=["wide"])
+    with pytest.raises(ValueError, match="wide"):
+        normalize(table)
+
+
+def _normalize_value(spec, v):
+    """Per-value scaling that ``apply_schema`` vectorizes: the reference."""
+    clamped = bool(v < spec.raw_min or v > spec.raw_max)
+    if spec.quasi_constant:
+        return 0.5, clamped
+    t = (v - spec.raw_min) / (spec.raw_max - spec.raw_min)
+    return min(1.0, max(0.0, t)), clamped
+
+
+def test_apply_schema_matches_per_value_reference():
+    schema = (
+        AttributeSpec("a", 0, 1.0, 12.0),
+        AttributeSpec("b", 1, 5.0, 5.0, quasi_constant=True),
+        AttributeSpec("c", 2, -1e308, 1e308),  # range overflows: t is 0 or NaN
+        AttributeSpec("d", 3, 0.0, 3e-9),
+    )
+    rng = np.random.default_rng(4)
+    rows = np.column_stack([
+        rng.uniform(-2.0, 15.0, 40),
+        rng.uniform(4.9, 5.1, 40),
+        rng.choice([-1e308, 0.0, 1e308], 40),
+        rng.uniform(-1e-9, 4e-9, 40),
+    ])
+    rows[0] = [1.0, 5.0, 1e308, 0.0]
+    rows[1] = [12.0, 5.0, -1e308, 3e-9]
+    with np.errstate(over="ignore", invalid="ignore"):
+        normalized, clamped = apply_schema(schema, rows)
+    for r, raw in enumerate(rows):
+        expected = [_normalize_value(spec, v) for spec, v in zip(schema, raw.tolist())]
+        assert normalized[r].tolist() == [t for t, _ in expected]
+        assert clamped[r] == any(flag for _, flag in expected)
+    assert not clamped[:2].any() and clamped.any()
 
 
 def test_normalize_empty_rejected():

@@ -5,6 +5,9 @@ The C source is compiled into a temporary directory for the session (see
 the package's own library was built.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid, axial_coords
 from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
-from som_atlas.som import TrainingSchedule, _rates, train
+from som_atlas.som import TrainingSchedule, _rates, init_codebook, quantization_error, train
 
 from conftest import make_table
 
@@ -100,7 +103,7 @@ def test_competition_adds_dimensions_left_to_right(native_train_loop):
     # 2**-53 and neuron 1 would win.
     weights = np.array([[0.5] + [2.0**-28] * 8, [0.5] + [0.0] * 8])
     x = np.zeros((1, 9))
-    assert kernels.bmu(weights, x[0])[0] == 0
+    assert kernels.bmu(weights, x)[0][0] == 0
     for impl in (pure.train_loop, native_train_loop):
         w = weights.copy()
         impl(w, x, np.zeros(1, dtype=np.int64), axial_coords(HexGrid(2, 1)),
@@ -183,10 +186,84 @@ def test_bmu_matches_train_loop_competition():
     # The public BMU scan and the in-loop scan must agree, ties included.
     rng = np.random.default_rng(3)
     weights = rng.random((12, 4))
-    x = weights[7].copy()
+    x = weights[7][None, :].copy()
     idx, dist = kernels.bmu(weights, x)
-    assert idx == 7
-    assert dist == 0.0
+    assert idx.tolist() == [7]
+    assert dist.tolist() == [0.0]
     weights[2] = weights[7]  # tie: lowest index wins
     idx, _ = kernels.bmu(weights, x)
-    assert idx == 2
+    assert idx.tolist() == [2]
+
+
+def _bmu_row(weights, x, mask=None):
+    """The one-row BMU scan ``kernels.bmu`` batches: the reference it must match."""
+    n = weights.shape[0]
+    acc = np.zeros(n)
+    buf = np.empty(n)
+    cols = range(weights.shape[1]) if mask is None else mask
+    for j in cols:
+        np.subtract(weights[:, j], x[j], out=buf)
+        buf *= buf
+        acc += buf
+    u = int(np.argmin(acc))
+    return u, math.sqrt(float(acc[u]))
+
+
+def _assert_matches_rows(weights, X, mask=None):
+    idx, dist = kernels.bmu(weights, X, mask)
+    assert idx.dtype == np.intp and dist.dtype == np.float64
+    assert idx.shape == dist.shape == (X.shape[0],)
+    expected = [_bmu_row(weights, x, mask) for x in X]
+    assert idx.tolist() == [u for u, _ in expected]
+    assert dist.tobytes() == np.array([d for _, d in expected]).tobytes()
+
+
+CHUNK_50 = pure.BMU_SCRATCH // 50  # rows per chunk on a 50-neuron map
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CHUNK_50 - 1, 3 * CHUNK_50 + 7])
+def test_batched_bmu_matches_row_scan(n_rows):
+    rng = np.random.default_rng(n_rows)
+    weights = rng.random((50, 5))
+    weights[31] = weights[4]  # duplicated neurons: ties go to 4
+    weights[44] = weights[9]
+    X = rng.random((n_rows, 5))
+    hits = min(4, n_rows)  # exact hits, two of them on duplicated neurons
+    X[:hits] = weights[[4, 9, 17, 44][:hits]]
+    _assert_matches_rows(weights, X)
+    _assert_matches_rows(weights, X, np.array([1, 3]))
+    _assert_matches_rows(weights, X, np.array([4]))
+
+
+def test_batched_bmu_on_map_wider_than_scratch():
+    # More neurons than the scratch bound: one row per chunk.
+    rng = np.random.default_rng(8)
+    weights = rng.random((pure.BMU_SCRATCH + 3, 2))
+    X = np.vstack([rng.random((2, 2)), weights[[5, pure.BMU_SCRATCH + 2]]])
+    _assert_matches_rows(weights, X)
+
+
+def test_quantization_error_is_the_sequential_row_sum():
+    rng = np.random.default_rng(11)
+    grid = HexGrid(7, 5)
+    rows = rng.random((333, 3))
+    table = NormalizedTable(schema=make_table(rows).schema, rows=rows)
+    model = init_codebook(grid, 3, seed=1)
+    total = 0.0
+    for x in rows:
+        total += _bmu_row(model.weights, x)[1]
+    assert quantization_error(model, table) == total / len(rows)
+
+
+def test_batched_bmu_memory_is_bounded():
+    # Unchunked, 20000 rows x 1600 neurons would need about 512 MB of scratch.
+    rng = np.random.default_rng(12)
+    weights = rng.random((1600, 2))
+    X = rng.random((20000, 2))
+    tracemalloc.start()
+    try:
+        kernels.bmu(weights, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

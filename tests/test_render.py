@@ -1,13 +1,22 @@
 """Heatmap rendering: the colour ramp and byte-exact SVG/PPM output."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from som_atlas.analysis import ComponentPlane
 from som_atlas.hexgrid import HexGrid
-from som_atlas.render import colormap, render_cluster_map, render_plane
+from som_atlas.render import (
+    _SQRT3,
+    CLUSTER_PALETTE,
+    _canvas_size,
+    _hex_center,
+    colormap,
+    render_cluster_map,
+    render_plane,
+)
 
 GRID = HexGrid(3, 2)
 PLANE = ComponentPlane(attribute=0, values=np.array([[0.0, 0.25, 0.5], [0.75, 1.0, 0.1]]))
@@ -35,3 +44,66 @@ def test_image_bytes_are_pinned(kind, fmt):
     else:
         data = render_cluster_map(LABELS, GRID, format=fmt)
     assert hashlib.sha256(data).hexdigest() == DIGESTS[kind, fmt]
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fmt", ["svg", "ppm"])
+def test_radius_must_be_positive_and_finite(radius, fmt):
+    with pytest.raises(ValueError, match="cell_radius"):
+        render_plane(PLANE, GRID, format=fmt, cell_radius=radius)
+    with pytest.raises(ValueError, match="cell_radius"):
+        render_cluster_map(LABELS, GRID, format=fmt, cell_radius=radius)
+
+
+def _reference_ppm(fills, grid, r) -> bytes:
+    """Per-pixel rasterizer the vectorized one replaced: hexagons painted in
+    index order over their bounding boxes, P3 written pixel by pixel."""
+    w, h = _canvas_size(grid, r)
+    pw, ph = math.ceil(w), math.ceil(h)
+    raster = np.full((ph, pw, 3), 255, dtype=np.uint8)
+
+    half_width = _SQRT3 * r / 2.0
+    for idx in range(grid.n_nodes):
+        row, col = divmod(idx, grid.width)
+        cx, cy = _hex_center(row, col, r)
+        y0 = max(0, math.floor(cy - r))
+        y1 = min(ph, math.ceil(cy + r))
+        x0 = max(0, math.floor(cx - half_width))
+        x1 = min(pw, math.ceil(cx + half_width))
+        color = np.asarray(fills[idx], dtype=np.uint8)
+        for py in range(y0, y1):
+            dy = (py + 0.5) - cy
+            for px in range(x0, x1):
+                dx = (px + 0.5) - cx
+                if abs(dx) <= half_width and abs(dy) <= r - abs(dx) / _SQRT3:
+                    raster[py, px] = color
+
+    out = [f"P3\n{pw} {ph}\n255"]
+    for py in range(ph):
+        for px in range(pw):
+            red, green, blue = raster[py, px]
+            out.append(f"{red} {green} {blue}")
+    return ("\n".join(out) + "\n").encode("ascii")
+
+
+# At r = 1/sqrt(3) odd-row hexagons share vertical edges through pixel
+# centres, so two hexagons claim those pixels and ownership shows in the bytes.
+@pytest.mark.parametrize("radius", [1e-300, 0.3, 0.57735, 1 / math.sqrt(3), 1.0, 2.5, 6.0, 12.0,
+                                    17.3])  # fmt: skip
+def test_ppm_matches_per_pixel_reference(radius):
+    # Distinct colours per hexagon, so a pixel given to the wrong one of two
+    # overlapping hexagons changes the bytes.
+    rng = np.random.default_rng(int(radius * 1000))
+    for width in range(1, 9):
+        for height in range(1, 8):
+            grid = HexGrid(width, height)
+            plane = ComponentPlane(attribute=0, values=rng.random((height, width)))
+            fills = [colormap(float(v)) for v in plane.values.reshape(-1)]
+            assert render_plane(plane, grid, format="ppm", cell_radius=radius) == _reference_ppm(
+                fills, grid, radius
+            ), (width, height)
+            labels = rng.permutation(grid.n_nodes)
+            fills = [CLUSTER_PALETTE[lab % len(CLUSTER_PALETTE)] for lab in labels]
+            assert render_cluster_map(
+                labels, grid, format="ppm", cell_radius=radius
+            ) == _reference_ppm(fills, grid, radius), (width, height)

@@ -125,13 +125,13 @@ class TestFindBmu:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         weights = rng.random((n, dim))
-        x = rng.random(dim)
+        x = rng.random((1, dim))
         from som_atlas.kernels import bmu
 
         idx_base, _ = bmu(weights, x)
         c = 2.5
         idx_scaled, _ = bmu(weights * c, x * c)
-        assert idx_base == idx_scaled
+        assert idx_base.tolist() == idx_scaled.tolist()
 
 
 class TestLearningRate:
