@@ -344,9 +344,11 @@ def predict_forward(
     if target not in index_of:
         raise ValueError(f"unknown target attribute {target!r}")
 
-    for name in values:
+    for name, value in values.items():
         if name not in index_of:
             raise ValueError(f"unknown attribute {name!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"attribute {name!r}: non-finite value {value!r}")
     mask = sorted(index_of[name] for name in values)
     schema = [model.schema[i] for i in mask]
     normalized, clamped = apply_schema(schema, [[values[spec.name] for spec in schema]])

@@ -233,10 +233,11 @@ def cmd_planes(args) -> None:
     _echo_config(args)
     model = load_model(args.model)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for spec in model.schema:
         plane = component_plane(model, spec.index)
         data = render_plane(plane, model.grid, format=args.format, cell_radius=args.radius)
+        # Made once an image is drawn, so rejected render arguments leave nothing.
+        outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / f"plane_{spec.index}_{_sanitize(spec.name)}.{args.format}"
         atomic_write_bytes(path, data)
     print(f"wrote {model.dim} plane images to {outdir}")
@@ -255,21 +256,21 @@ def cmd_classify(args) -> None:
 def cmd_cluster(args) -> None:
     _echo_config(args)
     model = load_model(args.model)
+    table = None if args.input is None else _read_table(args)
     clusters = kmeans_codebook(model, args.k, kmeans_seed=args.kmeans_seed, max_iters=args.max_iters)
+    # Drawn before anything is written, so rejected render arguments leave nothing.
+    image = render_cluster_map(
+        clusters.neuron_labels, model.grid, format=args.format, cell_radius=args.radius
+    )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     lines = ["neuron,cluster"]
     lines += [f"{i},{int(c)}" for i, c in enumerate(clusters.neuron_labels)]
     atomic_write_text(outdir / "neuron_clusters.csv", "\n".join(lines) + "\n")
-
-    image = render_cluster_map(
-        clusters.neuron_labels, model.grid, format=args.format, cell_radius=args.radius
-    )
     atomic_write_bytes(outdir / f"cluster_map.{args.format}", image)
 
-    if args.input is not None:
-        table = _read_table(args)
+    if table is not None:
         assignments = classify(model, table)
         clusters = cluster_stats(clusters, assignments, table, model)
         atomic_write_text(outdir / "assignments.csv", assignments_to_csv(assignments, clusters))

@@ -140,6 +140,8 @@ def parse_csv(
     reject the file with the 1-based row number; with ``drop_bad_rows`` the
     offending rows are skipped and recorded in ``dropped_rows`` instead.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"delimiter must be exactly one character, got {delimiter!r}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh, delimiter=delimiter, header=header, drop_bad_rows=drop_bad_rows)

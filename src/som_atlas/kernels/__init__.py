@@ -8,8 +8,8 @@ compiles the C file, when a compiler is available, into a shared library
 next to this module; ``load`` binds such a library through ``ctypes``. The
 library is used if it loads, ``pure`` otherwise; nothing is compiled at
 import. ``BACKEND`` names the choice, and ``pure`` stays importable as the
-reference either way. The batched best-matching-unit search ``bmu`` used
-after training has one implementation, in ``pure``, on every backend.
+reference either way. ``bmu``, the batched best-matching-unit search on the
+training scan, and ``theta_table`` have one implementation, in ``pure``.
 """
 
 import ctypes
@@ -21,7 +21,7 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 
 from . import pure
-from .pure import bmu, max_hops
+from .pure import bmu, max_hops, theta_table
 
 _LIBRARY = Path(__file__).with_name("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
 
@@ -78,4 +78,4 @@ except OSError:
     train_loop = pure.train_loop
     BACKEND = "python"
 
-__all__ = ["BACKEND", "bmu", "load", "train_loop"]
+__all__ = ["BACKEND", "bmu", "load", "theta_table", "train_loop"]

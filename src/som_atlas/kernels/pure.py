@@ -2,12 +2,12 @@
 
 Numerical lockstep contract: every floating-point operation here must happen
 in the same order, with the same intermediate roundings, as in ``_kernel.c``.
-That is why best-matching-unit distances are an axis-0 reduction over
-(dim, n_neurons) rows, which adds dimensions left to right (one strict chain
-per neuron), why the neighborhood factor is looked up by hop distance from
-the axial ``coords`` in a per-step table built with libm ``exp``, and why the
-update is three separately rounded elementwise steps. Change both files
-together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
+Each formula is written once: ``_sq_distances``, the distance scan of both
+``train_loop`` and ``bmu``, adds dimensions left to right (one strict chain
+per neuron); ``theta_table``, the neighborhood of both ``train_loop`` and
+``som.neighborhood``, is built with libm ``exp`` per hop distance; the update
+is three separately rounded elementwise steps. Change both files together or
+not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,9 +17,26 @@ import math
 import numpy as np
 
 
-# Rows per ``bmu`` chunk are chosen so that one (rows, neurons) scratch
-# buffer holds at most this many float64 values (but always at least one row).
-BMU_SCRATCH = 2**16
+# Rows per ``bmu`` chunk are chosen so that its two scratch buffers together
+# hold at most this many float64 values (but always at least one row).
+BMU_SCRATCH = 2**17
+
+
+def _sq_distances(w3, x3, buf, out):
+    """Squared distances of rows ``x3`` (dim, rows, 1) to neurons ``w3`` (dim, 1, n).
+
+    Writes ``out`` (rows, n) through the scratch ``buf`` (dim, rows, n): the
+    axis-0 reduction adds the (rows, n) slabs of dimensions in order.
+    """
+    np.subtract(w3, x3, out=buf)
+    buf *= buf
+    if w3.shape[2] == 1:
+        # numpy sums a lone neuron's dimensions pairwise, which rounds
+        # differently; accumulate stays sequential.
+        out[:] = np.add.accumulate(buf, axis=0)[-1]
+    else:
+        np.add.reduce(buf, axis=0, out=out)
+    return out
 
 
 def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
@@ -27,41 +44,46 @@ def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.n
 
     ``X`` is 2-D, one row per query. ``mask``, when given, is an ascending
     array of attribute indices; distances are computed over those dimensions
-    only. Each neuron's squared distance starts from 0 and adds
-    ``(w[:, j] - x[j])**2`` over the columns j in ascending order, the
-    rounding chain of the training scan; ties break toward the lowest neuron
-    index, and the distance is the square root of the winner's sum.
-
-    Rows are scanned in chunks of ``max(1, BMU_SCRATCH // n_neurons)``, so the
-    two (chunk, n_neurons) scratch buffers stay bounded however many rows
-    there are.
+    only, with the training scan. Ties break toward the lowest neuron index;
+    the distance is the square root of the winner's sum. Rows are scanned in
+    chunks of ``max(1, BMU_SCRATCH // ((dim + 1) * n_neurons))``, so scratch
+    stays bounded however many rows there are.
     """
     n = weights.shape[0]
     rows = X.shape[0]
-    cols = range(weights.shape[1]) if mask is None else mask
-    wt = np.ascontiguousarray(weights.T)  # (dim, n_neurons): per-dimension rows
-    chunk = max(1, min(BMU_SCRATCH // n, rows))
+    cols = slice(None) if mask is None else mask
+    w3 = np.ascontiguousarray(weights.T[cols])[:, None, :]
+    x3 = X[:, cols].T[:, :, None]
+    dim = w3.shape[0]
+    chunk = max(1, min(BMU_SCRATCH // ((dim + 1) * n), rows))
+    buf = np.empty((dim, chunk, n))
     acc = np.empty((chunk, n))
-    buf = np.empty((chunk, n))
     idx = np.empty(rows, dtype=np.intp)
     dist = np.empty(rows)
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
-        a, b = acc[: stop - start], buf[: stop - start]
-        a.fill(0.0)
-        for j in cols:
-            np.subtract(wt[j], X[start:stop, j, None], out=b)
-            b *= b
-            a += b
-        np.argmin(a, axis=1, out=idx[start:stop])
-        np.sqrt(a[np.arange(stop - start), idx[start:stop]], out=dist[start:stop])
-    return idx, dist
+        a = _sq_distances(w3, x3[:, start:stop], buf[:, : stop - start], acc[: stop - start])
+        a.argmin(axis=1, out=idx[start:stop])
+        np.minimum.reduce(a, axis=1, out=dist[start:stop])  # the winner's sum
+    return idx, np.sqrt(dist, out=dist)
 
 
 def max_hops(coords: np.ndarray) -> int:
     """Largest hop distance between two of the axial ``coords``; sizes theta."""
     q, r = coords.astype(np.int64)
     return int(max(np.ptp(q), np.ptp(r), np.ptp(q + r)))
+
+
+def theta_table(sigma: float, max_dist: int) -> np.ndarray:
+    """Gaussian ``exp(-d**2 / (2 sigma**2))`` for hop distances d = 0 .. max_dist.
+
+    When ``2 * sigma**2`` underflows to zero it is the Gaussian's limit, the
+    Kronecker delta.
+    """
+    denom = 2.0 * sigma * sigma
+    if denom == 0.0:
+        return np.array([1.0] + [0.0] * max_dist)
+    return np.array([math.exp(-(d * d) / denom) for d in range(max_dist + 1)])
 
 
 def train_loop(
@@ -77,12 +99,10 @@ def train_loop(
 
     One step s: present row ``order[s]``, find its best matching unit u, then
     pull every neuron v toward the row by ``theta(u, v, s) * alphas[s]``, theta
-    being a Gaussian of radius ``sigmas[s]`` in the hop distance
+    being ``theta_table(sigmas[s], ...)`` at the hop distance
     ``max(|dq|, |dr|, |dq + dr|)`` between their axial ``coords`` (2, n). For
     s >= ``competitive_start`` only u itself moves (theta collapses to a
-    Kronecker delta) and ``sigmas[s]`` is ignored. A radius so small that
-    ``2 * sigma**2`` underflows to zero also gives the Kronecker delta, the
-    Gaussian's limit.
+    Kronecker delta) and ``sigmas[s]`` is ignored.
     """
     n_neurons, dim = weights.shape
     max_dist = max_hops(coords)
@@ -90,37 +110,24 @@ def train_loop(
     cube = np.stack([q, r, q + r])  # hop distance: largest |difference| of a row
 
     wt = np.ascontiguousarray(weights.T)  # (dim, n_neurons): per-dimension rows
-    buf = np.empty_like(wt)
-    acc = np.empty(n_neurons)
+    w3, x3 = wt[:, None, :], data.T[:, :, None]
+    buf = np.empty((dim, 1, n_neurons))
+    acc = np.empty((1, n_neurons))
     coef = np.empty(n_neurons)
-    theta = np.empty(max_dist + 1)
     tdim = np.empty(dim)
 
     for s in range(order.shape[0]):
-        x = data[order[s]]
-
-        # Competition: the axis-0 reduction adds dimension rows left to right,
-        # so each neuron sees the identical rounding chain as the C scan.
-        np.subtract(wt, x[:, None], out=buf)
-        buf *= buf
-        np.add.reduce(buf, axis=0, out=acc)
-        u = int(np.argmin(acc))
-
+        row = int(order[s])
+        x, x_col = data[row], x3[:, row : row + 1]
+        u = int(_sq_distances(w3, x_col, buf, acc).argmin())
         alpha = float(alphas[s])
         if s < competitive_start:
-            sigma = float(sigmas[s])
-            denom = 2.0 * sigma * sigma
-            if denom == 0.0:
-                # 2 sigma^2 underflowed: the Gaussian's limit is a Kronecker delta.
-                theta[:] = 0.0
-                theta[0] = 1.0
-            else:
-                theta[:] = [math.exp(-(d * d) / denom) for d in range(max_dist + 1)]
+            theta = theta_table(float(sigmas[s]), max_dist)
             np.take(theta, np.abs(cube - cube[:, u, None]).max(axis=0), out=coef)
             coef *= alpha
-            np.subtract(x[:, None], wt, out=buf)
+            np.subtract(x_col, w3, out=buf)
             buf *= coef
-            wt += buf
+            w3 += buf
         else:
             col = wt[:, u]
             np.subtract(x, col, out=tdim)

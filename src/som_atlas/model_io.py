@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import ModelFormatError
 from .fileio import atomic_write_text
 from .hexgrid import HexGrid
-from .ingest import QUASI_CONSTANT_EPS, AttributeSpec
+from .ingest import AttributeSpec
 from .som import SomModel, TrainingSchedule
 
 MAGIC = "som-atlas-model v1"
@@ -190,11 +190,6 @@ def _parse_attr(cursor: _Cursor, expected_index: int) -> AttributeSpec:
     raw_min = _float(parts[-3], cursor)
     raw_max = _float(parts[-2], cursor)
     quasi = _parse_flag(parts[-1], cursor)
-    if quasi != ((raw_max - raw_min) < QUASI_CONSTANT_EPS):
-        raise ModelFormatError(
-            f"line {cursor.lineno}: quasi_constant flag inconsistent with range "
-            f"[{raw_min}, {raw_max}]"
-        )
     try:
         return AttributeSpec(
             name=name, index=index, raw_min=raw_min, raw_max=raw_max, quasi_constant=quasi

@@ -50,8 +50,8 @@ class TrainingSchedule:
             raise ValueError(
                 f"alpha_end must be in (0, alpha0={self.alpha0}], got {self.alpha_end}"
             )
-        if self.sigma0 is not None and not (self.sigma0 > 0.0):
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if self.sigma0 is not None and not (0.0 < self.sigma0 < math.inf):
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
@@ -148,10 +148,7 @@ def neighborhood(
     """
     sigma = float(_rates(schedule.resolved(grid), n_rows, s, s + 1)[1][0])
     d = grid.distance(u, v)
-    denom = 2.0 * sigma * sigma
-    if denom == 0.0:
-        return 1.0 if u == v else 0.0
-    return math.exp(-(d * d) / denom)
+    return float(kernels.theta_table(sigma, d)[d])
 
 
 def update_step(
@@ -203,14 +200,9 @@ def train(
     if initial_weights is None:
         weights = init_codebook(grid, dim, schedule.seed).weights
     else:
+        # Copied, because the kernel mutates it, then checked as a codebook.
         weights = np.array(initial_weights, dtype=np.float64)
-        if weights.shape != (grid.n_nodes, dim):
-            raise ValueError(
-                f"initial weights shape {weights.shape} does not match "
-                f"{grid.n_nodes} neurons x {dim} attributes"
-            )
-        if weights.size and not (weights.min() >= 0.0 and weights.max() <= 1.0):
-            raise ValueError("initial weights must be finite and lie in [0, 1]")
+        weights = SomModel(grid=grid, dim=dim, weights=weights).weights
 
     coords = axial_coords(grid)
     # Spawn key 1 keeps the shuffle stream independent of the codebook stream.
@@ -237,12 +229,9 @@ def quantization_error(model: SomModel, table: NormalizedTable) -> float:
     if table.n_attrs != model.dim:
         raise ValueError(f"table has {table.n_attrs} attributes, model expects {model.dim}")
     _, dist = kernels.bmu(model.weights, table.rows)
-    # Left to right in Python floats, as a per-row loop adds them: numpy's
-    # pairwise sum, and from Python 3.12 the builtin ``sum``, round differently.
-    total = 0.0
-    for d in dist.tolist():
-        total += d
-    return total / table.n_rows
+    # Left to right, as a per-row loop adds them: numpy's pairwise sum, and
+    # from Python 3.12 the builtin ``sum``, round differently.
+    return float(np.add.accumulate(dist)[-1]) / table.n_rows
 
 
 def _rates(

@@ -311,6 +311,13 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_forward(model, cm, {}, target="mass")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, rng, value):
+        # A NaN would otherwise normalize to 0 and land on a neuron unflagged.
+        table, model, cm = self.fit(rng)
+        with pytest.raises(ValueError, match="'duration'"):
+            predict_forward(model, cm, {"opening": 5.0, "duration": value}, target="mass")
+
     def test_forward_reports_target_stats(self, rng):
         table, model, cm = self.fit(rng)
         pred = predict_forward(model, cm, {"opening": 5.0, "duration": 1.0}, target="mass")

@@ -28,10 +28,19 @@ def test_train_succeeds_and_is_byte_reproducible(log_csv, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--no-such-flag"], ["--epochs", "0"], ["--seed", "-1"]], ids=str
+    "extra",
+    [["--no-such-flag"], ["--epochs", "0"], ["--seed", "-1"], ["--sigma0", "inf"]],
+    ids=str,
 )
 def test_usage_errors_exit_1(log_csv, tmp_path, extra):
     assert train(log_csv, tmp_path / "m.model", *extra) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("delimiter", ["", "ab"])
+def test_delimiter_must_be_one_character(log_csv, tmp_path, capsys, delimiter):
+    assert train(log_csv, tmp_path / "m.model", "--delimiter", delimiter) == cli.EXIT_USAGE
+    assert "som-atlas: error:" in capsys.readouterr().err
+    assert not (tmp_path / "m.model").exists()
 
 
 def test_malformed_csv_exits_2(tmp_path):
@@ -65,3 +74,5 @@ def test_non_finite_or_zero_radius_exits_1(log_csv, tmp_path, command, fmt, radi
         argv += ["--k", "2"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert not list((tmp_path / "out").glob(f"*.{fmt}"))
+    # No partial output either: no directory, or an empty one.
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -15,7 +15,17 @@ from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid, axial_coords
 from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
-from som_atlas.som import TrainingSchedule, _rates, init_codebook, quantization_error, train
+from som_atlas.kernels.pure import max_hops
+from som_atlas.som import (
+    SomModel,
+    TrainingSchedule,
+    _rates,
+    init_codebook,
+    neighborhood,
+    quantization_error,
+    train,
+    update_step,
+)
 
 from conftest import make_table
 
@@ -182,7 +192,7 @@ def test_selected_backend_reported():
     assert (kernels.train_loop is pure.train_loop) == (kernels.BACKEND == "python")
 
 
-def test_bmu_matches_train_loop_competition():
+def test_bmu_matches_train_loop_competition(native_train_loop):
     # The public BMU scan and the in-loop scan must agree, ties included.
     rng = np.random.default_rng(3)
     weights = rng.random((12, 4))
@@ -193,6 +203,17 @@ def test_bmu_matches_train_loop_competition():
     weights[2] = weights[7]  # tie: lowest index wins
     idx, _ = kernels.bmu(weights, x)
     assert idx.tolist() == [2]
+    # One competitive step moves only the winner, so the moved neuron is the
+    # training scan's answer; the first row ties neurons 2 and 7.
+    rows = np.vstack([weights[7] + 0.01, rng.random((20, 4))])
+    expected, _ = kernels.bmu(weights, rows)
+    assert expected[0] == 2
+    coords = axial_coords(HexGrid(4, 3))
+    for impl in (pure.train_loop, native_train_loop):
+        for i, u in enumerate(expected.tolist()):
+            w = weights.copy()
+            impl(w, rows, np.array([i], dtype=np.int64), coords, np.full(1, 0.5), np.zeros(1), 0)
+            assert np.flatnonzero((w != weights).any(axis=1)).tolist() == [u]
 
 
 def _bmu_row(weights, x, mask=None):
@@ -218,10 +239,12 @@ def _assert_matches_rows(weights, X, mask=None):
     assert dist.tobytes() == np.array([d for _, d in expected]).tobytes()
 
 
-CHUNK_50 = pure.BMU_SCRATCH // 50  # rows per chunk on a 50-neuron map
+# Rows per chunk on a 50-neuron map scanned over 5 attributes (no mask); the
+# longer 1309 and 3937 rows also end off the chunk edges of both masks below.
+CHUNK_50 = pure.BMU_SCRATCH // ((5 + 1) * 50)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, CHUNK_50 - 1, 3 * CHUNK_50 + 7])
+@pytest.mark.parametrize("n_rows", [0, 1, CHUNK_50 - 1, 3 * CHUNK_50 + 7, 1309, 3937])
 def test_batched_bmu_matches_row_scan(n_rows):
     rng = np.random.default_rng(n_rows)
     weights = rng.random((50, 5))
@@ -233,6 +256,21 @@ def test_batched_bmu_matches_row_scan(n_rows):
     _assert_matches_rows(weights, X)
     _assert_matches_rows(weights, X, np.array([1, 3]))
     _assert_matches_rows(weights, X, np.array([4]))
+
+
+@pytest.mark.parametrize("dim", [1, 8, 9])
+def test_batched_bmu_on_one_neuron_map(dim):
+    # Terms 2.25 and (2**-26)**2 = half an ulp of 2.25: added left to right
+    # every small term rounds away and the sum stays 2.25, while a reduction
+    # that adds the small terms first (numpy's path for a lone neuron's
+    # dimensions) lands ulps above it.
+    weights = np.array([[1.5] + [2.0**-26] * (dim - 1)])
+    X = np.vstack([np.zeros((1, dim)), np.random.default_rng(dim).random((6, dim))])
+    for mask in (None, np.arange(min(dim, 8))):
+        for i in range(len(X)):
+            _assert_matches_rows(weights, X[i : i + 1], mask)
+        _assert_matches_rows(weights, X, mask)
+    assert kernels.bmu(weights, X[:1])[1].tolist() == [1.5]
 
 
 def test_batched_bmu_on_map_wider_than_scratch():
@@ -267,3 +305,24 @@ def test_batched_bmu_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("sigma0", [None, 0.8, 1e-170])
+def test_neighborhood_is_the_training_theta_table(sigma0, native_train_loop, monkeypatch):
+    # With the winner's weight at 1, every other weight at 0 and alpha 1, one
+    # step leaves neuron v at exactly 0 + theta * (1 - 0): the training theta
+    # row of the winner, which neighborhood must give bit for bit.
+    grid = HexGrid(7, 5)
+    u = 13  # an edge neuron whose hop distances take every value up to max_hops
+    hops = {grid.distance(u, v) for v in range(grid.n_nodes)}
+    assert hops == set(range(max_hops(axial_coords(grid)) + 1))
+    sched = TrainingSchedule(epochs=3, alpha0=1.0, alpha_end=1.0, sigma0=sigma0)
+    n_rows = 4
+    for impl in (pure.train_loop, native_train_loop):
+        monkeypatch.setattr(kernels, "train_loop", impl)
+        for s in range(sched.epochs * n_rows):  # the last epoch is competitive
+            weights = np.zeros((grid.n_nodes, 1))
+            weights[u] = 1.0
+            model = update_step(SomModel(grid=grid, dim=1, weights=weights), [1.0], s, sched, n_rows)
+            expected = [neighborhood(grid, u, v, s, sched, n_rows) for v in range(grid.n_nodes)]
+            assert model.weights[:, 0].tobytes() == np.array(expected).tobytes()

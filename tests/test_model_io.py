@@ -1,5 +1,7 @@
 """Model file format: byte round trips and corruption reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,12 @@ def test_quasi_flag_consistency_checked(trained_model):
     lines[attr_i] = " ".join(parts)
     with pytest.raises(ModelFormatError, match="inconsistent"):
         loads_model("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("sigma0", ["inf", "nan"])
+def test_non_finite_sigma0_rejected(trained_model, sigma0):
+    text = dumps_model(trained_model)
+    broken = re.sub(r"sigma0=\S+", f"sigma0={sigma0}", text)
+    assert broken != text
+    with pytest.raises(ModelFormatError, match="line 4: sigma0"):
+        loads_model(broken)

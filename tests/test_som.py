@@ -168,6 +168,13 @@ class TestLearningRate:
         with pytest.raises(ValueError):
             TrainingSchedule(seed=-1)
 
+    @pytest.mark.parametrize("sigma0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sigma0_rejected(self, sigma0):
+        # An infinite radius makes theta 1 everywhere: every neuron would
+        # move alike and the map would not organize.
+        with pytest.raises(ValueError, match="sigma0"):
+            TrainingSchedule(sigma0=sigma0)
+
 
 class TestNeighborhood:
     def test_self_is_one(self):
@@ -329,6 +336,18 @@ class TestTrain:
         init[2, 1] = math.nan
         with pytest.raises(ValueError):
             train(table, HexGrid(2, 2), TrainingSchedule(epochs=1), initial_weights=init)
+
+    def test_initial_weights_are_checked_and_copied(self):
+        table = norm_table([[0.5, 0.5], [0.1, 0.9]])
+        sched = TrainingSchedule(epochs=2)
+        with pytest.raises(ValueError, match="shape"):
+            train(table, HexGrid(2, 2), sched, initial_weights=np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            train(table, HexGrid(2, 2), sched, initial_weights=np.full((4, 2), 1.5))
+        init = np.full((4, 2), 0.5)
+        model = train(table, HexGrid(2, 2), sched, initial_weights=init)
+        assert not np.array_equal(model.weights, init)
+        assert np.array_equal(init, np.full((4, 2), 0.5))
 
     def test_empty_table_rejected(self):
         table = NormalizedTable(schema=norm_table([[0.5]]).schema, rows=np.empty((0, 1)))
