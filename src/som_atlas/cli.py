@@ -258,10 +258,14 @@ def cmd_cluster(args) -> None:
     model = load_model(args.model)
     table = None if args.input is None else _read_table(args)
     clusters = kmeans_codebook(model, args.k, kmeans_seed=args.kmeans_seed, max_iters=args.max_iters)
-    # Drawn before anything is written, so rejected render arguments leave nothing.
+    # Drawn and classified before anything is written, so rejected render
+    # arguments or a mismatched --input leave nothing.
     image = render_cluster_map(
         clusters.neuron_labels, model.grid, format=args.format, cell_radius=args.radius
     )
+    if table is not None:
+        assignments = classify(model, table)
+        clusters = cluster_stats(clusters, assignments, table, model)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -271,8 +275,6 @@ def cmd_cluster(args) -> None:
     atomic_write_bytes(outdir / f"cluster_map.{args.format}", image)
 
     if table is not None:
-        assignments = classify(model, table)
-        clusters = cluster_stats(clusters, assignments, table, model)
         atomic_write_text(outdir / "assignments.csv", assignments_to_csv(assignments, clusters))
         atomic_write_text(outdir / "cluster_stats.csv", stats_to_csv(clusters, table.names))
 

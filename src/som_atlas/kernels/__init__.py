@@ -10,6 +10,8 @@ library is used if it loads, ``pure`` otherwise; nothing is compiled at
 import. ``BACKEND`` names the choice, and ``pure`` stays importable as the
 reference either way. ``bmu``, the batched best-matching-unit search on the
 training scan, and ``theta_table`` have one implementation, in ``pure``.
+``bmu`` screens rows with a matrix product first; the screen is a rounding
+bound that lets rows skip the full scan, never a value it returns.
 """
 
 import ctypes

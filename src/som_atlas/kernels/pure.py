@@ -8,6 +8,11 @@ per neuron); ``theta_table``, the neighborhood of both ``train_loop`` and
 ``som.neighborhood``, is built with libm ``exp`` per hop distance; the update
 is three separately rounded elementwise steps. Change both files together or
 not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
+
+``bmu`` first screens rows with one BLAS matrix product, whose summation
+order is not ours. The screen is only a bound: it decides which rows may skip
+the full scan, never a returned index or distance, which ``_sq_distances``
+computes for every row.
 """
 
 from __future__ import annotations
@@ -17,16 +22,25 @@ import math
 import numpy as np
 
 
-# Rows per ``bmu`` chunk are chosen so that its two scratch buffers together
-# hold at most this many float64 values (but always at least one row).
+# ``bmu`` screens rows in chunks whose ``[x, 1]`` rows and screen values
+# together hold at most this many float64 values, and scans undecided rows in
+# chunks whose two scratch buffers together do (but always at least one row).
 BMU_SCRATCH = 2**17
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53: bounds k roundings' relative error."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
 
 
 def _sq_distances(w3, x3, buf, out):
     """Squared distances of rows ``x3`` (dim, rows, 1) to neurons ``w3`` (dim, 1, n).
 
     Writes ``out`` (rows, n) through the scratch ``buf`` (dim, rows, n): the
-    axis-0 reduction adds the (rows, n) slabs of dimensions in order.
+    axis-0 reduction adds the (rows, n) slabs of dimensions in order. With
+    ``w3`` of shape (dim, rows, 1) it gives each row's distance to its own
+    neuron.
     """
     np.subtract(w3, x3, out=buf)
     buf *= buf
@@ -39,32 +53,89 @@ def _sq_distances(w3, x3, buf, out):
     return out
 
 
+def _screen_margins(wt: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The screen matrix ``[-2 w^T; |w|^2]`` (dim + 1, n) and each row's margin.
+
+    Screen value s_j = |w_j|^2 - 2 x.w_j is the exact chain's sum D_j minus
+    the row's constant |x|^2. With u = 2**-53, M = max |w_j|, R = M + |x|:
+    - s_j, a length-(dim + 1) product of rows holding the rounded |w_j|^2,
+      is within gamma(2 dim + 1) R^2 of its exact value in any summation
+      order, FMA or not (Higham, Accuracy and Stability, 3.1 and 3.5).
+    - The chain's sum of dim rounded squares of rounded differences is within
+      gamma(dim + 2) D_j <= gamma(dim + 2) R^2 of D_j.
+    So when s_2 - s_1 (runner-up minus winner) exceeds
+    2 (gamma(2 dim + 1) + gamma(dim + 2)) R^2 the screen's winner has the
+    smallest chain sum, strictly, so the full scan would return it too. The
+    margin 4 gamma(2 dim + 5) R^2 exceeds that by about (2 dim + 14) u R^2,
+    which covers the rounding of M, |x|, R^2, the margin and the gap. Every
+    product that underflows adds at most 2**-1075 more: under
+    (3 dim + 1) 2**-1074 over both screen values and both chains, below the
+    8 dim 2**-1074 added. (2 R)^2 overflows, and the margin is inf, before
+    any value here can; a NaN makes it NaN. A gap must exceed the margin, so
+    a row with a tie, an overflow, an inf or a NaN is never decided.
+    """
+    dim = wt.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->j", wt, wt)
+        screen = np.vstack([-2.0 * wt, norms])
+        reach = np.sqrt(norms.max()) + np.sqrt(np.einsum("ij,ij->i", x, x))
+        margin = _gamma(2 * dim + 5) * np.square(2.0 * reach) + 8.0 * dim * 2.0**-1074
+    return screen, margin
+
+
 def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
     """Best matching units of the rows of ``X``: (intp indices, float64 distances).
 
     ``X`` is 2-D, one row per query. ``mask``, when given, is an ascending
     array of attribute indices; distances are computed over those dimensions
     only, with the training scan. Ties break toward the lowest neuron index;
-    the distance is the square root of the winner's sum. Rows are scanned in
-    chunks of ``max(1, BMU_SCRATCH // ((dim + 1) * n_neurons))``, so scratch
-    stays bounded however many rows there are.
+    the distance is the square root of the winner's sum.
+
+    One matrix product of the rows ``[x, 1]`` with ``_screen_margins``'
+    matrix screens each chunk of ``max(1, BMU_SCRATCH // (dim + 1 + n))``
+    rows. A row whose runner-up trails the screen's winner by more than its
+    margin is decided: the winner is its BMU and the training scan of that
+    one neuron gives its distance. Every other row goes through the full
+    training scan, ``max(1, BMU_SCRATCH // ((dim + 1) * n))`` rows at a time.
+    The screen is a bound, never a value: every returned index and distance
+    is the full scan's, bit for bit, and scratch stays bounded however many
+    rows there are.
     """
     n = weights.shape[0]
     rows = X.shape[0]
     cols = slice(None) if mask is None else mask
-    w3 = np.ascontiguousarray(weights.T[cols])[:, None, :]
-    x3 = X[:, cols].T[:, :, None]
-    dim = w3.shape[0]
-    chunk = max(1, min(BMU_SCRATCH // ((dim + 1) * n), rows))
-    buf = np.empty((dim, chunk, n))
-    acc = np.empty((chunk, n))
+    wt = np.ascontiguousarray(weights.T[cols])
+    x = X[:, cols]
+    dim = wt.shape[0]
+    w3, x3 = wt[:, None, :], x.T[:, :, None]
+    screen, margin = _screen_margins(wt, x)
+    chunk = max(1, min(BMU_SCRATCH // (dim + 1 + n), rows))
+    scan = max(1, BMU_SCRATCH // ((dim + 1) * n))
+    xs = np.empty((chunk, dim + 1))
+    xs[:, dim] = 1.0
+    a = np.empty((chunk, n))
+    lane = np.arange(chunk)
+    buf = np.empty((dim, min(scan, chunk), n))
     idx = np.empty(rows, dtype=np.intp)
     dist = np.empty(rows)
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
-        a = _sq_distances(w3, x3[:, start:stop], buf[:, : stop - start], acc[: stop - start])
-        a.argmin(axis=1, out=idx[start:stop])
-        np.minimum.reduce(a, axis=1, out=dist[start:stop])  # the winner's sum
+        k = stop - start
+        xs[:k, :dim] = x[start:stop]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow, inf - inf: undecided
+            s = np.matmul(xs[:k], screen, out=a[:k])
+            u = s.argmin(axis=1, out=idx[start:stop])
+            best = s[lane[:k], u]
+            s[lane[:k], u] = np.inf
+            undecided = np.flatnonzero(~(s.min(axis=1) - best > margin[start:stop]))
+        # Each row's sum for its screen winner; undecided rows are overwritten.
+        pair = np.empty((dim, k, 1))
+        _sq_distances(wt[:, u, None], x3[:, start:stop], pair, dist[start:stop, None])
+        for i in range(0, undecided.size, scan):
+            sub = undecided[i : i + scan] + start
+            full = _sq_distances(w3, x3[:, sub], buf[:, : sub.size], a[: sub.size])
+            idx[sub] = full.argmin(axis=1)
+            dist[sub] = np.minimum.reduce(full, axis=1)  # the winner's sum
     return idx, np.sqrt(dist, out=dist)
 
 

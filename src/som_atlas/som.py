@@ -110,21 +110,24 @@ def init_codebook(grid: HexGrid, dim: int, seed: int) -> SomModel:
 def find_bmu(model: SomModel, x, mask=None) -> tuple[int, float]:
     """Best matching unit for ``x``: (neuron index, Euclidean distance).
 
-    ``mask`` restricts the distance to a subset of attribute indices; ties
-    break toward the lowest neuron index.
+    ``mask`` restricts the distance to a subset of attribute indices, given
+    as integers (not floats or booleans); ties break toward the lowest neuron
+    index.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.dim,):
         raise ValueError(f"input has shape {x.shape}, model expects ({model.dim},)")
     if mask is not None:
-        mask = np.asarray(mask, dtype=np.intp)
+        mask = np.asarray(mask)
         if mask.size == 0:
             raise ValueError("mask must name at least one attribute")
+        if mask.dtype.kind not in "iu":
+            raise ValueError(f"mask must hold integer attribute indices, not {mask.dtype}")
         if len(np.unique(mask)) != mask.size:
             raise ValueError("mask contains duplicate attribute indices")
         if mask.min() < 0 or mask.max() >= model.dim:
             raise ValueError("mask index out of range")
-        mask = np.sort(mask)
+        mask = np.sort(mask).astype(np.intp)
     idx, dist = kernels.bmu(model.weights, x[None, :], mask)
     return int(idx[0]), float(dist[0])
 

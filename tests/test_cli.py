@@ -76,3 +76,14 @@ def test_non_finite_or_zero_radius_exits_1(log_csv, tmp_path, command, fmt, radi
     assert not list((tmp_path / "out").glob(f"*.{fmt}"))
     # No partial output either: no directory, or an empty one.
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_cluster_with_mismatched_input_exits_2_and_writes_nothing(log_csv, tmp_path):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    other = tmp_path / "other.csv"
+    other.write_text("a,b,d\n0.1,0.2,0.3\n")
+    argv = ["cluster", "--model", str(tmp_path / "m.model"), "--outdir", str(tmp_path / "out"),
+            "--k", "2", "--input", str(other)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    # No partial output either: no directory, or an empty one.
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

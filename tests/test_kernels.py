@@ -281,6 +281,111 @@ def test_batched_bmu_on_map_wider_than_scratch():
     _assert_matches_rows(weights, X)
 
 
+def _full_scan_rows(monkeypatch, weights, X, mask=None):
+    """How many rows ``kernels.bmu`` sends through the full scan of every neuron."""
+    n = weights.shape[0]
+    sent = []
+    scan = pure._sq_distances
+
+    def counting(w3, x3, buf, out):
+        if w3.shape[1:] == (1, n):  # not a row's distance to its own winner
+            sent.append(x3.shape[1])
+        return scan(w3, x3, buf, out)
+
+    monkeypatch.setattr(pure, "_sq_distances", counting)
+    _assert_matches_rows(weights, X, mask)
+    return sum(sent)
+
+
+def test_screen_sends_few_rows_to_the_full_scan(monkeypatch):
+    # A margin wider than the rounding bound needs would still give the right
+    # answers, only slowly: at most 1% of random rows may be left undecided.
+    rng = np.random.default_rng(13)
+    weights = rng.random((1600, 8))
+    X = rng.random((4096, 8))
+    assert _full_scan_rows(monkeypatch, weights, X) <= 0.01 * len(X)
+
+
+def test_identical_codebook_leaves_every_row_undecided(monkeypatch):
+    # Every screen value ties, so every row takes the full scan (and neuron 0),
+    # across the edge of a screened chunk and of several full-scan chunks.
+    rng = np.random.default_rng(14)
+    weights = np.tile(rng.random(3), (40, 1))
+    X = rng.random((pure.BMU_SCRATCH // (3 + 1 + 40) + 5, 3))
+    assert _full_scan_rows(monkeypatch, weights, X) == len(X)
+    assert not kernels.bmu(weights, X)[0].any()
+
+
+def _near_ties(rng, n, dim):
+    """A codebook with duplicated and 1-ulp-apart neurons, and rows on and between them."""
+    weights = rng.random((n, dim))
+    weights[n // 2] = weights[1]  # exact duplicate
+    weights[n // 2 + 1] = np.nextafter(weights[2], 1.0)  # 1 ulp off in every attribute
+    weights[n - 1] = weights[3]
+    weights[n - 1, 0] = np.nextafter(weights[3, 0], 0.0)  # 1 ulp off in one attribute
+    on = weights[[1, 2, n // 2 + 1, 3, n - 1]]
+    between = (weights[[1, 2, 3]] + weights[[n // 2, n // 2 + 1, n - 1]]) / 2
+    return weights, np.vstack([on, between, np.nextafter(on, 1.0), rng.random((20, dim))])
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_screened_bmu_on_near_ties(dim):
+    rng = np.random.default_rng(dim)
+    weights, X = _near_ties(rng, 30, dim)
+    _assert_matches_rows(weights, X)
+    mask = np.arange(0, dim, 2)
+    _assert_matches_rows(weights, X, mask)
+    _assert_matches_rows(weights, X, np.array([dim - 1]))
+
+
+@pytest.mark.parametrize("dim", [1, 64])
+def test_screened_bmu_on_one_neuron_and_empty_input(dim):
+    rng = np.random.default_rng(20 + dim)
+    weights = rng.random((1, dim))
+    X = np.vstack([weights, rng.random((9, dim))])
+    _assert_matches_rows(weights, X)
+    _assert_matches_rows(weights, X, np.array([0]))
+    for w in (weights, rng.random((7, dim))):
+        idx, dist = kernels.bmu(w, np.empty((0, dim)))
+        assert idx.shape == dist.shape == (0,)
+        assert idx.dtype == np.intp and dist.dtype == np.float64
+
+
+@pytest.mark.parametrize("scale", [2.0**-1070, 1e-161, 1e-155])
+def test_screened_bmu_on_subnormal_scale(scale):
+    # Squares and products underflow into (or below) the subnormal range,
+    # where rounding errors are absolute, not relative: without the margin's
+    # absolute term the screen decides dozens of these rows wrongly.
+    rng = np.random.default_rng(15)
+    weights, X = _near_ties(rng, 40, 4)
+    X = np.vstack([X, rng.random((300, 4)), np.zeros((1, 4))])
+    _assert_matches_rows(weights * scale, X * scale)
+    _assert_matches_rows(weights * scale, X * scale, np.array([1, 2]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_screened_bmu_on_neurons_ulps_apart(seed):
+    # 64 neurons within 2 ulps of one point per attribute: their distances to
+    # a row differ by a few ulps, the size of the screen's own rounding. A
+    # margin 64 times too narrow decides some of these rows wrongly.
+    rng = np.random.default_rng(seed)
+    center = rng.random(4)
+    weights = center + np.spacing(center) * rng.integers(-2, 3, (64, 4))
+    _assert_matches_rows(weights, rng.random((500, 4)))
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e154, 1e155])
+def test_screened_bmu_where_the_screen_overflows(scale):
+    # |w|^2 and 2 x.w overflow to inf (and inf - inf to NaN) near 1e155,
+    # while the full scan's differences stay small enough to square.
+    rng = np.random.default_rng(16)
+    weights = scale * (1.0 + 0.01 * rng.random((30, 4)))
+    X = scale * (1.0 + 0.01 * rng.random((40, 4)))
+    X[:3] = weights[[5, 6, 7]]
+    _assert_matches_rows(weights, X)
+    _assert_matches_rows(weights, X, np.array([0, 3]))
+
+
 def test_quantization_error_is_the_sequential_row_sum():
     rng = np.random.default_rng(11)
     grid = HexGrid(7, 5)

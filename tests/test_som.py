@@ -117,6 +117,21 @@ class TestFindBmu:
         with pytest.raises(ValueError):
             find_bmu(m, [0.1, 0.2, 0.3], mask=[3])
 
+    @pytest.mark.parametrize("mask", [[1.7], [1.0], [True, False], np.array([0.0, 2.0])], ids=str)
+    def test_mask_must_be_integer(self, mask):
+        # Coerced to intp, [1.7] would silently mean attribute 1 and
+        # [True, False] attributes [1, 0].
+        m = small_model(2, 2, 3)
+        with pytest.raises(ValueError, match="integer"):
+            find_bmu(m, [0.1, 0.2, 0.3], mask=mask)
+
+    def test_unsigned_and_unsorted_integer_masks_are_accepted(self):
+        m = small_model(2, 1, 3, weights=[[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]])
+        expected = find_bmu(m, [0.9, 0.0, 0.1], mask=[0, 2])
+        assert expected[0] == 1
+        for mask in (np.array([2, 0], dtype=np.uint8), [2, 0], (0, 2)):
+            assert find_bmu(m, [0.9, 0.0, 0.1], mask=mask) == expected
+
     @settings(max_examples=150)
     @given(st.data())
     def test_scale_invariance_of_argmin(self, data):
