@@ -7,7 +7,8 @@ time, so memory stays bounded however long the log; forward prediction uses
 the same two calls on one masked row. Component planes slice one attribute out of
 the codebook for rendering; their pairwise Pearson coefficients quantify the
 "two planes look alike" judgement, including inverse relations at r close to
--1. K-means over the codebook groups neurons into operating regimes, and the
+-1. K-means over the codebook groups neurons into operating regimes, on the
+squared sums of ``kernels.nearest``, the search under ``kernels.bmu``. The
 two prediction queries walk the pipeline forward (partial settings to the
 expected cluster and its statistics) and backward (cluster to the weight
 ranges that reach it).
@@ -209,22 +210,24 @@ def kmeans_codebook(
         raise ValueError("max_iters must be >= 1")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
+    if kmeans_seed < 0:
+        raise ValueError(f"kmeans_seed must be >= 0, got {kmeans_seed}")
     points = model.weights
 
     best: ClusterModel | None = None
     for restart in range(n_init):
         rng = np.random.default_rng(np.random.SeedSequence(kmeans_seed, spawn_key=(restart,)))
         centroids = _kmeans_pp_init(points, k, rng)
-        labels = _assign(points, centroids)
+        labels = kernels.nearest(centroids, points)[0]
         for _ in range(max_iters):
             centroids = _update_centroids(points, labels, k, centroids)
-            new_labels = _assign(points, centroids)
+            new_labels, dsq = kernels.nearest(centroids, points)
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
 
-        diffs = points - centroids[labels]
-        inertia = float(np.sum(diffs * diffs))
+        # Left to right, as ``quantization_error`` adds distances.
+        inertia = float(np.add.accumulate(dsq)[-1])
         if best is None or inertia < best.inertia:
             best = ClusterModel(k=k, centroids=centroids, neuron_labels=labels, inertia=inertia)
     return best
@@ -235,7 +238,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[int(rng.integers(n))]
     for i in range(1, k):
-        dsq = _sq_distances(points, centroids[:i]).min(axis=1)
+        dsq = kernels.nearest(centroids[:i], points)[1]
         total = float(dsq.sum())
         if total == 0.0:
             # All points coincide with chosen centroids; any pick is as good.
@@ -245,35 +248,21 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diffs = points[:, None, :] - centroids[None, :, :]
-    return np.sum(diffs * diffs, axis=2)
-
-
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.argmin(_sq_distances(points, centroids), axis=1)
-
-
 def _update_centroids(
     points: np.ndarray, labels: np.ndarray, k: int, previous: np.ndarray
 ) -> np.ndarray:
     centroids = previous.copy()
-    empty = []
-    for c in range(k):
-        members = points[labels == c]
-        if members.shape[0]:
-            centroids[c] = members.mean(axis=0)
-        else:
-            empty.append(c)
-    if empty:
-        # Reseed each empty cluster with the point currently worst served.
-        dist_to_own = np.sum((points - centroids[labels]) ** 2, axis=1)
-        taken: set[int] = set()
-        for c in empty:
-            order = np.argsort(-dist_to_own, kind="stable")
-            far = next(int(i) for i in order if int(i) not in taken)
-            taken.add(far)
-            centroids[c] = points[far]
+    present = np.unique(labels)
+    empty = np.setdiff1d(np.arange(k), present)
+    dsq = np.empty(points.shape[0])  # each point's sum to its own centroid
+    for c in present:
+        own = labels == c
+        centroids[c] = points[own].mean(axis=0)
+        if empty.size:
+            dsq[own] = kernels.nearest(centroids[c, None], points[own])[1]
+    if empty.size:
+        # Reseed with the points worst served, farthest first, lower index on a tie.
+        centroids[empty] = points[np.argsort(-dsq, kind="stable")[: empty.size]]
     return centroids
 
 

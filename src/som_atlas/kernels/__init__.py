@@ -8,10 +8,10 @@ compiles the C file, when a compiler is available, into a shared library
 next to this module; ``load`` binds such a library through ``ctypes``. The
 library is used if it loads, ``pure`` otherwise; nothing is compiled at
 import. ``BACKEND`` names the choice, and ``pure`` stays importable as the
-reference either way. ``bmu``, the batched best-matching-unit search on the
-training scan, and ``theta_table`` have one implementation, in ``pure``.
-``bmu`` screens rows with a matrix product first; the screen is a rounding
-bound that lets rows skip the full scan, never a value it returns.
+reference either way. ``nearest``, the batched nearest-neuron search on the
+training scan behind ``bmu`` and k-means, and ``theta_table`` have one
+implementation, in ``pure``. ``nearest`` screens rows with a matrix product
+first; the screen is a rounding bound, never a value it returns.
 """
 
 import ctypes
@@ -23,7 +23,7 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 
 from . import pure
-from .pure import bmu, max_hops, theta_table
+from .pure import bmu, max_hops, nearest, theta_table
 
 _LIBRARY = Path(__file__).with_name("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
 
@@ -80,4 +80,4 @@ except OSError:
     train_loop = pure.train_loop
     BACKEND = "python"
 
-__all__ = ["BACKEND", "bmu", "load", "theta_table", "train_loop"]
+__all__ = ["BACKEND", "bmu", "load", "nearest", "theta_table", "train_loop"]

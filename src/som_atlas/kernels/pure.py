@@ -3,15 +3,15 @@
 Numerical lockstep contract: every floating-point operation here must happen
 in the same order, with the same intermediate roundings, as in ``_kernel.c``.
 Each formula is written once: ``_sq_distances``, the distance scan of both
-``train_loop`` and ``bmu``, adds dimensions left to right (one strict chain
-per neuron); ``theta_table``, the neighborhood of both ``train_loop`` and
-``som.neighborhood``, is built with libm ``exp`` per hop distance; the update
-is three separately rounded elementwise steps. Change both files together or
-not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
+``train_loop`` and ``nearest``, adds dimensions left to right (one strict
+chain per neuron); ``theta_table``, the neighborhood of both ``train_loop``
+and ``som.neighborhood``, is built with libm ``exp`` per hop distance; the
+update is three separately rounded elementwise steps. Change both files
+together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
 
-``bmu`` first screens rows with one BLAS matrix product, whose summation
+``nearest`` first screens rows with one BLAS matrix product, whose summation
 order is not ours. The screen is only a bound: it decides which rows may skip
-the full scan, never a returned index or distance, which ``_sq_distances``
+the full scan, never a returned index or sum, which ``_sq_distances``
 computes for every row.
 """
 
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 
-# ``bmu`` screens rows in chunks whose ``[x, 1]`` rows and screen values
+# ``nearest`` screens rows in chunks whose ``[x, 1]`` rows and screen values
 # together hold at most this many float64 values, and scans undecided rows in
 # chunks whose two scratch buffers together do (but always at least one row).
 BMU_SCRATCH = 2**17
@@ -83,23 +83,23 @@ def _screen_margins(wt: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return screen, margin
 
 
-def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
-    """Best matching units of the rows of ``X``: (intp indices, float64 distances).
+def nearest(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest neurons of the rows of ``X``: (intp indices, float64 squared sums).
 
     ``X`` is 2-D, one row per query. ``mask``, when given, is an ascending
-    array of attribute indices; distances are computed over those dimensions
-    only, with the training scan. Ties break toward the lowest neuron index;
-    the distance is the square root of the winner's sum.
+    array of attribute indices; sums are taken over those dimensions only,
+    with the training scan. Ties break toward the lowest neuron index; the
+    sum is the winner's.
 
     One matrix product of the rows ``[x, 1]`` with ``_screen_margins``'
     matrix screens each chunk of ``max(1, BMU_SCRATCH // (dim + 1 + n))``
     rows. A row whose runner-up trails the screen's winner by more than its
-    margin is decided: the winner is its BMU and the training scan of that
-    one neuron gives its distance. Every other row goes through the full
+    margin is decided: the winner is its nearest neuron and the training scan
+    of that one neuron gives its sum. Every other row goes through the full
     training scan, ``max(1, BMU_SCRATCH // ((dim + 1) * n))`` rows at a time.
-    The screen is a bound, never a value: every returned index and distance
-    is the full scan's, bit for bit, and scratch stays bounded however many
-    rows there are.
+    The screen is a bound, never a value: every returned index and sum is
+    the full scan's, bit for bit, and scratch stays bounded however many rows
+    there are.
     """
     n = weights.shape[0]
     rows = X.shape[0]
@@ -136,6 +136,12 @@ def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.n
             full = _sq_distances(w3, x3[:, sub], buf[:, : sub.size], a[: sub.size])
             idx[sub] = full.argmin(axis=1)
             dist[sub] = np.minimum.reduce(full, axis=1)  # the winner's sum
+    return idx, dist
+
+
+def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """Best matching units of the rows of ``X``: ``nearest``'s indices and the roots of its sums."""
+    idx, dist = nearest(weights, X, mask)
     return idx, np.sqrt(dist, out=dist)
 
 

@@ -88,7 +88,10 @@ def loads_model(text: str) -> SomModel:
     grid_parts = cursor.next().split(" ")
     if len(grid_parts) != 4 or grid_parts[0] != "grid" or grid_parts[3] != "odd-r":
         raise ModelFormatError(f"line {cursor.lineno}: expected 'grid <width> <height> odd-r'")
-    grid = HexGrid(_int(grid_parts[1], cursor), _int(grid_parts[2], cursor))
+    try:
+        grid = HexGrid(_int(grid_parts[1], cursor), _int(grid_parts[2], cursor))
+    except ValueError as exc:
+        raise ModelFormatError(f"line {cursor.lineno}: {exc}") from None
 
     dim_parts = cursor.next().split(" ")
     if len(dim_parts) != 2 or dim_parts[0] != "dim":

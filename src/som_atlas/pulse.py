@@ -44,7 +44,7 @@ class PulseCurve:
             raise ValueError("sample times must be strictly increasing")
         if not (self.t_open < self.t_close):
             raise ValueError(f"t_open {self.t_open} must precede t_close {self.t_close}")
-        if self.regen_duration < 0:
+        if not (self.regen_duration >= 0):
             raise ValueError("regen_duration must be non-negative")
         if self.t_open < times[0]:
             raise ValueError(f"pulse window opens at {self.t_open}, before the first sample {times[0]}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from som_atlas.errors import SchemaMismatchError
+from som_atlas import analysis
 from som_atlas.analysis import (
     classify,
     cluster_stats,
@@ -209,6 +210,123 @@ class TestKmeans:
         diffs = m.weights[:, None, :] - cm.centroids[None, :, :]
         reassigned = np.argmin(np.sum(diffs * diffs, axis=2), axis=1)
         assert np.array_equal(reassigned, cm.neuron_labels)
+
+    def test_reseed_takes_farthest_points_in_order(self):
+        points = np.array([[1.0], [0.0], [10.0], [5.0], [12.0]])
+        labels = np.array([0, 0, 1, 0, 1])
+        # Own-centroid sums: cluster 0 (mean 2) gives 1, 4, 9; cluster 1 (mean 11) 1, 1.
+        got = analysis._update_centroids(points, labels, 4, np.full((4, 1), 99.0))
+        assert got[:, 0].tolist() == [2.0, 11.0, 5.0, 0.0]
+
+    def test_reseed_breaks_distance_ties_toward_lower_index(self):
+        points = np.array([[2.0, 1.0], [0.0, 1.0], [7.0, 1.0], [4.0, 1.0]])
+        labels = np.array([0, 0, 1, 0])
+        # Points 1 and 3 are both 4 from their centroid (2, 1), the farthest.
+        got = analysis._update_centroids(points, labels, 4, np.full((4, 2), 99.0))
+        assert got.tolist() == [[2.0, 1.0], [7.0, 1.0], [0.0, 1.0], [4.0, 1.0]]
+
+    def test_identical_codebook_reaches_the_reseed(self, monkeypatch):
+        seen_empty = []
+        update = analysis._update_centroids
+
+        def spy(points, labels, k, previous):
+            seen_empty.append(np.unique(labels).size < k)
+            return update(points, labels, k, previous)
+
+        monkeypatch.setattr(analysis, "_update_centroids", spy)
+        point = np.array([0.25, 0.5, 0.75])
+        cm = kmeans_codebook(model_with(np.tile(point, (5, 1))), 2, kmeans_seed=3)
+        assert any(seen_empty)
+        assert cm.neuron_labels.tolist() == [0] * 5
+        assert cm.centroids.tolist() == [point.tolist()] * 2
+        assert cm.inertia == 0.0
+
+
+def _reference_kmeans(points, k, kmeans_seed, max_iters=300, n_init=10):
+    """K-means with numpy's own distance sums: the reference ``kmeans_codebook`` must match."""
+
+    def sq_distances(centroids):
+        diffs = points[:, None, :] - centroids[None, :, :]
+        return np.sum(diffs * diffs, axis=2)
+
+    def init(rng):
+        n = points.shape[0]
+        centroids = np.empty((k, points.shape[1]))
+        centroids[0] = points[int(rng.integers(n))]
+        for i in range(1, k):
+            dsq = sq_distances(centroids[:i]).min(axis=1)
+            total = float(dsq.sum())
+            if total == 0.0:
+                centroids[i] = points[int(rng.integers(n))]
+                continue
+            centroids[i] = points[int(rng.choice(n, p=dsq / total))]
+        return centroids
+
+    def update(labels, previous):
+        centroids = previous.copy()
+        empty = []
+        for c in range(k):
+            members = points[labels == c]
+            if members.shape[0]:
+                centroids[c] = members.mean(axis=0)
+            else:
+                empty.append(c)
+        if empty:
+            dist_to_own = np.sum((points - centroids[labels]) ** 2, axis=1)
+            taken = set()
+            for c in empty:
+                order = np.argsort(-dist_to_own, kind="stable")
+                far = next(int(i) for i in order if int(i) not in taken)
+                taken.add(far)
+                centroids[c] = points[far]
+        return centroids
+
+    best = None
+    for restart in range(n_init):
+        rng = np.random.default_rng(np.random.SeedSequence(kmeans_seed, spawn_key=(restart,)))
+        centroids = init(rng)
+        labels = np.argmin(sq_distances(centroids), axis=1)
+        for _ in range(max_iters):
+            centroids = update(labels, centroids)
+            new_labels = np.argmin(sq_distances(centroids), axis=1)
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        diffs = points - centroids[labels]
+        inertia = float(np.sum(diffs * diffs))
+        if best is None or inertia < best[2]:
+            best = (centroids, labels, inertia)
+    return best
+
+
+def _parity_codebooks():
+    """(codebook, ks) cases: random, duplicated and quarter-step codebooks.
+
+    Quarter steps and duplicates make exact assignment ties. numpy's own sum
+    over 8 or more dimensions rounds differently from the sequential chain of
+    ``kernels.nearest``, which dims 8 and 9 exercise.
+    """
+    rng = np.random.default_rng(70)
+    for dim in (1, 3, 8, 9):
+        small = rng.random((7, dim))
+        yield pytest.param(small, range(1, 8), id=f"small-{dim}")
+        yield pytest.param(np.round(small * 4.0) / 4.0, range(1, 8), id=f"small-quarter-{dim}")
+        dup = rng.random((60, dim))[rng.integers(0, 60, size=240)]
+        yield pytest.param(dup, (2, 5, 12), id=f"dup-{dim}")
+        quarter = np.round(rng.random((400, dim)) * 4.0) / 4.0
+        yield pytest.param(quarter, (3, 12), id=f"quarter-{dim}")
+        yield pytest.param(rng.random((400, dim)), (6,), id=f"random-{dim}")
+
+
+@pytest.mark.parametrize("codebook,ks", _parity_codebooks())
+def test_kmeans_matches_numpy_sum_reference(codebook, ks):
+    m = model_with(codebook)
+    for k in ks:
+        cm = kmeans_codebook(m, k, kmeans_seed=k)
+        centroids, labels, inertia = _reference_kmeans(codebook, k, kmeans_seed=k)
+        assert cm.neuron_labels.tobytes() == labels.tobytes(), k
+        assert cm.centroids.tobytes() == centroids.tobytes(), k
+        assert math.isclose(cm.inertia, inertia, rel_tol=1e-12, abs_tol=0.0), k
 
 
 class TestClusterStats:

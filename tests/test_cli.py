@@ -87,3 +87,22 @@ def test_cluster_with_mismatched_input_exits_2_and_writes_nothing(log_csv, tmp_p
     assert cli.main(argv) == cli.EXIT_DATA
     # No partial output either: no directory, or an empty one.
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_nan_regen_duration_exits_1_and_writes_nothing(tmp_path):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,p\n0.0,5.0\n1.0,3.0\n2.0,4.0\n3.0,5.0\n")
+    out = tmp_path / "features.csv"
+    argv = ["features", "--input", str(curve), "--t-open", "0.5", "--t-close", "1.5",
+            "--regen-duration", "nan", "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_negative_kmeans_seed_exits_1_naming_it(log_csv, tmp_path, capsys):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    argv = ["cluster", "--model", str(tmp_path / "m.model"), "--outdir", str(tmp_path / "out"),
+            "--k", "2", "--kmeans-seed", "-1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "kmeans_seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

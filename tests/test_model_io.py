@@ -93,6 +93,12 @@ def replace_model_schema(model, schema):
     [
         (lambda ls: ["not-a-model"] + ls[1:], "line 1"),
         (lambda ls: ls[:1] + ["grid 3 2 square"] + ls[2:], "line 2"),
+        pytest.param(
+            lambda ls: ls[:1] + ["grid 0 2 odd-r"] + ls[2:], "line 2", id="grid-zero-width"
+        ),
+        pytest.param(
+            lambda ls: ls[:1] + ["grid 3 -1 odd-r"] + ls[2:], "line 2", id="grid-negative-height"
+        ),
         (lambda ls: ls[:2] + ["dim zero"] + ls[3:], "line 3"),
         (lambda ls: ls[:3] + ["schedule epochs=4"] + ls[4:], "line 4"),
         (lambda ls: ls[:4] + ["attr 5 pressure in 0.0 1.0 0"] + ls[5:], "line 5"),

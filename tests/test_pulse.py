@@ -118,6 +118,8 @@ def test_window_validation():
         PulseCurve(times=times, pressures=flat, t_open=3.0, t_close=3.0, regen_duration=0.5)
     with pytest.raises(ValueError, match="strictly increasing"):
         PulseCurve(times=np.array([0.0, 0.0, 1.0]), pressures=np.ones(3), t_open=0.0, t_close=0.5, regen_duration=0.1)
+    with pytest.raises(ValueError, match="regen_duration must be non-negative"):
+        PulseCurve(times=times, pressures=flat, t_open=1.0, t_close=2.0, regen_duration=float("nan"))
 
 
 def test_curve_from_table_requires_two_columns():
