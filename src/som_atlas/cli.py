@@ -6,7 +6,7 @@ reproducible runs: every command prints its full effective configuration
 and uses a stable exit-code contract:
 
     0  success
-    1  usage error (bad flags or values)
+    1  usage error (bad flags or values, or a map too large to allocate)
     2  data/format error (CSV or model file)
     3  I/O error
 """
@@ -160,6 +160,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         print(f"som-atlas: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. --width and --height too large to allocate
+        print(f"som-atlas: error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"som-atlas: error: {exc}", file=sys.stderr)

@@ -273,8 +273,13 @@ def append_time_counter(table: DataTable, period: float) -> DataTable:
     A monotone counter makes time-dependence visible downstream: any attribute
     that drifts with the log will show a weight plane correlated with this one.
     """
-    if not (period > 0):
-        raise ValueError(f"period must be positive, got {period}")
+    if not (0 < period < math.inf):
+        raise ValueError(f"period {period} is not positive and finite")
+    # Checked before multiplying, so an overflowing counter warns nowhere.
+    if not math.isfinite(max(table.n_rows - 1, 0) * period):
+        raise ValueError(
+            f"period {period} overflows the counter's last value ({table.n_rows} rows)"
+        )
     if TIME_ATTRIBUTE in table.names:
         raise ValueError(f"table already has a {TIME_ATTRIBUTE!r} attribute")
     time_col = np.arange(table.n_rows, dtype=np.float64) * period

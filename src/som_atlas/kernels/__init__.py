@@ -12,6 +12,13 @@ reference either way. ``nearest``, the batched nearest-neuron search on the
 training scan behind ``bmu`` and k-means, and ``theta_table`` have one
 implementation, in ``pure``. ``nearest`` screens rows with a matrix product
 first; the screen is a rounding bound, never a value it returns.
+
+Both loops accept exactly the arguments ``pure.check_arguments`` accepts;
+their ``coords`` must be a grid's ``axial_coords``. The C loop computes
+every hop distance and its theta row per step. ``pure`` reads the hop rows
+as views of one table per call, builds theta, times alpha, for a block of
+steps at once, and updates with the scan's ``w - x``, by the same roundings
+(see ``pure``).
 """
 
 import ctypes
@@ -23,7 +30,7 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 
 from . import pure
-from .pure import bmu, max_hops, nearest, theta_table
+from .pure import bmu, check_arguments, max_hops, nearest, theta_table
 
 _LIBRARY = Path(__file__).with_name("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
 
@@ -50,17 +57,9 @@ def load(path):
     def train_loop(weights, data, order, coords, alphas, sigmas, competitive_start):
         for kind, array in zip(_ARRAYS, (weights, data, order, coords, alphas, sigmas)):
             kind.from_param(array)  # dtype, ndim and layout, before shapes are read
+        check_arguments(weights, data, order, coords, alphas, sigmas)
         n_neurons, dim = weights.shape
         total = order.shape[0]
-        if (
-            data.shape[1] != dim
-            or coords.shape != (2, n_neurons)
-            or alphas.shape != (total,)
-            or sigmas.shape != (total,)
-        ):
-            raise ValueError("train_loop argument shapes disagree")
-        if total and not (0 <= order.min() and order.max() < data.shape[0]):
-            raise IndexError(f"order holds a row index outside [0, {data.shape[0]})")
         # Bounds every hop value the C loop computes, so theta is never overrun.
         max_dist = max_hops(coords)
         # ctypes truncates integers to 64 bits silently; clamping keeps the meaning.

@@ -6,7 +6,15 @@ ties go to the lowest index, the per-step theta table comes from libm exp()
 and is indexed by the hop distance max(|dq|, |dr|, |dq + dr|) between axial
 coordinates, and every update is three separately rounded steps. Build with
 -ffp-contract=off so that no multiply-add fuses. The Python wrapper checks
-dtypes, shapes and indices; nothing here validates its input.
+dtypes, shapes, indices and that coords are a grid's axial coordinates;
+nothing here validates its input.
+
+The numpy reference reorganizes, without changing a rounding, what this loop
+does per step: it reads each hop row as a view of one table of hop distances
+by (row parity, row offset, column offset), builds theta[d] * alpha for a
+block of steps with the same exp() per entry and the same product, and
+updates with the scan's w - x as w - coef * (w - x), which equals
+w + coef * (x - w) here bit for bit because IEEE negation is exact.
 
 w is (n, dim), data is (n_rows, dim), coords is (2, n) axial (q, r), order,
 alphas and sigmas have total entries, theta has max_dist + 1 entries of

@@ -9,6 +9,19 @@ and ``som.neighborhood``, is built with libm ``exp`` per hop distance; the
 update is three separately rounded elementwise steps. Change both files
 together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
 
+``train_loop`` moves the work that does not depend on the step out of it,
+without changing a rounding:
+- Hop distances depend only on the winner's row parity and the row and
+  column offsets, so one ``hop_table`` per call holds them all, and each
+  step's hop row is a (height, width) view of it (``hop_row``).
+- theta, times alpha, is built for a block of cooperative steps at once: the
+  same libm ``exp`` per entry and the same product ``theta[h] * alpha`` the C
+  loop takes per neuron. A block holds at most ``THETA_BLOCK`` values.
+- The scan leaves ``w - x`` in its buffer, and the update reuses it:
+  ``w - coef (w - x)`` equals C's ``w + coef (x - w)`` bit for bit, because
+  IEEE negation is exact: round(w - x) = -round(x - w),
+  coef (-t) = -(coef t), and a - b is a + (-b).
+
 ``nearest`` first screens rows with one BLAS matrix product, whose summation
 order is not ours. The screen is only a bound: it decides which rows may skip
 the full scan, never a returned index or sum, which ``_sq_distances``
@@ -21,11 +34,17 @@ import math
 
 import numpy as np
 
+from ..hexgrid import HexGrid, axial_coords
+
 
 # ``nearest`` screens rows in chunks whose ``[x, 1]`` rows and screen values
 # together hold at most this many float64 values, and scans undecided rows in
 # chunks whose two scratch buffers together do (but always at least one row).
 BMU_SCRATCH = 2**17
+
+# ``train_loop`` builds theta, times alpha, for blocks of cooperative steps
+# holding at most this many values (but always at least one step).
+THETA_BLOCK = 2**12
 
 
 def _gamma(k: int) -> float:
@@ -34,22 +53,25 @@ def _gamma(k: int) -> float:
     return k * u / (1.0 - k * u)
 
 
-def _sq_distances(w3, x3, buf, out):
+def _sq_distances(w3, x3, buf, out, sq=None):
     """Squared distances of rows ``x3`` (dim, rows, 1) to neurons ``w3`` (dim, 1, n).
 
-    Writes ``out`` (rows, n) through the scratch ``buf`` (dim, rows, n): the
-    axis-0 reduction adds the (rows, n) slabs of dimensions in order. With
+    Writes ``out`` (rows, n): ``buf`` (dim, rows, n) receives the differences
+    ``w3 - x3`` and ``sq`` (``buf`` itself by default) their squares, whose
+    axis-0 reduction adds the (rows, n) slabs of dimensions in order. With a
+    separate ``sq``, ``buf`` keeps the differences for the caller. With
     ``w3`` of shape (dim, rows, 1) it gives each row's distance to its own
     neuron.
     """
     np.subtract(w3, x3, out=buf)
-    buf *= buf
+    sq = buf if sq is None else sq
+    np.multiply(buf, buf, out=sq)
     if w3.shape[2] == 1:
         # numpy sums a lone neuron's dimensions pairwise, which rounds
         # differently; accumulate stays sequential.
-        out[:] = np.add.accumulate(buf, axis=0)[-1]
+        out[:] = np.add.accumulate(sq, axis=0)[-1]
     else:
-        np.add.reduce(buf, axis=0, out=out)
+        np.add.reduce(sq, axis=0, out=out)
     return out
 
 
@@ -151,16 +173,79 @@ def max_hops(coords: np.ndarray) -> int:
     return int(max(np.ptp(q), np.ptp(r), np.ptp(q + r)))
 
 
-def theta_table(sigma: float, max_dist: int) -> np.ndarray:
-    """Gaussian ``exp(-d**2 / (2 sigma**2))`` for hop distances d = 0 .. max_dist.
+def check_arguments(weights, data, order, coords, alphas, sigmas) -> tuple[int, int]:
+    """Check ``train_loop``'s arguments for both backends; the grid's (width, height).
 
-    When ``2 * sigma**2`` underflows to zero it is the Gaussian's limit, the
-    Kronecker delta.
+    ``coords`` must be a (2, n) int32 array equal to
+    ``axial_coords(HexGrid(width, height))``. Raises ``TypeError`` for other
+    ``coords`` dtypes, ``ValueError`` when shapes disagree or ``coords`` are
+    not a grid's, and ``IndexError`` when ``order`` leaves the data.
     """
-    denom = 2.0 * sigma * sigma
-    if denom == 0.0:
-        return np.array([1.0] + [0.0] * max_dist)
-    return np.array([math.exp(-(d * d) / denom) for d in range(max_dist + 1)])
+    if coords.dtype != np.int32:
+        raise TypeError(f"coords must be int32, not {coords.dtype}")
+    n_neurons, dim = weights.shape
+    total = order.shape[0]
+    if (
+        coords.shape != (2, n_neurons)
+        or data.shape[1] != dim
+        or alphas.shape != (total,)
+        or sigmas.shape != (total,)
+    ):
+        raise ValueError("train_loop argument shapes disagree")
+    height = int(coords[1, -1]) + 1 if n_neurons else 0  # the last node's row
+    width = n_neurons // height if 0 < height <= n_neurons else 0
+    if not (
+        width * height == n_neurons > 0
+        and np.array_equal(coords, axial_coords(HexGrid(width, height)))
+    ):
+        raise ValueError("coords are not the axial coordinates of a hexagonal grid")
+    if total and not (0 <= order.min() and order.max() < data.shape[0]):
+        raise IndexError(f"order holds a row index outside [0, {data.shape[0]})")
+    return width, height
+
+
+def hop_table(width: int, height: int) -> np.ndarray:
+    """Hop distances in a ``width`` x ``height`` odd-r grid, by offset difference.
+
+    Entry [p, dr + height - 1, dc + width - 1] is the hop distance from a node
+    in a row of parity p to the node dr rows and dc columns away: in axial
+    terms dq = dc - (p + dr) // 2, and the distance is
+    ``max(|dq|, |dr|, |dq + dr|)``. ``hop_row`` cuts one node's row from it.
+    """
+    dr = np.arange(1 - height, height)[None, :, None]
+    dc = np.arange(1 - width, width)[None, None, :]
+    dq = dc - (np.arange(2)[:, None, None] + dr) // 2
+    return np.maximum(np.maximum(np.abs(dq), np.abs(dr)), np.abs(dq + dr))
+
+
+def hop_row(table: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Hop distances from node (``row``, ``col``) to every node, as a view of ``table``.
+
+    The view is (height, width), so raveled it is indexed by linear node index.
+    """
+    _, rows, cols = table.shape
+    return table[row & 1, rows // 2 - row : rows - row, cols // 2 - col : cols - col]
+
+
+def theta_table(sigmas: np.ndarray, max_dist: int) -> np.ndarray:
+    """Gaussians ``exp(-d**2 / (2 sigma**2))``, one row per sigma, for d = 0 .. max_dist.
+
+    Each entry is one libm ``exp`` of ``float(-(d * d)) / (2.0 * sigma * sigma)``.
+    When ``2 * sigma**2`` underflows to zero the row is the Gaussian's limit,
+    the Kronecker delta.
+    """
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    denom = (2.0 * sigmas * sigmas)[:, None]
+    # A subnormal denominator overflows the quotient to -inf, whose exp is 0;
+    # the rows of a zero denominator are replaced below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        args = -np.square(np.arange(max_dist + 1, dtype=np.float64)) / denom
+    theta = np.fromiter(map(math.exp, args.ravel().tolist()), np.float64, args.size)
+    theta = theta.reshape(args.shape)
+    delta = denom[:, 0] == 0.0
+    theta[delta] = 0.0
+    theta[delta, 0] = 1.0
+    return theta
 
 
 def train_loop(
@@ -177,42 +262,53 @@ def train_loop(
     One step s: present row ``order[s]``, find its best matching unit u, then
     pull every neuron v toward the row by ``theta(u, v, s) * alphas[s]``, theta
     being ``theta_table(sigmas[s], ...)`` at the hop distance
-    ``max(|dq|, |dr|, |dq + dr|)`` between their axial ``coords`` (2, n). For
-    s >= ``competitive_start`` only u itself moves (theta collapses to a
-    Kronecker delta) and ``sigmas[s]`` is ignored.
+    ``max(|dq|, |dr|, |dq + dr|)`` between their axial ``coords`` (2, n), which
+    must be a grid's (see ``check_arguments``). For s >= ``competitive_start``
+    (clamped to the steps) only u itself moves (theta collapses to a Kronecker
+    delta) and ``sigmas[s]`` is ignored.
     """
     n_neurons, dim = weights.shape
+    width, height = check_arguments(weights, data, order, coords, alphas, sigmas)
+    total = order.shape[0]
+    competitive_start = min(max(int(competitive_start), 0), total)
     max_dist = max_hops(coords)
-    q, r = coords.astype(np.intp)
-    cube = np.stack([q, r, q + r])  # hop distance: largest |difference| of a row
+    hops = hop_table(width, height)
+    # Steps per theta block: bounds the table however long the log is.
+    block = max(1, THETA_BLOCK // (max_dist + 1))
 
     wt = np.ascontiguousarray(weights.T)  # (dim, n_neurons): per-dimension rows
-    w3, x3 = wt[:, None, :], data.T[:, :, None]
-    buf = np.empty((dim, 1, n_neurons))
+    w3 = wt[:, None, :]
+    x3 = np.empty((dim, 1, 1))
+    x = x3[:, 0, 0]
+    diff = np.empty((dim, 1, n_neurons))  # w - x, kept from the scan for the update
+    sq = np.empty((dim, 1, n_neurons))
     acc = np.empty((1, n_neurons))
-    coef = np.empty(n_neurons)
+    coef = np.empty((height, width))
     tdim = np.empty(dim)
 
-    for s in range(order.shape[0]):
-        row = int(order[s])
-        x, x_col = data[row], x3[:, row : row + 1]
-        u = int(_sq_distances(w3, x_col, buf, acc).argmin())
-        alpha = float(alphas[s])
-        if s < competitive_start:
-            theta = theta_table(float(sigmas[s]), max_dist)
-            np.take(theta, np.abs(cube - cube[:, u, None]).max(axis=0), out=coef)
-            coef *= alpha
-            np.subtract(x_col, w3, out=buf)
-            buf *= coef
-            w3 += buf
-        else:
-            col = wt[:, u]
-            np.subtract(x, col, out=tdim)
-            tdim *= alpha
-            col += tdim
-        if alpha == 1.0:
-            # Unit coefficient must reproduce the input bit-exactly.
-            wt[:, u] = x
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        rows = order[start:stop].tolist()
+        rates = alphas[start:stop].tolist()
+        cooperative = min(max(competitive_start - start, 0), stop - start)
+        # theta * alpha, the product the C loop takes per neuron.
+        thetas = theta_table(sigmas[start : start + cooperative], max_dist)
+        thetas *= alphas[start : start + cooperative, None]
+        for i, (row, alpha) in enumerate(zip(rows, rates)):
+            x[:] = data[row]
+            u = int(_sq_distances(w3, x3, diff, acc, sq).argmin())
+            if i < cooperative:
+                thetas[i].take(hop_row(hops, *divmod(u, width)), out=coef, mode="clip")
+                # -(coef (x - w)), exactly: IEEE negation is exact and
+                # w - (-t) is w + t, so this is the C loop's update.
+                diff *= coef.reshape(n_neurons)
+                w3 -= diff
+            else:
+                np.multiply(diff[:, 0, u], alpha, out=tdim)
+                wt[:, u] -= tdim
+            if alpha == 1.0:
+                # Unit coefficient must reproduce the input bit-exactly.
+                wt[:, u] = x
 
     weights[:, :] = wt.T
     return weights

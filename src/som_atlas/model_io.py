@@ -56,8 +56,10 @@ def dumps_model(model: SomModel) -> str:
         lines.append(
             f"attr {spec.index} {spec.name} {_fmt(spec.raw_min)} {_fmt(spec.raw_max)} {qc}"
         )
+    # ``_fmt``'s ``repr`` of Python floats, without a numpy scalar per value;
+    # one row at a time, so no Python copy of the whole codebook is held.
     for idx, row in enumerate(model.weights):
-        lines.append(f"w {idx} " + " ".join(_fmt(v) for v in row))
+        lines.append(f"w {idx} " + " ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

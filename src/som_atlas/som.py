@@ -151,7 +151,7 @@ def neighborhood(
     """
     sigma = float(_rates(schedule.resolved(grid), n_rows, s, s + 1)[1][0])
     d = grid.distance(u, v)
-    return float(kernels.theta_table(sigma, d)[d])
+    return float(kernels.theta_table([sigma], d)[0, d])
 
 
 def update_step(

@@ -1,5 +1,7 @@
 """Command-line exit codes and reproducible outputs, through ``cli.main``."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,28 @@ def test_train_succeeds_and_is_byte_reproducible(log_csv, tmp_path):
 )
 def test_usage_errors_exit_1(log_csv, tmp_path, extra):
     assert train(log_csv, tmp_path / "m.model", *extra) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("period", ["1e308", "inf", "nan"])
+def test_overflowing_time_period_exits_1_naming_it(log_csv, tmp_path, capsys, period):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert train(log_csv, tmp_path / "m.model", "--time-period", period) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("som-atlas: error:") and f"period {float(period)}" in err
+    assert not (tmp_path / "m.model").exists()
+
+
+def test_map_too_large_to_allocate_exits_1_in_one_line(log_csv, tmp_path, capsys, monkeypatch):
+    # Stands in for `--width 100000 --height 100000`, without asking for the memory.
+    def refuse(grid, dim, seed):
+        raise MemoryError("Unable to allocate 596. GiB for an array with shape (10000000000, 8)")
+
+    monkeypatch.setattr(cli, "init_codebook", refuse)
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("som-atlas: error: out of memory: Unable")
+    assert not (tmp_path / "m.model").exists()
 
 
 @pytest.mark.parametrize("delimiter", ["", "ab"])

@@ -1,6 +1,7 @@
 """CSV parsing, normalization round trips, the synthetic time counter."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -282,6 +283,13 @@ def test_time_counter_validation():
     table = make_table([[1.0]])
     with pytest.raises(ValueError):
         append_time_counter(table, 0.0)
+    for period in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            append_time_counter(table, period)
+    # One row's counter is 0 whatever the period; two rows' last value overflows.
+    assert append_time_counter(table, 1e308).rows[:, 0].tolist() == [0.0]
+    with pytest.raises(ValueError, match=r"period 1e\+308 overflows"):
+        append_time_counter(make_table([[1.0], [2.0], [3.0]]), 1e308)
     timed = append_time_counter(table, 1.0)
     with pytest.raises(ValueError, match="Time"):
         append_time_counter(timed, 1.0)

@@ -15,7 +15,7 @@ from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid, axial_coords
 from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
-from som_atlas.kernels.pure import max_hops
+from som_atlas.kernels.pure import hop_row, hop_table, max_hops
 from som_atlas.som import (
     SomModel,
     TrainingSchedule,
@@ -80,6 +80,9 @@ def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.
         dict(width=3, height=3, dim=1, n_rows=4, epochs=10),
         dict(width=1, height=9, dim=2, n_rows=6, epochs=3),
         dict(width=9, height=1, dim=2, n_rows=6, epochs=3),
+        dict(width=6, height=5, dim=3, n_rows=11, epochs=4),
+        dict(width=2, height=7, dim=2, n_rows=8, epochs=3),
+        dict(width=7, height=2, dim=4, n_rows=8, epochs=3),
     ],
 )
 def test_backends_bit_identical(seed, shape, native_train_loop):
@@ -133,6 +136,104 @@ def test_competitive_start_outside_step_range(competitive_start, native_train_lo
     epochs = [{**kw, "competitive_start": competitive_start} for kw in epochs]
     wa, wb = _run_both(native_train_loop, epochs)
     assert wa.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("theta_block", [1, 9, 40])
+def test_backends_bit_identical_across_theta_blocks(theta_block, native_train_loop, monkeypatch):
+    # A 5x4 map has hop distances 0 .. 6, so these blocks hold 1, 1 and 5
+    # steps: every 13-row epoch spans several blocks, and the last
+    # cooperative block is cut by the competitive start.
+    monkeypatch.setattr(pure, "THETA_BLOCK", theta_block)
+    kw = _workload(7, width=5, height=4, dim=3, n_rows=13, epochs=4)
+    wa, wb = _run_both(native_train_loop, kw)
+    assert wa.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("sigma0", [1e-161, 1e-170])
+def test_subnormal_and_zero_theta_denominators(sigma0, native_train_loop):
+    # 2 sigma**2 is subnormal (-d**2 / denom overflows to -inf, exp 0) or 0
+    # (the Kronecker delta) for the first steps, and grows from there.
+    epochs = _workload(8, width=4, height=3, dim=2, n_rows=6, epochs=2)
+    epochs = [{**kw, "sigmas": np.linspace(sigma0, 1e-150, 6)} for kw in epochs]
+    theta = pure.theta_table(epochs[0]["sigmas"][:2], 3)
+    assert theta.tolist()[0] == [1.0, 0.0, 0.0, 0.0]
+    wa, wb = _run_both(native_train_loop, epochs)
+    assert np.isfinite(wa).all()
+    assert wa.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("width,height", [(1, 1), (3, 3), (6, 5), (2, 7), (7, 2), (4, 6)])
+def test_hop_rows_are_lattice_distances(width, height):
+    grid = HexGrid(width, height)
+    table = hop_table(width, height)
+    assert table.max() == max_hops(axial_coords(grid))
+    for u in range(grid.n_nodes):
+        row = hop_row(table, *grid.to_rowcol(u))
+        assert row.shape == (height, width)
+        assert row.ravel().tolist() == [grid.distance(u, v) for v in range(grid.n_nodes)]
+
+
+def _non_grid_coords():
+    """(2, 12) coordinates that are not any grid's ``axial_coords``."""
+    coords = axial_coords(HexGrid(4, 3))
+    rows, cols = np.divmod(np.arange(12), 4)
+    even_r = np.array([cols - (rows + 1) // 2, rows], dtype=np.int32)
+    shifted = coords.copy()
+    shifted[0] += 1
+    return [coords[:, ::-1].copy(), coords[::-1].copy(), even_r, shifted,
+            np.zeros((2, 12), dtype=np.int32), coords - 1]
+
+
+def test_backends_reject_the_same_coords(native_train_loop):
+    weights = np.random.default_rng(3).random((12, 2))
+    args = (weights[:3].copy(), np.zeros(1, dtype=np.int64))
+    for impl in (pure.train_loop, native_train_loop):
+        for coords, error in [*((c, ValueError) for c in _non_grid_coords()),
+                              (axial_coords(HexGrid(4, 3)).astype(np.int64), TypeError)]:
+            with pytest.raises(error):
+                impl(weights.copy(), *args, coords, np.full(1, 0.5), np.ones(1), 1)
+        # A 3x4 grid has 12 nodes too, and is accepted by both.
+        w = weights.copy()
+        impl(w, *args, axial_coords(HexGrid(3, 4)), np.full(1, 0.5), np.ones(1), 1)
+
+
+def test_numpy_loop_rejects_what_the_wrapper_rejects():
+    kw = _workload(1, width=3, height=2, dim=2, n_rows=4, epochs=2)[0]
+
+    def call(**change):
+        args = {**kw, "weights": kw["weights"].copy(), **change}
+        pure.train_loop(*(args[a] for a in ARGS))
+
+    call()
+    for bad, index in ((3, 4), (0, -1)):
+        with pytest.raises(IndexError):
+            call(order=np.where(kw["order"] == bad, index, kw["order"]))
+    for change in (dict(data=kw["data"][:, :1]), dict(alphas=kw["alphas"][:-1]),
+                   dict(sigmas=kw["sigmas"][:-1]), dict(coords=kw["coords"][:, :-1]),
+                   dict(coords=axial_coords(HexGrid(2, 2)))):
+        with pytest.raises(ValueError):
+            call(**change)
+
+
+def test_train_loop_memory_does_not_grow_with_log_length():
+    rng = np.random.default_rng(10)
+    grid = HexGrid(5, 4)
+    weights = rng.random((grid.n_nodes, 3))
+    data = rng.random((20000, 3))
+    order = rng.permutation(20000)
+    alphas = np.linspace(0.5, 0.01, 20000)
+    sigmas = np.linspace(2.5, 0.0, 20000)
+    peaks = []
+    for steps in (2000, 20000):
+        args = (data, order[:steps], axial_coords(grid), alphas[:steps], sigmas[:steps], steps)
+        tracemalloc.start()
+        try:
+            pure.train_loop(weights.copy(), *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # One Python float per step would add 480 kB to the longer run.
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def test_sigma_underflow_gives_finite_identical_weights(native_train_loop, monkeypatch):
