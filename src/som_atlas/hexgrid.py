@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 # Axial-coordinate steps to the six neighbors of any hexagon.
 _AXIAL_DIRECTIONS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
@@ -81,12 +79,3 @@ def _offset_to_axial(row: int, col: int) -> tuple[int, int]:
 def _axial_to_offset(q: int, r: int) -> tuple[int, int]:
     return r, q + (r - (r & 1)) // 2
 
-
-def axial_coords(grid: HexGrid) -> np.ndarray:
-    """Axial (q, r) of every node as a (2, n_nodes) int32 array, by linear index.
-
-    The hop distance between two nodes is ``max(|dq|, |dr|, |dq + dr|)`` of
-    their coordinate difference, the same value ``HexGrid.distance`` returns.
-    """
-    rows, cols = np.divmod(np.arange(grid.n_nodes), grid.width)
-    return np.array(_offset_to_axial(rows, cols), dtype=np.int32)

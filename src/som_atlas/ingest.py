@@ -39,6 +39,10 @@ class AttributeSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("attribute name must be non-empty")
+        if not (math.isfinite(self.raw_min) and math.isfinite(self.raw_max)):
+            raise ValueError(
+                f"attribute {self.name!r}: range [{self.raw_min}, {self.raw_max}] is not finite"
+            )
         if not (self.raw_min <= self.raw_max):
             raise ValueError(
                 f"attribute {self.name!r}: raw_min {self.raw_min} > raw_max {self.raw_max}"

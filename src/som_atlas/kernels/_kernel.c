@@ -3,33 +3,27 @@
 Bit-for-bit lockstep with the numpy reference is a hard requirement (see
 pure.py): each neuron's squared distance accumulates over j left to right,
 ties go to the lowest index, the per-step theta table comes from libm exp()
-and is indexed by the hop distance max(|dq|, |dr|, |dq + dr|) between axial
-coordinates, and every update is three separately rounded steps. Build with
--ffp-contract=off so that no multiply-add fuses. The Python wrapper checks
-dtypes, shapes, indices and that coords are a grid's axial coordinates;
-nothing here validates its input.
+and is indexed by the hop distances of pure.hop_table, and every update is
+three separately rounded steps. Build with -ffp-contract=off so that no
+multiply-add fuses. The Python wrapper checks dtypes, shapes and indices,
+and builds hops and theta; nothing here validates its input.
 
-The numpy reference reorganizes, without changing a rounding, what this loop
-does per step: it reads each hop row as a view of one table of hop distances
-by (row parity, row offset, column offset), builds theta[d] * alpha for a
-block of steps with the same exp() per entry and the same product, and
-updates with the scan's w - x as w - coef * (w - x), which equals
-w + coef * (x - w) here bit for bit because IEEE negation is exact.
-
-w is (n, dim), data is (n_rows, dim), coords is (2, n) axial (q, r), order,
-alphas and sigmas have total entries, theta has max_dist + 1 entries of
-scratch space, max_dist >= every hop distance between two neurons. */
+w is (n, dim) with n = width * height, data is (n_rows, dim); order, alphas
+and sigmas have total entries. hops is pure.hop_table(width, height), a
+(2, 2 height - 1, 2 width - 1) table whose entry [p, dr + height - 1,
+dc + width - 1] is the hop distance from a node in a row of parity p to the
+node dr rows and dc columns away. theta has max_dist + 1 entries of scratch
+space, max_dist being the largest entry of hops. */
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 
 void train_loop(double *w, const double *data, const int64_t *order,
-                const int32_t *coords, const double *alphas,
-                const double *sigmas, double *theta, int64_t max_dist,
-                int64_t n, int64_t dim, int64_t total, int64_t competitive_start)
+                const double *alphas, const double *sigmas, const int64_t *hops,
+                double *theta, int64_t max_dist, int64_t width, int64_t height,
+                int64_t dim, int64_t total, int64_t competitive_start)
 {
-    const int32_t *q = coords, *r = coords + n;
+    const int64_t n = width * height, span = 2 * width - 1;
     for (int64_t s = 0; s < total; s++) {
         const double *x = data + order[s] * dim;
         int64_t u = 0;
@@ -53,14 +47,20 @@ void train_loop(double *w, const double *data, const int64_t *order,
                Kronecker delta, as in the numpy reference. */
             for (int64_t d = 0; d <= max_dist; d++)
                 theta[d] = denom == 0.0 ? (d == 0) : exp(-(double)(d * d) / denom);
-            for (int64_t v = 0; v < n; v++) {
-                int64_t dq = llabs((int64_t)q[v] - q[u]), dr = llabs((int64_t)r[v] - r[u]);
-                int64_t ds = llabs((int64_t)q[v] + r[v] - q[u] - r[u]), h = dq > dr ? dq : dr;
-                double coef = theta[h > ds ? h : ds] * alpha;
-                for (int64_t j = 0; j < dim; j++) {
-                    double t = x[j] - w[v * dim + j];
-                    t = coef * t;
-                    w[v * dim + j] = w[v * dim + j] + t;
+            /* The winner's hop row: row offset -ur and column offset -uc
+               reach node (0, 0); each map row is one table row further. */
+            int64_t ur = u / width, uc = u % width;
+            const int64_t *hop = hops + ((ur & 1) * (2 * height - 1) + height - 1 - ur) * span
+                                 + width - 1 - uc;
+            for (int64_t vr = 0; vr < height; vr++, hop += span) {
+                for (int64_t vc = 0; vc < width; vc++) {
+                    double *wv = w + (vr * width + vc) * dim;
+                    double coef = theta[hop[vc]] * alpha;
+                    for (int64_t j = 0; j < dim; j++) {
+                        double t = x[j] - wv[j];
+                        t = coef * t;
+                        wv[j] = wv[j] + t;
+                    }
                 }
             }
         } else {

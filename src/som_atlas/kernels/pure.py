@@ -4,16 +4,15 @@ Numerical lockstep contract: every floating-point operation here must happen
 in the same order, with the same intermediate roundings, as in ``_kernel.c``.
 Each formula is written once: ``_sq_distances``, the distance scan of both
 ``train_loop`` and ``nearest``, adds dimensions left to right (one strict
-chain per neuron); ``theta_table``, the neighborhood of both ``train_loop``
-and ``som.neighborhood``, is built with libm ``exp`` per hop distance; the
+chain per neuron); ``hop_table``, the hop distances of both training loops,
+is built once per call from the grid, and a winner's hop row is a slice of
+it; ``theta_table``, the neighborhood of both ``train_loop`` and
+``som.neighborhood``, is built with libm ``exp`` per hop distance; the
 update is three separately rounded elementwise steps. Change both files
 together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
 
 ``train_loop`` moves the work that does not depend on the step out of it,
 without changing a rounding:
-- Hop distances depend only on the winner's row parity and the row and
-  column offsets, so one ``hop_table`` per call holds them all, and each
-  step's hop row is a (height, width) view of it (``hop_row``).
 - theta, times alpha, is built for a block of cooperative steps at once: the
   same libm ``exp`` per entry and the same product ``theta[h] * alpha`` the C
   loop takes per neuron. A block holds at most ``THETA_BLOCK`` values.
@@ -34,7 +33,7 @@ import math
 
 import numpy as np
 
-from ..hexgrid import HexGrid, axial_coords
+from ..hexgrid import HexGrid
 
 
 # ``nearest`` screens rows in chunks whose ``[x, 1]`` rows and screen values
@@ -167,53 +166,36 @@ def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.n
     return idx, np.sqrt(dist, out=dist)
 
 
-def max_hops(coords: np.ndarray) -> int:
-    """Largest hop distance between two of the axial ``coords``; sizes theta."""
-    q, r = coords.astype(np.int64)
-    return int(max(np.ptp(q), np.ptp(r), np.ptp(q + r)))
+def check_arguments(weights, data, order, grid, alphas, sigmas, competitive_start) -> int:
+    """Check ``train_loop``'s arguments for both backends; ``competitive_start`` clamped.
 
-
-def check_arguments(weights, data, order, coords, alphas, sigmas) -> tuple[int, int]:
-    """Check ``train_loop``'s arguments for both backends; the grid's (width, height).
-
-    ``coords`` must be a (2, n) int32 array equal to
-    ``axial_coords(HexGrid(width, height))``. Raises ``TypeError`` for other
-    ``coords`` dtypes, ``ValueError`` when shapes disagree or ``coords`` are
-    not a grid's, and ``IndexError`` when ``order`` leaves the data.
+    ``grid`` must be the ``HexGrid`` with one node per row of ``weights``.
+    Raises ``ValueError`` when shapes or node counts disagree and
+    ``IndexError`` when ``order`` leaves the data. ``competitive_start`` is
+    clamped to [0, len(order)].
     """
-    if coords.dtype != np.int32:
-        raise TypeError(f"coords must be int32, not {coords.dtype}")
     n_neurons, dim = weights.shape
     total = order.shape[0]
-    if (
-        coords.shape != (2, n_neurons)
-        or data.shape[1] != dim
-        or alphas.shape != (total,)
-        or sigmas.shape != (total,)
-    ):
+    if data.shape[1] != dim or alphas.shape != (total,) or sigmas.shape != (total,):
         raise ValueError("train_loop argument shapes disagree")
-    height = int(coords[1, -1]) + 1 if n_neurons else 0  # the last node's row
-    width = n_neurons // height if 0 < height <= n_neurons else 0
-    if not (
-        width * height == n_neurons > 0
-        and np.array_equal(coords, axial_coords(HexGrid(width, height)))
-    ):
-        raise ValueError("coords are not the axial coordinates of a hexagonal grid")
+    if grid.n_nodes != n_neurons:
+        raise ValueError(f"a {grid.width}x{grid.height} grid has no {n_neurons} neurons")
     if total and not (0 <= order.min() and order.max() < data.shape[0]):
         raise IndexError(f"order holds a row index outside [0, {data.shape[0]})")
-    return width, height
+    return min(max(int(competitive_start), 0), total)
 
 
 def hop_table(width: int, height: int) -> np.ndarray:
     """Hop distances in a ``width`` x ``height`` odd-r grid, by offset difference.
 
-    Entry [p, dr + height - 1, dc + width - 1] is the hop distance from a node
-    in a row of parity p to the node dr rows and dc columns away: in axial
-    terms dq = dc - (p + dr) // 2, and the distance is
-    ``max(|dq|, |dr|, |dq + dr|)``. ``hop_row`` cuts one node's row from it.
+    Entry [p, dr + height - 1, dc + width - 1] of this (2, 2 height - 1,
+    2 width - 1) int64 table is the hop distance from a node in a row of
+    parity p to the node dr rows and dc columns away: in axial terms
+    dq = dc - (p + dr) // 2, and the distance is ``max(|dq|, |dr|, |dq + dr|)``.
+    Both training loops read it; ``hop_row`` cuts one node's row from it.
     """
-    dr = np.arange(1 - height, height)[None, :, None]
-    dc = np.arange(1 - width, width)[None, None, :]
+    dr = np.arange(1 - height, height, dtype=np.int64)[None, :, None]
+    dc = np.arange(1 - width, width, dtype=np.int64)[None, None, :]
     dq = dc - (np.arange(2)[:, None, None] + dr) // 2
     return np.maximum(np.maximum(np.abs(dq), np.abs(dr)), np.abs(dq + dr))
 
@@ -252,7 +234,7 @@ def train_loop(
     weights: np.ndarray,
     data: np.ndarray,
     order: np.ndarray,
-    coords: np.ndarray,
+    grid: HexGrid,
     alphas: np.ndarray,
     sigmas: np.ndarray,
     competitive_start: int,
@@ -261,18 +243,20 @@ def train_loop(
 
     One step s: present row ``order[s]``, find its best matching unit u, then
     pull every neuron v toward the row by ``theta(u, v, s) * alphas[s]``, theta
-    being ``theta_table(sigmas[s], ...)`` at the hop distance
-    ``max(|dq|, |dr|, |dq + dr|)`` between their axial ``coords`` (2, n), which
-    must be a grid's (see ``check_arguments``). For s >= ``competitive_start``
-    (clamped to the steps) only u itself moves (theta collapses to a Kronecker
-    delta) and ``sigmas[s]`` is ignored.
+    being ``theta_table(sigmas[s], ...)`` at the hop distance between u and v
+    on ``grid`` (``hop_table``), which has one node per neuron (see
+    ``check_arguments``). For s >= ``competitive_start`` (clamped to the
+    steps) only u itself moves (theta collapses to a Kronecker delta) and
+    ``sigmas[s]`` is ignored.
     """
     n_neurons, dim = weights.shape
-    width, height = check_arguments(weights, data, order, coords, alphas, sigmas)
+    competitive_start = check_arguments(
+        weights, data, order, grid, alphas, sigmas, competitive_start
+    )
     total = order.shape[0]
-    competitive_start = min(max(int(competitive_start), 0), total)
-    max_dist = max_hops(coords)
+    width, height = grid.width, grid.height
     hops = hop_table(width, height)
+    max_dist = int(hops.max())
     # Steps per theta block: bounds the table however long the log is.
     block = max(1, THETA_BLOCK // (max_dist + 1))
 

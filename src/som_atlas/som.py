@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .hexgrid import HexGrid, axial_coords
+from .hexgrid import HexGrid
 from .ingest import AttributeSpec, NormalizedTable
 
 DEFAULT_EPOCHS = 200
@@ -112,7 +112,8 @@ def find_bmu(model: SomModel, x, mask=None) -> tuple[int, float]:
 
     ``mask`` restricts the distance to a subset of attribute indices, given
     as integers (not floats or booleans); ties break toward the lowest neuron
-    index.
+    index. Raises ``ValueError`` when an attribute the distance uses is not
+    finite.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.dim,):
@@ -128,6 +129,8 @@ def find_bmu(model: SomModel, x, mask=None) -> tuple[int, float]:
         if mask.min() < 0 or mask.max() >= model.dim:
             raise ValueError("mask index out of range")
         mask = np.sort(mask).astype(np.intp)
+    if not np.isfinite(x if mask is None else x[mask]).all():
+        raise ValueError("input holds a non-finite value")
     idx, dist = kernels.bmu(model.weights, x[None, :], mask)
     return int(idx[0]), float(dist[0])
 
@@ -160,24 +163,23 @@ def update_step(
     """Apply one presentation of ``x`` at iteration ``s``, mutating the codebook.
 
     Every neuron v moves by ``theta(u, v, s) * alpha(s) * (x - w_v)`` with u
-    the best matching unit, so the winner receives the largest pull and a
-    unit coefficient copies ``x`` exactly.
+    the best matching unit and theta taken at their hop distance on the
+    model's grid, so the winner receives the largest pull and a unit
+    coefficient copies ``x`` exactly. ``x`` is a normalized row: a value that
+    is not finite or lies outside [0, 1] raises ``ValueError`` and leaves the
+    codebook as it was, so the model stays a valid ``SomModel``.
     """
     # Copy: the kernel mutates the codebook while reading x, so the two must
     # never alias (e.g. when a caller passes a codebook row as the input).
     x = np.array(x, dtype=np.float64)
     if x.shape != (model.dim,):
         raise ValueError(f"input has shape {x.shape}, model expects ({model.dim},)")
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValueError("input must be finite and lie in [0, 1]")
     alphas, sigmas, cooperative = _rates(schedule.resolved(model.grid), n_rows, s, s + 1)
-    kernels.train_loop(
-        model.weights,
-        x[None, :],
-        np.zeros(1, dtype=np.int64),
-        axial_coords(model.grid),
-        alphas,
-        sigmas,
-        cooperative,
-    )
+    kernels.train_loop(model.weights, x[None, :], np.zeros(1, dtype=np.int64), model.grid,
+                       alphas, sigmas, cooperative)
     return model
 
 
@@ -190,7 +192,8 @@ def train(
     """Train a map on a normalized table.
 
     Rows are presented in a per-epoch shuffled order derived from the
-    schedule seed (file order when ``shuffle`` is off). ``initial_weights``
+    schedule seed (file order when ``shuffle`` is off), one
+    ``kernels.train_loop`` call per epoch on ``grid``. ``initial_weights``
     overrides the seeded random codebook; tests use it to start from
     prepared states.
     """
@@ -207,13 +210,12 @@ def train(
         weights = np.array(initial_weights, dtype=np.float64)
         weights = SomModel(grid=grid, dim=dim, weights=weights).weights
 
-    coords = axial_coords(grid)
     # Spawn key 1 keeps the shuffle stream independent of the codebook stream.
     rng = np.random.default_rng(np.random.SeedSequence(schedule.seed, spawn_key=(1,)))
     for start in range(0, schedule.epochs * n_rows, n_rows):
         order = rng.permutation(n_rows) if schedule.shuffle else np.arange(n_rows)
         alphas, sigmas, cooperative = _rates(schedule, n_rows, start, start + n_rows)
-        kernels.train_loop(weights, table.rows, order.astype(np.int64, copy=False), coords,
+        kernels.train_loop(weights, table.rows, order.astype(np.int64, copy=False), grid,
                            alphas, sigmas, cooperative)
     return SomModel(
         grid=grid,

@@ -338,7 +338,8 @@ class TestClusterStats:
         return table, model, cluster_stats(cm, assignments, table, model)
 
     def test_two_rows_textbook_stats(self):
-        table, model, cm = self.setup_clustered([[2.0, 5.0], [4.0, 5.0]], ["m", "c"])
+        with pytest.warns(UserWarning, match="'c' is quasi-constant"):  # normalize pins c
+            table, model, cm = self.setup_clustered([[2.0, 5.0], [4.0, 5.0]], ["m", "c"])
         st = cm.stats[0][0]
         assert st.count == 2
         assert st.mean == pytest.approx(3.0, abs=1e-12)

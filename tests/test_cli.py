@@ -78,6 +78,19 @@ def test_csv_passed_as_model_exits_2(log_csv, tmp_path):
     assert cli.main(argv) == cli.EXIT_DATA
 
 
+def test_model_with_infinite_attribute_range_exits_2(log_csv, tmp_path, capsys):
+    model = tmp_path / "m.model"
+    assert train(log_csv, model) == cli.EXIT_OK
+    text = model.read_text()
+    attr = next(line for line in text.splitlines() if line.startswith("attr 1 "))
+    model.write_text(text.replace(attr, "attr 1 b -inf inf 0"))
+    argv = ["classify", "--model", str(model), "--input", str(log_csv),
+            "--output", str(tmp_path / "a.csv")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_missing_input_exits_3(tmp_path):
     assert train(tmp_path / "absent.csv", tmp_path / "m.model") == cli.EXIT_IO
 

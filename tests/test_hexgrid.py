@@ -2,12 +2,11 @@
 
 from collections import deque
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from som_atlas.hexgrid import HexGrid, axial_coords
+from som_atlas.hexgrid import HexGrid
 
 
 def bfs_distances(grid: HexGrid, start: int) -> list[int]:
@@ -96,16 +95,6 @@ def test_metric_axioms(data):
     assert grid.distance(a, c) <= grid.distance(a, b) + grid.distance(b, c)
     if a != b:
         assert grid.distance(a, b) >= 1
-
-
-def test_axial_hop_rows_agree_with_scalar():
-    # The kernels' hop row of a winner u: max(|dq|, |dr|, |dq + dr|).
-    grid = HexGrid(6, 4)
-    q, r = axial_coords(grid)
-    assert q.shape == (24,) and q.dtype == np.int32
-    for a in range(grid.n_nodes):
-        row = np.maximum(np.maximum(abs(q - q[a]), abs(r - r[a])), abs(q + r - q[a] - r[a]))
-        assert row.tolist() == [grid.distance(a, b) for b in range(grid.n_nodes)]
 
 
 def test_index_out_of_range():

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from som_atlas import kernels
-from som_atlas.hexgrid import HexGrid, axial_coords
+from som_atlas.hexgrid import HexGrid
 from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
-from som_atlas.kernels.pure import hop_row, hop_table, max_hops
+from som_atlas.kernels.pure import hop_row, hop_table
 from som_atlas.som import (
     SomModel,
     TrainingSchedule,
@@ -29,7 +29,7 @@ from som_atlas.som import (
 
 from conftest import make_table
 
-ARGS = ("weights", "data", "order", "coords", "alphas", "sigmas", "competitive_start")
+ARGS = ("weights", "data", "order", "grid", "alphas", "sigmas", "competitive_start")
 
 
 def _run_both(native_train_loop, epochs):
@@ -62,7 +62,7 @@ def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.
             "weights": weights,
             "data": data,
             "order": rng.permutation(n_rows),
-            "coords": axial_coords(grid),
+            "grid": grid,
             "alphas": alphas,
             "sigmas": sigmas,
             "competitive_start": cooperative,
@@ -101,7 +101,7 @@ def test_backends_bit_identical_with_unit_alpha(native_train_loop):
 def test_unit_alpha_copies_row_exactly(competitive_start, native_train_loop):
     # 0.9 + (0.01 - 0.9) != 0.01: only the explicit copy makes the row exact.
     x = np.array([[0.01, 1e-17]])
-    args = (x, np.zeros(1, dtype=np.int64), np.zeros((2, 1), dtype=np.int32),
+    args = (x, np.zeros(1, dtype=np.int64), HexGrid(1, 1),
             np.ones(1), np.ones(1), competitive_start)
     for impl in (pure.train_loop, native_train_loop):
         weights = np.array([[0.9, 0.3]])
@@ -119,7 +119,7 @@ def test_competition_adds_dimensions_left_to_right(native_train_loop):
     assert kernels.bmu(weights, x)[0][0] == 0
     for impl in (pure.train_loop, native_train_loop):
         w = weights.copy()
-        impl(w, x, np.zeros(1, dtype=np.int64), axial_coords(HexGrid(2, 1)),
+        impl(w, x, np.zeros(1, dtype=np.int64), HexGrid(2, 1),
              np.full(1, 0.5), np.zeros(1), 0)
         assert w[0, 0] == 0.25 and w[1, 0] == 0.5
 
@@ -166,35 +166,31 @@ def test_subnormal_and_zero_theta_denominators(sigma0, native_train_loop):
 def test_hop_rows_are_lattice_distances(width, height):
     grid = HexGrid(width, height)
     table = hop_table(width, height)
-    assert table.max() == max_hops(axial_coords(grid))
+    widest = 0
     for u in range(grid.n_nodes):
         row = hop_row(table, *grid.to_rowcol(u))
         assert row.shape == (height, width)
-        assert row.ravel().tolist() == [grid.distance(u, v) for v in range(grid.n_nodes)]
+        distances = [grid.distance(u, v) for v in range(grid.n_nodes)]
+        assert row.ravel().tolist() == distances
+        widest = max(widest, *distances)
+    assert table.max() == widest
 
 
-def _non_grid_coords():
-    """(2, 12) coordinates that are not any grid's ``axial_coords``."""
-    coords = axial_coords(HexGrid(4, 3))
-    rows, cols = np.divmod(np.arange(12), 4)
-    even_r = np.array([cols - (rows + 1) // 2, rows], dtype=np.int32)
-    shifted = coords.copy()
-    shifted[0] += 1
-    return [coords[:, ::-1].copy(), coords[::-1].copy(), even_r, shifted,
-            np.zeros((2, 12), dtype=np.int32), coords - 1]
-
-
-def test_backends_reject_the_same_coords(native_train_loop):
+def test_backends_reject_a_grid_of_another_size(native_train_loop):
     weights = np.random.default_rng(3).random((12, 2))
     args = (weights[:3].copy(), np.zeros(1, dtype=np.int64))
+    messages = []
     for impl in (pure.train_loop, native_train_loop):
-        for coords, error in [*((c, ValueError) for c in _non_grid_coords()),
-                              (axial_coords(HexGrid(4, 3)).astype(np.int64), TypeError)]:
-            with pytest.raises(error):
-                impl(weights.copy(), *args, coords, np.full(1, 0.5), np.ones(1), 1)
-        # A 3x4 grid has 12 nodes too, and is accepted by both.
-        w = weights.copy()
-        impl(w, *args, axial_coords(HexGrid(3, 4)), np.full(1, 0.5), np.ones(1), 1)
+        for grid in (HexGrid(3, 3), HexGrid(13, 1), HexGrid(2, 7)):
+            with pytest.raises(ValueError, match="grid has no 12 neurons") as err:
+                impl(weights.copy(), *args, grid, np.full(1, 0.5), np.ones(1), 1)
+            messages.append(str(err.value))
+        # 3x4 and 4x3 grids both have 12 nodes, and are accepted by both.
+        for grid in (HexGrid(3, 4), HexGrid(4, 3)):
+            w = weights.copy()
+            impl(w, *args, grid, np.full(1, 0.5), np.ones(1), 1)
+            assert not np.array_equal(w, weights)
+    assert messages[:3] == messages[3:]
 
 
 def test_numpy_loop_rejects_what_the_wrapper_rejects():
@@ -209,8 +205,7 @@ def test_numpy_loop_rejects_what_the_wrapper_rejects():
         with pytest.raises(IndexError):
             call(order=np.where(kw["order"] == bad, index, kw["order"]))
     for change in (dict(data=kw["data"][:, :1]), dict(alphas=kw["alphas"][:-1]),
-                   dict(sigmas=kw["sigmas"][:-1]), dict(coords=kw["coords"][:, :-1]),
-                   dict(coords=axial_coords(HexGrid(2, 2)))):
+                   dict(sigmas=kw["sigmas"][:-1]), dict(grid=HexGrid(2, 2))):
         with pytest.raises(ValueError):
             call(**change)
 
@@ -225,7 +220,7 @@ def test_train_loop_memory_does_not_grow_with_log_length():
     sigmas = np.linspace(2.5, 0.0, 20000)
     peaks = []
     for steps in (2000, 20000):
-        args = (data, order[:steps], axial_coords(grid), alphas[:steps], sigmas[:steps], steps)
+        args = (data, order[:steps], grid, alphas[:steps], sigmas[:steps], steps)
         tracemalloc.start()
         try:
             pure.train_loop(weights.copy(), *args)
@@ -259,26 +254,18 @@ def test_wrapper_rejects_bad_input_before_c(native_train_loop):
         native_train_loop(*(args[a] for a in ARGS))
 
     call()
-    with pytest.raises(IndexError):
-        call(order=np.where(kw["order"] == 3, 4, kw["order"]))
-    with pytest.raises(IndexError):
-        call(order=np.where(kw["order"] == 0, -1, kw["order"]))
-    with pytest.raises(ValueError):
-        call(data=np.ascontiguousarray(kw["data"][:, :1]))
-    with pytest.raises(ValueError):
-        call(alphas=kw["alphas"][:-1].copy())
-    with pytest.raises(ValueError):
-        call(coords=kw["coords"][:, :-1].copy())
-    with pytest.raises(ValueError):
-        call(coords=np.vstack([kw["coords"], kw["coords"][:1]]))
-    with pytest.raises(TypeError):
-        call(coords=kw["coords"].astype(np.int64))
-    with pytest.raises(TypeError):
-        call(order=kw["order"].astype(np.int32))
-    with pytest.raises(TypeError):
-        call(weights=np.asfortranarray(kw["weights"]))
-    with pytest.raises(TypeError):
-        call(weights=kw["weights"][0].copy())
+    for bad, index in ((3, 4), (0, -1)):
+        with pytest.raises(IndexError):
+            call(order=np.where(kw["order"] == bad, index, kw["order"]))
+    for change in (dict(data=np.ascontiguousarray(kw["data"][:, :1])),
+                   dict(alphas=kw["alphas"][:-1].copy()), dict(grid=HexGrid(2, 2))):
+        with pytest.raises(ValueError):
+            call(**change)
+    for change in (dict(order=kw["order"].astype(np.int32)),
+                   dict(weights=np.asfortranarray(kw["weights"])),
+                   dict(weights=kw["weights"][0].copy())):
+        with pytest.raises(TypeError):
+            call(**change)
 
 
 def test_load_of_missing_library_raises_oserror(tmp_path):
@@ -309,11 +296,11 @@ def test_bmu_matches_train_loop_competition(native_train_loop):
     rows = np.vstack([weights[7] + 0.01, rng.random((20, 4))])
     expected, _ = kernels.bmu(weights, rows)
     assert expected[0] == 2
-    coords = axial_coords(HexGrid(4, 3))
+    grid = HexGrid(4, 3)
     for impl in (pure.train_loop, native_train_loop):
         for i, u in enumerate(expected.tolist()):
             w = weights.copy()
-            impl(w, rows, np.array([i], dtype=np.int64), coords, np.full(1, 0.5), np.zeros(1), 0)
+            impl(w, rows, np.array([i], dtype=np.int64), grid, np.full(1, 0.5), np.zeros(1), 0)
             assert np.flatnonzero((w != weights).any(axis=1)).tolist() == [u]
 
 
@@ -519,9 +506,11 @@ def test_neighborhood_is_the_training_theta_table(sigma0, native_train_loop, mon
     # step leaves neuron v at exactly 0 + theta * (1 - 0): the training theta
     # row of the winner, which neighborhood must give bit for bit.
     grid = HexGrid(7, 5)
-    u = 13  # an edge neuron whose hop distances take every value up to max_hops
+    u = 13  # an edge neuron whose hop distances take every value up to the grid's largest
     hops = {grid.distance(u, v) for v in range(grid.n_nodes)}
-    assert hops == set(range(max_hops(axial_coords(grid)) + 1))
+    widest = max(grid.distance(a, b) for a in range(grid.n_nodes) for b in range(grid.n_nodes))
+    assert hops == set(range(widest + 1))
+    assert hop_table(grid.width, grid.height).max() == widest
     sched = TrainingSchedule(epochs=3, alpha0=1.0, alpha_end=1.0, sigma0=sigma0)
     n_rows = 4
     for impl in (pure.train_loop, native_train_loop):

@@ -102,6 +102,15 @@ def replace_model_schema(model, schema):
         (lambda ls: ls[:2] + ["dim zero"] + ls[3:], "line 3"),
         (lambda ls: ls[:3] + ["schedule epochs=4"] + ls[4:], "line 4"),
         (lambda ls: ls[:4] + ["attr 5 pressure in 0.0 1.0 0"] + ls[5:], "line 5"),
+        # An infinite range would scale every value to NaN or 0 when classifying.
+        pytest.param(
+            lambda ls: ls[:5] + ["attr 1 flow -inf inf 0"] + ls[6:], "line 6: .* not finite",
+            id="attr-infinite-range",
+        ),
+        pytest.param(
+            lambda ls: ls[:5] + ["attr 1 flow 0.0 inf 0"] + ls[6:], "line 6: .* not finite",
+            id="attr-half-infinite-range",
+        ),
         (lambda ls: ls[:-1], "end of file"),
         (lambda ls: ls + ["w 99 0.0 0.0 0.0"], "trailing"),
     ],

@@ -117,6 +117,14 @@ class TestFindBmu:
         with pytest.raises(ValueError):
             find_bmu(m, [0.1, 0.2, 0.3], mask=[3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        m = small_model(2, 2, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            find_bmu(m, [bad, 0.5])
+        # Only the attributes the distance uses must be finite.
+        assert find_bmu(m, [bad, 0.5], mask=[1]) == find_bmu(m, [0.0, 0.5], mask=[1])
+
     @pytest.mark.parametrize("mask", [[1.7], [1.0], [True, False], np.array([0.0, 2.0])], ids=str)
     def test_mask_must_be_integer(self, mask):
         # Coerced to intp, [1.7] would silently mean attribute 1 and
@@ -250,14 +258,13 @@ class TestUpdateStep:
         before = m.weights.copy()
         # alpha_end must stay positive; drive alpha to ~0 via a long schedule
         # then test the documented alpha=0 semantics through the kernel.
-        from som_atlas.hexgrid import axial_coords
         from som_atlas.kernels import train_loop
 
         train_loop(
             m.weights,
             np.array([[0.9, 0.9, 0.9]]),
             np.zeros(1, dtype=np.int64),
-            axial_coords(m.grid),
+            m.grid,
             np.array([0.0]),
             np.array([1.0]),
             1,
@@ -294,6 +301,17 @@ class TestUpdateStep:
             s = int(rng.integers(0, 2 * n_rows))
             update_step(m, x, s=s, schedule=sched, n_rows=n_rows)
         assert m.weights.min() >= 0.0 and m.weights.max() <= 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 5.0, -0.5])
+    def test_row_outside_unit_box_rejected_before_the_kernel(self, bad):
+        # Applied, such a row can move weights out of [0, 1], which SomModel rejects.
+        m = small_model(2, 2, 2)
+        before = m.weights.copy()
+        sched = TrainingSchedule(epochs=2, alpha0=0.9, alpha_end=0.1, sigma0=1.0)
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            update_step(m, [bad, 0.5], s=0, schedule=sched, n_rows=1)
+        assert m.weights.tobytes() == before.tobytes()
+        SomModel(m.grid, m.dim, m.weights)
 
 
 class TestTrain:
