@@ -204,7 +204,9 @@ def cmd_train(args) -> None:
         shuffle=not args.no_shuffle,
         seed=seed,
     ).resolved(grid)
-    _echo_config(args, seed=seed, sigma0=schedule.sigma0, kernel=kernels.BACKEND)
+    # The bound library, installed or cached, names the build that trains.
+    library = {} if kernels.LIBRARY is None else {"kernel_library": kernels.LIBRARY}
+    _echo_config(args, seed=seed, sigma0=schedule.sigma0, kernel=kernels.BACKEND, **library)
 
     table = _read_table(args)
     for rownum, reason in table.dropped_rows:

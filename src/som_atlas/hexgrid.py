@@ -11,6 +11,7 @@ single query is O(1) instead of a lattice search.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 # Axial-coordinate steps to the six neighbors of any hexagon.
@@ -25,6 +26,12 @@ class HexGrid:
     height: int
 
     def __post_init__(self) -> None:
+        for field in ("width", "height"):
+            value = getattr(self, field)
+            # Stored as a Python int: numpy integers pass; floats and bools do not.
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"grid {field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, operator.index(value))
         if self.width < 1 or self.height < 1:
             raise ValueError(
                 f"grid dimensions must be at least 1x1, got {self.width}x{self.height}"

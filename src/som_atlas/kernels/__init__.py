@@ -3,23 +3,34 @@
 The hot training loop exists twice: a small C file (``_kernel.c``) and a
 numpy reference (``pure``) that produce bit-identical results. Training
 calls it once per epoch with the map's ``HexGrid``, so no argument grows
-with the epoch count or the square of the map. ``setup.py`` compiles the C
-file, when a compiler is available, into a shared library next to this
-module; ``load`` binds such a library through ``ctypes``. The library is
-used if it loads, ``pure`` otherwise; nothing is compiled at import.
-``BACKEND`` names the choice, and ``pure`` stays importable as the
-reference either way. ``nearest``, the batched nearest-neuron search on the
-training scan behind ``bmu`` and k-means, and ``theta_table`` have one
-implementation, in ``pure``. ``nearest`` screens rows with a matrix product
-first; the screen is a rounding bound, never a value it returns.
+with the epoch count or the square of the map. ``load`` binds a compiled
+library through ``ctypes``; the import selects, in this order:
+
+1. the library ``setup.py`` compiled next to this module at install time;
+2. the library ``build`` compiled from ``_kernel.c`` into the user cache,
+   ``$XDG_CACHE_HOME/som-atlas`` (``~/.cache/som-atlas`` by default), on
+   the first import that found neither and reused by every later one;
+3. ``pure``, when neither loads and the build fails: no compiler, a
+   compile error or timeout, or a cache directory that cannot be written.
+
+The cached library is named by the SHA-256 of the source and the compile
+command, so an edited ``_kernel.c`` is compiled anew, never bound stale.
+Nothing is printed either way. ``BACKEND`` names the choice, ``LIBRARY``
+the bound library's path (``None`` for ``pure``), and ``pure`` stays
+importable as the reference either way. ``nearest``, the batched
+nearest-neuron search on the training scan behind ``bmu`` and k-means, and
+``theta_table`` have one implementation, in ``pure``. ``nearest`` screens
+rows with a matrix product first; the screen is a rounding bound, never a
+value it returns.
 
 Both loops accept exactly the arguments ``pure.check_arguments`` accepts,
 and both read their hop distances from the one ``pure.hop_table`` of the
-grid, built once per call: the winner's hop row is a slice of it.
+grid, cached per grid size: the winner's hop row is a slice of it.
 """
 
 import ctypes
 import os
+import shlex
 import sysconfig
 from pathlib import Path
 
@@ -29,7 +40,15 @@ from numpy.ctypeslib import ndpointer
 from . import pure
 from .pure import bmu, check_arguments, hop_table, nearest, theta_table
 
-_LIBRARY = Path(__file__).with_name("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_LIBRARY = _SOURCE.with_name("_kernel" + _SUFFIX)
+
+# setup.py's extra_compile_args; -ffp-contract=off keeps the numpy reference
+# bit-identical by forbidding fused multiply-adds in the hot loop.
+COMPILE_FLAGS = ("-O3", "-ffp-contract=off")
+# A compile that outlasts this many seconds fails the build.
+BUILD_TIMEOUT_S = 60
 
 # weights, data, order, alphas, sigmas: the C loop's array arguments.
 _ARRAYS = (
@@ -68,11 +87,71 @@ def load(path):
     return train_loop
 
 
-try:
-    train_loop = load(_LIBRARY)
-    BACKEND = "native"
-except OSError:
-    train_loop = pure.train_loop
-    BACKEND = "python"
+def build(directory) -> Path:
+    """Compile ``_kernel.c`` into ``directory``, unless it holds this build; return its path.
 
-__all__ = ["BACKEND", "bmu", "load", "nearest", "theta_table", "train_loop"]
+    The library is ``_kernel-<digest>`` plus the extension suffix, the digest
+    being the SHA-256 of the source bytes and the compile command, so an
+    edited source or another compiler or flag gives another file. The
+    compiler writes a file of this process's own, which then replaces the
+    target in one step: processes that build together each leave a whole
+    library. Raises ``OSError`` when no compiler is configured or found, the
+    compile fails or outlasts ``BUILD_TIMEOUT_S``, or ``directory`` cannot
+    be written; the compiler's output is kept in the message, never printed.
+    """
+    import hashlib
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc:
+        raise OSError("no C compiler configured")
+    command = [*cc, *COMPILE_FLAGS, "-shared", "-fPIC"]
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(b"\0".join([source, *map(str.encode, command)])).hexdigest()
+    library = Path(directory, f"_kernel-{digest}{_SUFFIX}")
+    if library.exists():
+        return library
+
+    import subprocess
+
+    partial = library.with_name(f".{library.name}.{os.getpid()}")
+    try:
+        subprocess.run([*command, "-o", partial, _SOURCE, "-lm"],
+                       capture_output=True, check=True, timeout=BUILD_TIMEOUT_S)
+        os.replace(partial, library)
+    except subprocess.SubprocessError as err:
+        output = (err.stderr or b"").decode(errors="replace")
+        raise OSError(f"cannot compile {_SOURCE}: {err}\n{output}") from err
+    finally:
+        partial.unlink(missing_ok=True)
+    return library
+
+
+def _cache_directory() -> Path:
+    """``$XDG_CACHE_HOME/som-atlas``, or ``~/.cache/som-atlas``; made with mode 0o700."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.expanduser("~/.cache")
+    if not os.path.isabs(base):
+        raise OSError("no home directory for the kernel cache")
+    directory = Path(base, "som-atlas")
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    return directory
+
+
+def _select():
+    """``(train_loop, library)``: the installed library, else the cached build, else ``pure``."""
+    try:
+        return load(_LIBRARY), _LIBRARY
+    except OSError:
+        pass
+    try:
+        library = build(_cache_directory())
+        return load(library), library
+    except OSError:
+        return pure.train_loop, None
+
+
+train_loop, LIBRARY = _select()
+BACKEND = "python" if LIBRARY is None else "native"
+
+__all__ = ["BACKEND", "LIBRARY", "bmu", "build", "load", "nearest", "theta_table", "train_loop"]

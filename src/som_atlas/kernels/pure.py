@@ -5,8 +5,8 @@ in the same order, with the same intermediate roundings, as in ``_kernel.c``.
 Each formula is written once: ``_sq_distances``, the distance scan of both
 ``train_loop`` and ``nearest``, adds dimensions left to right (one strict
 chain per neuron); ``hop_table``, the hop distances of both training loops,
-is built once per call from the grid, and a winner's hop row is a slice of
-it; ``theta_table``, the neighborhood of both ``train_loop`` and
+is built once per grid size, and a winner's hop row is a slice of it;
+``theta_table``, the neighborhood of both ``train_loop`` and
 ``som.neighborhood``, is built with libm ``exp`` per hop distance; the
 update is three separately rounded elementwise steps. Change both files
 together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
@@ -29,6 +29,7 @@ computes for every row.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,6 +41,9 @@ from ..hexgrid import HexGrid
 # together hold at most this many float64 values, and scans undecided rows in
 # chunks whose two scratch buffers together do (but always at least one row).
 BMU_SCRATCH = 2**17
+
+# ``hop_table`` keeps the tables of this many grid sizes.
+HOP_TABLES = 4
 
 # ``train_loop`` builds theta, times alpha, for blocks of cooperative steps
 # holding at most this many values (but always at least one step).
@@ -185,6 +189,7 @@ def check_arguments(weights, data, order, grid, alphas, sigmas, competitive_star
     return min(max(int(competitive_start), 0), total)
 
 
+@functools.lru_cache(maxsize=HOP_TABLES)
 def hop_table(width: int, height: int) -> np.ndarray:
     """Hop distances in a ``width`` x ``height`` odd-r grid, by offset difference.
 
@@ -193,11 +198,14 @@ def hop_table(width: int, height: int) -> np.ndarray:
     parity p to the node dr rows and dc columns away: in axial terms
     dq = dc - (p + dr) // 2, and the distance is ``max(|dq|, |dr|, |dq + dr|)``.
     Both training loops read it; ``hop_row`` cuts one node's row from it.
+    The table is read-only and cached: repeated calls return the same array.
     """
     dr = np.arange(1 - height, height, dtype=np.int64)[None, :, None]
     dc = np.arange(1 - width, width, dtype=np.int64)[None, None, :]
     dq = dc - (np.arange(2)[:, None, None] + dr) // 2
-    return np.maximum(np.maximum(np.abs(dq), np.abs(dr)), np.abs(dq + dr))
+    table = np.maximum(np.maximum(np.abs(dq), np.abs(dr)), np.abs(dq + dr))
+    table.setflags(write=False)
+    return table
 
 
 def hop_row(table: np.ndarray, row: int, col: int) -> np.ndarray:

@@ -1,8 +1,6 @@
 import shlex
 import shutil
-import subprocess
 import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,19 +24,18 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def native_train_loop(tmp_path_factory):
-    """The C kernel, compiled from source into a temporary directory.
+def compiler():
+    """Skips when ``sysconfig``'s C compiler is not found."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler found; C kernel parity not checkable")
+
+
+@pytest.fixture(scope="session")
+def native_train_loop(compiler, tmp_path_factory):
+    """The C kernel, compiled from source by ``kernels.build`` into a temporary directory.
 
     Skips only when no C compiler is found; a compiler that fails on the
     source is an error.
     """
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler found; C kernel parity not checkable")
-    source = Path(kernels.__file__).with_name("_kernel.c")
-    library = tmp_path_factory.mktemp("kernel") / "kernel.so"
-    subprocess.run(
-        [*cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-o", str(library), str(source), "-lm"],
-        check=True,
-    )
-    return kernels.load(library)
+    return kernels.load(kernels.build(tmp_path_factory.mktemp("kernel")))

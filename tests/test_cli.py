@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from som_atlas import cli
+from som_atlas import cli, kernels
 
 TRAIN = ["--width", "3", "--height", "2", "--epochs", "3"]
 
@@ -27,6 +27,15 @@ def test_train_succeeds_and_is_byte_reproducible(log_csv, tmp_path):
     assert train(log_csv, tmp_path / "a.model") == cli.EXIT_OK
     assert train(log_csv, tmp_path / "b.model") == cli.EXIT_OK
     assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+
+def test_train_echoes_the_selected_backend(log_csv, tmp_path, capsys):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("config: "))
+    pairs = dict(pair.split("=", 1) for pair in line.removeprefix("config: ").split(" "))
+    assert pairs["kernel"] == kernels.BACKEND
+    library = None if kernels.LIBRARY is None else str(kernels.LIBRARY)
+    assert pairs.get("kernel_library") == library
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,24 @@ def test_bad_dimensions():
         HexGrid(0, 3)
     with pytest.raises(ValueError):
         HexGrid(3, -1)
+
+
+@pytest.mark.parametrize(
+    "width, height, field",
+    [(2.5, 2, "width"), (3, 2.0, "height"), (True, 3, "width"), (3, False, "height"),
+     (np.float64(4), 4, "width"), (4, np.True_, "height"), ("3", 3, "width"), (3, None, "height")],
+    ids=repr,
+)
+def test_non_integer_dimensions_raise_typeerror_naming_the_field(width, height, field):
+    with pytest.raises(TypeError, match=f"grid {field} must be an integer"):
+        HexGrid(width, height)
+
+
+def test_numpy_integer_dimensions_are_stored_as_int():
+    grid = HexGrid(np.int64(4), np.int32(3))
+    assert (grid.width, grid.height, grid.n_nodes) == (4, 3, 12)
+    assert type(grid.width) is int and type(grid.height) is int
+    assert grid == HexGrid(4, 3)
 
 
 def test_index_rowcol_bijection():

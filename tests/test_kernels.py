@@ -1,12 +1,18 @@
 """Backend parity: the C kernel must match the numpy reference bit for bit.
 
-The C source is compiled into a temporary directory for the session (see
-``native_train_loop`` in conftest.py), so parity is checked whether or not
-the package's own library was built.
+The C source is compiled by ``kernels.build`` into a temporary directory for
+the session (see ``native_train_loop`` in conftest.py), so parity is checked
+whatever library the import selected.
 """
 
+import ast
 import math
+import os
+import subprocess
+import sys
+import sysconfig
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +182,16 @@ def test_hop_rows_are_lattice_distances(width, height):
     assert table.max() == widest
 
 
+def test_hop_table_is_cached_and_read_only():
+    table = hop_table(7, 5)
+    assert hop_table(7, 5) is table
+    assert hop_table(5, 7) is not table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        hop_row(table, 2, 3)[0, 0] = 1
+
+
 def test_backends_reject_a_grid_of_another_size(native_train_loop):
     weights = np.random.default_rng(3).random((12, 2))
     args = (weights[:3].copy(), np.zeros(1, dtype=np.int64))
@@ -278,6 +294,94 @@ def test_selected_backend_reported():
     assert kernels.BACKEND in ("native", "python")
     assert callable(kernels.train_loop)
     assert (kernels.train_loop is pure.train_loop) == (kernels.BACKEND == "python")
+    assert (kernels.LIBRARY is None) == (kernels.BACKEND == "python")
+
+
+def test_setup_py_compiles_with_the_build_flags():
+    # Bit parity rests on -ffp-contract=off: the install-time build and
+    # kernels.build must pass the same flags.
+    tree = ast.parse((Path(__file__).parents[1] / "setup.py").read_text())
+    (extension,) = (node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Extension")
+    keywords = {k.arg: ast.literal_eval(k.value) for k in extension.keywords}
+    assert tuple(keywords["extra_compile_args"]) == kernels.COMPILE_FLAGS
+    assert keywords["libraries"] == ["m"]
+
+
+def test_build_reuses_the_library_of_the_same_source(compiler, tmp_path):
+    library = kernels.build(tmp_path)
+    mtime = library.stat().st_mtime_ns
+    assert kernels.build(tmp_path) == library
+    assert library.stat().st_mtime_ns == mtime
+    assert list(tmp_path.iterdir()) == [library]
+
+
+def test_build_names_the_library_by_source_bytes(compiler, tmp_path, monkeypatch):
+    (tmp_path / "lib").mkdir()
+    original = kernels.build(tmp_path / "lib")
+    edited = tmp_path / "_kernel.c"
+    edited.write_bytes(kernels._SOURCE.read_bytes() + b"\n/* edited */\n")
+    monkeypatch.setattr(kernels, "_SOURCE", edited)
+    library = kernels.build(tmp_path / "lib")
+    assert library != original
+    assert sorted((tmp_path / "lib").iterdir()) == sorted([original, library])
+
+
+@pytest.mark.parametrize("cc", ["false", "", "no-such-compiler-som-atlas"])
+def test_failing_compiler_selects_pure_silently(cc, tmp_path, monkeypatch, capfd):
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", cc)
+    monkeypatch.setattr(kernels, "_LIBRARY", tmp_path / "missing.so")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert kernels._select() == (pure.train_loop, None)
+    assert list((tmp_path / "som-atlas").iterdir()) == []
+    assert capfd.readouterr() == ("", "")
+    with pytest.raises(OSError):
+        kernels.build(tmp_path)
+
+
+def _import_in_process(cache_home) -> subprocess.Popen:
+    """A fresh interpreter that imports ``kernels`` and prints ``BACKEND``."""
+    path = [str(Path(kernels.__file__).parents[2]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache_home), "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.Popen(
+        [sys.executable, "-c", "import som_atlas.kernels as k; print(k.BACKEND)"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _outcome(process) -> tuple:
+    out, err = process.communicate(timeout=120)
+    return process.returncode, out, err
+
+
+# An installed library is selected before the cache is looked at.
+source_tree = pytest.mark.skipif(kernels._LIBRARY.exists(),
+                                 reason="an installed C kernel is selected first")
+
+
+@source_tree
+def test_import_builds_one_library_into_a_fresh_cache(compiler, tmp_path):
+    assert _outcome(_import_in_process(tmp_path)) == (0, "native\n", "")
+    cache = tmp_path / "som-atlas"
+    assert cache.stat().st_mode & 0o777 == 0o700
+    (library,) = cache.iterdir()
+    assert library.name.startswith("_kernel-")
+    assert _outcome(_import_in_process(tmp_path)) == (0, "native\n", "")
+    assert list(cache.iterdir()) == [library]
+
+
+@source_tree
+def test_imports_that_start_together_both_build(compiler, tmp_path):
+    processes = [_import_in_process(tmp_path) for _ in range(2)]
+    assert [_outcome(p) for p in processes] == [(0, "native\n", "")] * 2
+    assert len(list((tmp_path / "som-atlas").iterdir())) == 1
+
+
+@source_tree
+def test_unwritable_cache_selects_python_silently(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    assert _outcome(_import_in_process(blocker)) == (0, "python\n", "")
 
 
 def test_bmu_matches_train_loop_competition(native_train_loop):
