@@ -3,9 +3,9 @@
 Train hexagonal Kohonen maps on numeric logs, classify and cluster the data,
 detect correlated attributes through component-plane comparison, and render
 per-attribute heatmaps. Training runs on a small C kernel loaded through
-``ctypes``: the one the install compiled, else one compiled on first import
-into the user cache (``$XDG_CACHE_HOME/som-atlas``), else, without a working
-compiler or cache, on a bit-identical numpy reference
+``ctypes``, compiled on first import into the user cache
+(``$XDG_CACHE_HOME/som-atlas``), else, without a working compiler or cache,
+on a bit-identical numpy reference
 (``som_atlas.kernels.BACKEND`` names the choice).
 """
 

@@ -204,7 +204,7 @@ def cmd_train(args) -> None:
         shuffle=not args.no_shuffle,
         seed=seed,
     ).resolved(grid)
-    # The bound library, installed or cached, names the build that trains.
+    # The bound library in the cache names the build that trains.
     library = {} if kernels.LIBRARY is None else {"kernel_library": kernels.LIBRARY}
     _echo_config(args, seed=seed, sigma0=schedule.sigma0, kernel=kernels.BACKEND, **library)
 

@@ -4,14 +4,11 @@ The hot training loop exists twice: a small C file (``_kernel.c``) and a
 numpy reference (``pure``) that produce bit-identical results. Training
 calls it once per epoch with the map's ``HexGrid``, so no argument grows
 with the epoch count or the square of the map. ``load`` binds a compiled
-library through ``ctypes``; the import selects, in this order:
-
-1. the library ``setup.py`` compiled next to this module at install time;
-2. the library ``build`` compiled from ``_kernel.c`` into the user cache,
-   ``$XDG_CACHE_HOME/som-atlas`` (``~/.cache/som-atlas`` by default), on
-   the first import that found neither and reused by every later one;
-3. ``pure``, when neither loads and the build fails: no compiler, a
-   compile error or timeout, or a cache directory that cannot be written.
+library through ``ctypes``. The import binds the library ``build``
+compiles from ``_kernel.c`` into the user cache, ``$XDG_CACHE_HOME/som-atlas``
+(``~/.cache/som-atlas`` by default): the first import compiles it and every
+later one reuses it. It selects ``pure`` when that fails: no compiler, a
+compile error or timeout, or a cache directory that cannot be written.
 
 The cached library is named by the SHA-256 of the source and the compile
 command, so an edited ``_kernel.c`` is compiled anew, never bound stale.
@@ -42,10 +39,9 @@ from .pure import bmu, check_arguments, hop_table, nearest, theta_table
 
 _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 _SOURCE = Path(__file__).with_name("_kernel.c")
-_LIBRARY = _SOURCE.with_name("_kernel" + _SUFFIX)
 
-# setup.py's extra_compile_args; -ffp-contract=off keeps the numpy reference
-# bit-identical by forbidding fused multiply-adds in the hot loop.
+# -ffp-contract=off keeps the numpy reference bit-identical by forbidding
+# fused multiply-adds in the hot loop.
 COMPILE_FLAGS = ("-O3", "-ffp-contract=off")
 # A compile that outlasts this many seconds fails the build.
 BUILD_TIMEOUT_S = 60
@@ -99,14 +95,20 @@ def build(directory) -> Path:
     compile fails or outlasts ``BUILD_TIMEOUT_S``, or ``directory`` cannot
     be written; the compiler's output is kept in the message, never printed.
     """
-    import hashlib
+    try:  # CPython's built-in SHA-256: hashlib would load OpenSSL into every process
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # a CPython built without it
 
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc:
         raise OSError("no C compiler configured")
     command = [*cc, *COMPILE_FLAGS, "-shared", "-fPIC"]
     source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(b"\0".join([source, *map(str.encode, command)])).hexdigest()
+    digest = sha256(b"\0".join([source, *map(str.encode, command)])).hexdigest()
     library = Path(directory, f"_kernel-{digest}{_SUFFIX}")
     if library.exists():
         return library
@@ -139,11 +141,7 @@ def _cache_directory() -> Path:
 
 
 def _select():
-    """``(train_loop, library)``: the installed library, else the cached build, else ``pure``."""
-    try:
-        return load(_LIBRARY), _LIBRARY
-    except OSError:
-        pass
+    """``(train_loop, library)``: the build in the user cache, else ``pure``."""
     try:
         library = build(_cache_directory())
         return load(library), library

@@ -5,7 +5,7 @@ the session (see ``native_train_loop`` in conftest.py), so parity is checked
 whatever library the import selected.
 """
 
-import ast
+import importlib.util
 import math
 import os
 import subprocess
@@ -297,15 +297,21 @@ def test_selected_backend_reported():
     assert (kernels.LIBRARY is None) == (kernels.BACKEND == "python")
 
 
-def test_setup_py_compiles_with_the_build_flags():
-    # Bit parity rests on -ffp-contract=off: the install-time build and
-    # kernels.build must pass the same flags.
-    tree = ast.parse((Path(__file__).parents[1] / "setup.py").read_text())
-    (extension,) = (node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) == "Extension")
-    keywords = {k.arg: ast.literal_eval(k.value) for k in extension.keywords}
-    assert tuple(keywords["extra_compile_args"]) == kernels.COMPILE_FLAGS
-    assert keywords["libraries"] == ["m"]
+def test_build_compiles_without_fused_multiply_adds(tmp_path, monkeypatch):
+    # Bit parity rests on -ffp-contract=off. Parity cannot catch its loss on a
+    # host whose compiler emits no FMA by default (x86-64 without -mfma).
+    commands = []
+
+    def fail(command, **kwargs):
+        commands.append(command)
+        raise subprocess.CalledProcessError(1, command)
+
+    monkeypatch.setattr(subprocess, "run", fail)
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "cc")
+    with pytest.raises(OSError):
+        kernels.build(tmp_path)
+    (command,) = commands
+    assert "-ffp-contract=off" in command
 
 
 def test_build_reuses_the_library_of_the_same_source(compiler, tmp_path):
@@ -327,10 +333,17 @@ def test_build_names_the_library_by_source_bytes(compiler, tmp_path, monkeypatch
     assert sorted((tmp_path / "lib").iterdir()) == sorted([original, library])
 
 
+def test_build_names_the_library_alike_without_builtin_sha256(compiler, tmp_path, monkeypatch):
+    # The hashlib fallback must give the same digest, so the same cached file.
+    library = kernels.build(tmp_path)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert kernels.build(tmp_path) == library
+
+
 @pytest.mark.parametrize("cc", ["false", "", "no-such-compiler-som-atlas"])
 def test_failing_compiler_selects_pure_silently(cc, tmp_path, monkeypatch, capfd):
     monkeypatch.setitem(sysconfig.get_config_vars(), "CC", cc)
-    monkeypatch.setattr(kernels, "_LIBRARY", tmp_path / "missing.so")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert kernels._select() == (pure.train_loop, None)
     assert list((tmp_path / "som-atlas").iterdir()) == []
@@ -339,12 +352,12 @@ def test_failing_compiler_selects_pure_silently(cc, tmp_path, monkeypatch, capfd
         kernels.build(tmp_path)
 
 
-def _import_in_process(cache_home) -> subprocess.Popen:
-    """A fresh interpreter that imports ``kernels`` and prints ``BACKEND``."""
+def _import_in_process(cache_home, code="print(k.BACKEND)") -> subprocess.Popen:
+    """A fresh interpreter that imports ``sys`` and ``kernels`` as ``k``, then runs ``code``."""
     path = [str(Path(kernels.__file__).parents[2]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "XDG_CACHE_HOME": str(cache_home), "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.Popen(
-        [sys.executable, "-c", "import som_atlas.kernels as k; print(k.BACKEND)"],
+        [sys.executable, "-c", f"import sys, som_atlas.kernels as k; {code}"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
 
@@ -354,12 +367,6 @@ def _outcome(process) -> tuple:
     return process.returncode, out, err
 
 
-# An installed library is selected before the cache is looked at.
-source_tree = pytest.mark.skipif(kernels._LIBRARY.exists(),
-                                 reason="an installed C kernel is selected first")
-
-
-@source_tree
 def test_import_builds_one_library_into_a_fresh_cache(compiler, tmp_path):
     assert _outcome(_import_in_process(tmp_path)) == (0, "native\n", "")
     cache = tmp_path / "som-atlas"
@@ -370,14 +377,22 @@ def test_import_builds_one_library_into_a_fresh_cache(compiler, tmp_path):
     assert list(cache.iterdir()) == [library]
 
 
-@source_tree
 def test_imports_that_start_together_both_build(compiler, tmp_path):
     processes = [_import_in_process(tmp_path) for _ in range(2)]
     assert [_outcome(p) for p in processes] == [(0, "native\n", "")] * 2
     assert len(list((tmp_path / "som-atlas").iterdir())) == 1
 
 
-@source_tree
+def test_import_loads_no_openssl(compiler, tmp_path):
+    # hashlib would load OpenSSL's _hashlib (about 4 ms and 3.7 MB per
+    # process) only to name the cached library.
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this CPython has no built-in SHA-256")
+    code = "print(k.BACKEND, '_hashlib' in sys.modules)"
+    for cache in ("cold", "warm"):
+        assert _outcome(_import_in_process(tmp_path, code)) == (0, "native False\n", ""), cache
+
+
 def test_unwritable_cache_selects_python_silently(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
