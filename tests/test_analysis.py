@@ -9,6 +9,8 @@ import pytest
 from som_atlas.errors import SchemaMismatchError
 from som_atlas import analysis
 from som_atlas.analysis import (
+    ClusterModel,
+    assignments_to_csv,
     classify,
     cluster_stats,
     component_plane,
@@ -96,6 +98,32 @@ class TestClassify:
             classify(model, renamed)
         with pytest.raises(SchemaMismatchError, match="columns"):
             classify(model, make_table(table.rows[:, :2], names=["pressure", "flow"]))
+
+
+class TestAssignmentsCsv:
+    def classified(self):
+        m = model_with([[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]])
+        # Row 1 lies outside a1's training range; row 2's distance needs 17 digits.
+        table = make_table([[0.1, 0.2], [0.9, 1.7], [0.6, 0.3]], names=["a0", "a1"])
+        return classify(m, table)
+
+    def test_bytes_without_clusters(self):
+        assert assignments_to_csv(self.classified()) == (
+            "row,neuron,distance,clamped\n"
+            "0,0,0.223606797749979,0\n"
+            "1,1,0.09999999999999998,1\n"
+            "2,2,0.31622776601683794,0\n"
+        )
+
+    def test_bytes_with_clusters(self):
+        labels = np.array([1, 0, 1])
+        cm = ClusterModel(k=2, centroids=np.zeros((2, 2)), neuron_labels=labels, inertia=0.0)
+        assert assignments_to_csv(self.classified(), cm) == (
+            "row,neuron,cluster,distance,clamped\n"
+            "0,0,1,0.223606797749979,0\n"
+            "1,1,0,0.09999999999999998,1\n"
+            "2,2,1,0.31622776601683794,0\n"
+        )
 
 
 class TestComponentPlane:
