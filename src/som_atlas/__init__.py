@@ -12,7 +12,6 @@ on a bit-identical numpy reference
 from .analysis import (
     AttributeRange,
     AttributeStats,
-    BmuAssignment,
     ClusterModel,
     ComponentPlane,
     CorrelationReport,
@@ -57,7 +56,6 @@ __all__ = [
     "AttributeRange",
     "AttributeSpec",
     "AttributeStats",
-    "BmuAssignment",
     "ClusterModel",
     "ComponentPlane",
     "CorrelationReport",

@@ -3,9 +3,10 @@
 Classification scales raw rows with the stored training ranges
 (``ingest.apply_schema``, the one normalization path) and finds every row's
 best matching unit with the batched ``kernels.bmu``, a chunk of rows at a
-time, so memory stays bounded however long the log; forward prediction uses
-the same two calls on one masked row. Component planes slice one attribute out of
-the codebook for rendering; their pairwise Pearson coefficients quantify the
+time, straight into one structured ``ASSIGNMENT`` record: only that record,
+17 bytes a row, grows with the log. Forward prediction uses the same two
+calls on one masked row. Component planes slice one attribute out of the
+codebook for rendering; their pairwise Pearson coefficients quantify the
 "two planes look alike" judgement, including inverse relations at r close to
 -1. K-means over the codebook groups neurons into operating regimes, on the
 squared sums of ``kernels.nearest``, the search under ``kernels.bmu``. The
@@ -33,15 +34,9 @@ from .som import SomModel, find_bmu
 # normalized copy whatever the table length.
 _CLASSIFY_CHUNK = 4096
 
-
-@dataclass(frozen=True)
-class BmuAssignment:
-    """One classified row: its winning neuron and masked/clamped status."""
-
-    row: int
-    neuron: int
-    distance: float
-    clamped: bool
+# One classified row: its best matching unit, the distance to it, and whether
+# any raw value lay outside the training range. Element i is table row i.
+ASSIGNMENT = np.dtype([("neuron", np.intp), ("distance", np.float64), ("clamped", bool)])
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,8 @@ def _require_schema(model: SomModel) -> None:
         raise ValueError("model has no attribute schema; train or load one first")
 
 
-def classify(model: SomModel, table: DataTable) -> list[BmuAssignment]:
-    """Assign every raw row to its best matching unit.
+def classify(model: SomModel, table: DataTable) -> np.ndarray:
+    """Assign every raw row to its best matching unit: one ``ASSIGNMENT`` per row.
 
     The table schema must match the model's by name and order. Values outside
     the training range are clamped to the range edge and flagged, never
@@ -136,13 +131,12 @@ def classify(model: SomModel, table: DataTable) -> list[BmuAssignment]:
         if got != want:
             raise SchemaMismatchError(f"column {pos}: got {got!r}, model expects {want!r}")
 
-    out = []
+    out = np.empty(table.n_rows, dtype=ASSIGNMENT)
     for start in range(0, table.n_rows, _CLASSIFY_CHUNK):
-        x, clamped = apply_schema(model.schema, table.rows[start : start + _CLASSIFY_CHUNK])
-        neurons, distances = kernels.bmu(model.weights, x)
-        batch = zip(neurons.tolist(), distances.tolist(), clamped.tolist())
-        for row, (neuron, distance, flag) in enumerate(batch, start):
-            out.append(BmuAssignment(row=row, neuron=neuron, distance=distance, clamped=flag))
+        stop = start + _CLASSIFY_CHUNK
+        chunk = out[start:stop]
+        x, chunk["clamped"] = apply_schema(model.schema, table.rows[start:stop])
+        chunk["neuron"], chunk["distance"] = kernels.bmu(model.weights, x)
     return out
 
 
@@ -268,7 +262,7 @@ def _update_centroids(
 
 def cluster_stats(
     clusters: ClusterModel,
-    assignments: Sequence[BmuAssignment],
+    assignments: np.ndarray,
     table: DataTable,
     model: SomModel,
 ) -> ClusterModel:
@@ -284,8 +278,7 @@ def cluster_stats(
             f"{len(assignments)} assignments for {table.n_rows} rows; "
             "classify the same table first"
         )
-    neurons = np.fromiter((a.neuron for a in assignments), dtype=np.intp, count=len(assignments))
-    row_labels = clusters.neuron_labels[neurons]
+    row_labels = clusters.neuron_labels[assignments["neuron"]]
 
     stats: list[tuple[AttributeStats, ...]] = []
     for c in range(clusters.k):
@@ -405,22 +398,27 @@ def correlation_to_csv(report: CorrelationReport) -> str:
     return buf.getvalue()
 
 
-def assignments_to_csv(
-    assignments: Sequence[BmuAssignment], clusters: ClusterModel | None = None
-) -> str:
+def assignments_to_csv(assignments: np.ndarray, clusters: ClusterModel | None = None) -> str:
     """Rows as CSV; with clusters given, include each row's cluster label."""
+    neurons = assignments["neuron"]
+    header = ["row", "neuron", "distance", "clamped"]
+    # ``csv`` writes each value's ``str``: Python floats keep the text to
+    # Python's shortest round-trip ``repr``, not numpy's formatter, and numpy
+    # bools would read ``True``. Converted as the rows are written, so no
+    # column of Python objects is held.
+    columns = [
+        range(len(assignments)),
+        neurons,
+        map(float, assignments["distance"]),
+        map(int, assignments["clamped"]),
+    ]
+    if clusters is not None:
+        header.insert(2, "cluster")
+        columns.insert(2, clusters.neuron_labels[neurons])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if clusters is None:
-        writer.writerow(["row", "neuron", "distance", "clamped"])
-        for a in assignments:
-            writer.writerow([a.row, a.neuron, repr(a.distance), int(a.clamped)])
-    else:
-        writer.writerow(["row", "neuron", "cluster", "distance", "clamped"])
-        for a in assignments:
-            writer.writerow(
-                [a.row, a.neuron, int(clusters.neuron_labels[a.neuron]), repr(a.distance), int(a.clamped)]
-            )
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

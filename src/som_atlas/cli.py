@@ -254,7 +254,7 @@ def cmd_classify(args) -> None:
     table = _read_table(args)
     assignments = classify(model, table)
     atomic_write_text(args.output, assignments_to_csv(assignments))
-    n_clamped = sum(a.clamped for a in assignments)
+    n_clamped = int(assignments["clamped"].sum())
     print(f"classified {len(assignments)} rows ({n_clamped} clamped) to {args.output}")
 
 

@@ -10,7 +10,6 @@ signal (measurement jitter would blow up to full scale); they are pinned to
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -149,13 +148,6 @@ def parse_csv(
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh, delimiter=delimiter, header=header, drop_bad_rows=drop_bad_rows)
-    if isinstance(source, (bytes, bytearray)):
-        return parse_csv(
-            io.StringIO(source.decode("utf-8")),
-            delimiter=delimiter,
-            header=header,
-            drop_bad_rows=drop_bad_rows,
-        )
 
     reader = csv.reader(source, delimiter=delimiter)
     names: list[str] | None = None

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from som_atlas.analysis import (
     predict_reverse,
 )
 from som_atlas.hexgrid import HexGrid
-from som_atlas.ingest import AttributeSpec, denormalize, normalize
+from som_atlas.ingest import AttributeSpec, apply_schema, denormalize, normalize
 from som_atlas.som import SomModel, TrainingSchedule, find_bmu, train
 
 from conftest import make_table
@@ -66,9 +67,9 @@ class TestClassify:
         table, model = self.fit(rng)
         assignments = classify(model, table)
         assert len(assignments) == table.n_rows
-        assert not any(a.clamped for a in assignments)
+        assert not any(a["clamped"] for a in assignments)
         spread = math.sqrt(model.dim)  # diameter bound of the unit box
-        assert all(0.0 <= a.distance <= spread for a in assignments)
+        assert all(0.0 <= a["distance"] <= spread for a in assignments)
 
     def test_row_equal_to_neuron_hits_it(self, rng):
         table, model = self.fit(rng)
@@ -76,20 +77,20 @@ class TestClassify:
         hit = make_table([raw], names=table.names)
         # keep the stored schema: classification uses the model's ranges
         a = classify(model, hit)[0]
-        assert a.neuron == 5
-        assert a.distance == pytest.approx(0.0, abs=1e-12)
+        assert a["neuron"] == 5
+        assert a["distance"] == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_range_is_clamped_and_flagged(self, rng):
         table, model = self.fit(rng)
         spec = model.schema[0]
         row = [[spec.raw_max + 5.0, model.schema[1].raw_min, model.schema[2].raw_min]]
         a = classify(model, make_table(row, names=table.names))[0]
-        assert a.clamped
+        assert a["clamped"]
         # clamped first coordinate behaves exactly like the training max
         at_max = [[spec.raw_max, model.schema[1].raw_min, model.schema[2].raw_min]]
         b = classify(model, make_table(at_max, names=table.names))[0]
-        assert a.neuron == b.neuron
-        assert a.distance == b.distance
+        assert a["neuron"] == b["neuron"]
+        assert a["distance"] == b["distance"]
 
     def test_schema_mismatch_names_first_column(self, rng):
         table, model = self.fit(rng)
@@ -98,6 +99,37 @@ class TestClassify:
             classify(model, renamed)
         with pytest.raises(SchemaMismatchError, match="columns"):
             classify(model, make_table(table.rows[:, :2], names=["pressure", "flow"]))
+
+    def test_chunks_join_into_the_per_row_search(self, rng, monkeypatch):
+        table, model = self.fit(rng, n_rows=10)
+        rows = table.rows.copy()
+        rows[4, 0] = model.schema[0].raw_max + 1.0  # clamped, in the second chunk of 3
+        table = make_table(rows, names=table.names)
+        whole = classify(model, table)
+        monkeypatch.setattr(analysis, "_CLASSIFY_CHUNK", 3)
+        chunked = classify(model, table)
+        assert chunked.tobytes() == whole.tobytes()
+        assert whole["clamped"].tolist() == [row == 4 for row in range(10)]
+        per_row = [find_bmu(model, x) for x in apply_schema(model.schema, rows)[0]]
+        assert per_row == list(zip(whole["neuron"].tolist(), whole["distance"].tolist()))
+
+    def test_long_log_memory_grows_by_the_record_alone(self):
+        # 1600 neurons x 8, as a 40x40 map. The record is 17 bytes a row; a
+        # Python object per row would cost about ten times as much.
+        rng = np.random.default_rng(14)
+        model = model_with(rng.random((1600, 8)))
+        rows = rng.random((100_000, 8)) * 1.05
+
+        def peak(n_rows):
+            table = make_table(rows[:n_rows])
+            tracemalloc.start()
+            try:
+                classify(model, table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(100_000) - peak(25_000)) / 75_000 <= 32
 
 
 class TestAssignmentsCsv:
@@ -390,7 +422,7 @@ class TestClusterStats:
         one_row = make_table(rows[:1], names=table.names)
         assignments = classify(model, one_row)
         cm = cluster_stats(cm, assignments, one_row, model)
-        hit = int(cm.neuron_labels[assignments[0].neuron])
+        hit = int(cm.neuron_labels[assignments[0]["neuron"]])
         for c in range(cm.k):
             st = cm.stats[c][0]
             if c == hit:
@@ -436,9 +468,9 @@ class TestPredict:
         pred = predict_forward(
             model, cm, dict(zip(table.names, row)), target="mass"
         )
-        assert pred.neuron == expected.neuron
-        assert pred.distance == expected.distance
-        assert pred.cluster == int(cm.neuron_labels[expected.neuron])
+        assert pred.neuron == expected["neuron"]
+        assert pred.distance == expected["distance"]
+        assert pred.cluster == int(cm.neuron_labels[expected["neuron"]])
 
     def test_single_attribute_mask_matches_linear_scan(self, rng):
         table, model, cm = self.fit(rng)

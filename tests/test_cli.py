@@ -1,5 +1,6 @@
 """Command-line exit codes and reproducible outputs, through ``cli.main``."""
 
+import csv
 import warnings
 
 import numpy as np
@@ -98,6 +99,22 @@ def test_model_with_infinite_attribute_range_exits_2(log_csv, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_DATA
     assert "not finite" in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
+
+
+def test_classify_summary_counts_the_rows_and_clamped_rows_written(log_csv, tmp_path, capsys):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    log = tmp_path / "wider.csv"
+    log.write_text(log_csv.read_text() + "2.0,0.5,0.5\n0.5,0.5,-1.0\n")  # two out of range
+    out = tmp_path / "a.csv"
+    argv = ["classify", "--model", str(tmp_path / "m.model"), "--input", str(log),
+            "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        body = list(csv.DictReader(fh))
+    n_clamped = sum(row["clamped"] == "1" for row in body)
+    assert (len(body), n_clamped) == (14, 2)
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == f"classified {len(body)} rows ({n_clamped} clamped) to {out}"
 
 
 def test_missing_input_exits_3(tmp_path):
