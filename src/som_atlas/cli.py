@@ -34,7 +34,7 @@ from .errors import SomAtlasError
 from .fileio import atomic_write_bytes, atomic_write_text
 from .hexgrid import HexGrid
 from .ingest import append_time_counter, normalize, parse_csv
-from .model_io import load_model, save_model
+from .model_io import check_attribute_names, load_model, save_model
 from .pulse import curve_from_table, extract_pulse_features
 from .render import render_cluster_map, render_plane
 from .som import (
@@ -213,6 +213,7 @@ def cmd_train(args) -> None:
         print(f"dropped row {rownum}: {reason}", file=sys.stderr)
     if args.time_period is not None:
         table = append_time_counter(table, args.time_period)
+    check_attribute_names(table.schema)  # before training, not at the save after it
     ntable = normalize(table)
 
     t0 = time.perf_counter()

@@ -4,18 +4,23 @@ The map is a ``height`` x ``width`` lattice of pointy-top hexagons in odd-r
 offset layout: odd rows are shifted half a cell to the right. A node is
 addressed either by (row, col) or by the linear index ``row * width + col``.
 
-Interior nodes have exactly six neighbors. Distances are exact hop counts,
-computed in closed form through the offset -> axial -> cube conversion, so a
-single query is O(1) instead of a lattice search.
+Interior nodes have exactly six neighbors. ``hops`` is the one hop-distance
+formula, in closed form on offset differences: ``HexGrid.distance`` answers
+one query with it in O(1), ``HexGrid.neighbors`` keeps the nodes one hop
+away, and ``hop_table``, which both training kernels read, applies it to
+every offset a grid size allows.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
-# Axial-coordinate steps to the six neighbors of any hexagon.
-_AXIAL_DIRECTIONS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
+import numpy as np
+
+# ``hop_table`` keeps the tables of this many grid sizes.
+HOP_TABLES = 4
 
 
 @dataclass(frozen=True)
@@ -53,36 +58,52 @@ class HexGrid:
     def neighbors(self, idx: int) -> list[int]:
         """In-bounds hex neighbors of ``idx``, sorted ascending by linear index."""
         row, col = self.to_rowcol(idx)
-        q, r = _offset_to_axial(row, col)
-        out = []
-        for dq, dr in _AXIAL_DIRECTIONS:
-            nrow, ncol = _axial_to_offset(q + dq, r + dr)
-            if 0 <= nrow < self.height and 0 <= ncol < self.width:
-                out.append(nrow * self.width + ncol)
-        out.sort()
-        return out
+        # Every neighbor lies in the 3x3 offset window; row-major order is ascending.
+        rows = np.arange(max(row - 1, 0), min(row + 2, self.height))[:, None]
+        cols = np.arange(max(col - 1, 0), min(col + 2, self.width))
+        adjacent = hops(row & 1, rows - row, cols - col) == 1
+        return (rows * self.width + cols)[adjacent].tolist()
 
     def distance(self, a: int, b: int) -> int:
         """Minimum number of neighbor hops between nodes ``a`` and ``b``."""
-        self._check_index(a)
-        self._check_index(b)
-        qa, ra = _offset_to_axial(*divmod(a, self.width))
-        qb, rb = _offset_to_axial(*divmod(b, self.width))
-        dq = qa - qb
-        dr = ra - rb
-        # Cube coordinates: x = q, z = r, y = -x - z; distance is max |component|.
-        return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
+        ra, ca = self.to_rowcol(a)
+        rb, cb = self.to_rowcol(b)
+        return int(hops(ra & 1, rb - ra, cb - ca))
 
     def _check_index(self, idx: int) -> None:
         if not (0 <= idx < self.n_nodes):
             raise ValueError(f"node index {idx} out of range for {self.width}x{self.height} grid")
 
 
-def _offset_to_axial(row: int, col: int) -> tuple[int, int]:
-    # odd-r: odd rows sit half a cell to the right.
-    return col - (row - (row & 1)) // 2, row
+def hops(parity, dr, dc):
+    """Hops across ``dr`` rows and ``dc`` columns from a node in a row of parity ``parity``.
+
+    Python ints or broadcasting int64 arrays; ``max(|dq|, |dr|, |dq + dr|)`` in axial terms.
+    """
+    dq = dc - (parity + dr) // 2
+    return np.maximum(np.maximum(np.abs(dq), np.abs(dr)), np.abs(dq + dr))
 
 
-def _axial_to_offset(q: int, r: int) -> tuple[int, int]:
-    return r, q + (r - (r & 1)) // 2
+@functools.lru_cache(maxsize=HOP_TABLES)
+def hop_table(width: int, height: int) -> np.ndarray:
+    """Hop distances in a ``width`` x ``height`` odd-r grid, by offset difference.
 
+    Entry [p, dr + height - 1, dc + width - 1] of this (2, 2 height - 1,
+    2 width - 1) int64 table is ``hops(p, dr, dc)``. Both training loops read
+    it; ``hop_row`` cuts one node's row from it. The table is read-only and
+    cached: repeated calls return the same array.
+    """
+    dr = np.arange(1 - height, height, dtype=np.int64)[None, :, None]
+    dc = np.arange(1 - width, width, dtype=np.int64)[None, None, :]
+    table = hops(np.arange(2)[:, None, None], dr, dc)
+    table.setflags(write=False)
+    return table
+
+
+def hop_row(table: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Hop distances from node (``row``, ``col``) to every node, as a view of ``table``.
+
+    The view is (height, width), so raveled it is indexed by linear node index.
+    """
+    _, rows, cols = table.shape
+    return table[row & 1, rows // 2 - row : rows - row, cols // 2 - col : cols - col]

@@ -137,7 +137,8 @@ def parse_csv(
 ) -> DataTable:
     """Parse a numeric CSV into a DataTable.
 
-    ``source`` is a path or a text file object. The first row is a header of
+    ``source`` is a path, read as UTF-8 with a leading byte-order mark
+    dropped, or a text file object, read as it is. The first row is a header of
     unique attribute names unless ``header=False``, in which case columns are
     named col1..colN. Ragged rows, non-numeric cells and non-finite literals
     reject the file with the 1-based row number; with ``drop_bad_rows`` the
@@ -146,7 +147,7 @@ def parse_csv(
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be exactly one character, got {delimiter!r}")
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_csv(fh, delimiter=delimiter, header=header, drop_bad_rows=drop_bad_rows)
 
     reader = csv.reader(source, delimiter=delimiter)

@@ -21,8 +21,8 @@ rows with a matrix product first; the screen is a rounding bound, never a
 value it returns.
 
 Both loops accept exactly the arguments ``pure.check_arguments`` accepts,
-and both read their hop distances from the one ``pure.hop_table`` of the
-grid, cached per grid size: the winner's hop row is a slice of it.
+and both read their hop distances from the one ``hexgrid.hop_table`` of
+the grid, cached per grid size: the winner's hop row is a slice of it.
 """
 
 import ctypes
@@ -34,8 +34,9 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
+from ..hexgrid import hop_table
 from . import pure
-from .pure import bmu, check_arguments, hop_table, nearest, theta_table
+from .pure import bmu, check_arguments, nearest, theta_table
 
 _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 _SOURCE = Path(__file__).with_name("_kernel.c")

@@ -3,13 +3,13 @@
 Bit-for-bit lockstep with the numpy reference is a hard requirement (see
 pure.py): each neuron's squared distance accumulates over j left to right,
 ties go to the lowest index, the per-step theta table comes from libm exp()
-and is indexed by the hop distances of pure.hop_table, and every update is
+and is indexed by the hop distances of hexgrid.hop_table, and every update is
 three separately rounded steps. Build with -ffp-contract=off so that no
 multiply-add fuses. The Python wrapper checks dtypes, shapes and indices,
 and builds hops and theta; nothing here validates its input.
 
 w is (n, dim) with n = width * height, data is (n_rows, dim); order, alphas
-and sigmas have total entries. hops is pure.hop_table(width, height), a
+and sigmas have total entries. hops is hexgrid.hop_table(width, height), a
 (2, 2 height - 1, 2 width - 1) table whose entry [p, dr + height - 1,
 dc + width - 1] is the hop distance from a node in a row of parity p to the
 node dr rows and dc columns away. theta has max_dist + 1 entries of scratch

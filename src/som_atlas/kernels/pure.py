@@ -4,12 +4,12 @@ Numerical lockstep contract: every floating-point operation here must happen
 in the same order, with the same intermediate roundings, as in ``_kernel.c``.
 Each formula is written once: ``_sq_distances``, the distance scan of both
 ``train_loop`` and ``nearest``, adds dimensions left to right (one strict
-chain per neuron); ``hop_table``, the hop distances of both training loops,
-is built once per grid size, and a winner's hop row is a slice of it;
-``theta_table``, the neighborhood of both ``train_loop`` and
-``som.neighborhood``, is built with libm ``exp`` per hop distance; the
+chain per neuron); ``theta_table``, the neighborhood of both ``train_loop``
+and ``som.neighborhood``, is built with libm ``exp`` per hop distance; the
 update is three separately rounded elementwise steps. Change both files
 together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
+Both loops read their hop distances from ``hexgrid.hop_table``, built once
+per grid size; a winner's hop row is a slice of it.
 
 ``train_loop`` moves the work that does not depend on the step out of it,
 without changing a rounding:
@@ -29,21 +29,17 @@ computes for every row.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from ..hexgrid import HexGrid
+from ..hexgrid import HexGrid, hop_row, hop_table
 
 
 # ``nearest`` screens rows in chunks whose ``[x, 1]`` rows and screen values
 # together hold at most this many float64 values, and scans undecided rows in
 # chunks whose two scratch buffers together do (but always at least one row).
 BMU_SCRATCH = 2**17
-
-# ``hop_table`` keeps the tables of this many grid sizes.
-HOP_TABLES = 4
 
 # ``train_loop`` builds theta, times alpha, for blocks of cooperative steps
 # holding at most this many values (but always at least one step).
@@ -189,34 +185,6 @@ def check_arguments(weights, data, order, grid, alphas, sigmas, competitive_star
     return min(max(int(competitive_start), 0), total)
 
 
-@functools.lru_cache(maxsize=HOP_TABLES)
-def hop_table(width: int, height: int) -> np.ndarray:
-    """Hop distances in a ``width`` x ``height`` odd-r grid, by offset difference.
-
-    Entry [p, dr + height - 1, dc + width - 1] of this (2, 2 height - 1,
-    2 width - 1) int64 table is the hop distance from a node in a row of
-    parity p to the node dr rows and dc columns away: in axial terms
-    dq = dc - (p + dr) // 2, and the distance is ``max(|dq|, |dr|, |dq + dr|)``.
-    Both training loops read it; ``hop_row`` cuts one node's row from it.
-    The table is read-only and cached: repeated calls return the same array.
-    """
-    dr = np.arange(1 - height, height, dtype=np.int64)[None, :, None]
-    dc = np.arange(1 - width, width, dtype=np.int64)[None, None, :]
-    dq = dc - (np.arange(2)[:, None, None] + dr) // 2
-    table = np.maximum(np.maximum(np.abs(dq), np.abs(dr)), np.abs(dq + dr))
-    table.setflags(write=False)
-    return table
-
-
-def hop_row(table: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Hop distances from node (``row``, ``col``) to every node, as a view of ``table``.
-
-    The view is (height, width), so raveled it is indexed by linear node index.
-    """
-    _, rows, cols = table.shape
-    return table[row & 1, rows // 2 - row : rows - row, cols // 2 - col : cols - col]
-
-
 def theta_table(sigmas: np.ndarray, max_dist: int) -> np.ndarray:
     """Gaussians ``exp(-d**2 / (2 sigma**2))``, one row per sigma, for d = 0 .. max_dist.
 
@@ -252,7 +220,7 @@ def train_loop(
     One step s: present row ``order[s]``, find its best matching unit u, then
     pull every neuron v toward the row by ``theta(u, v, s) * alphas[s]``, theta
     being ``theta_table(sigmas[s], ...)`` at the hop distance between u and v
-    on ``grid`` (``hop_table``), which has one node per neuron (see
+    on ``grid`` (``hexgrid.hop_table``), which has one node per neuron (see
     ``check_arguments``). For s >= ``competitive_start`` (clamped to the
     steps) only u itself moves (theta collapses to a Kronecker delta) and
     ``sigmas[s]`` is ignored.

@@ -12,8 +12,8 @@ shortest decimal that round-trips):
 
 Loading a file this module wrote and saving it again reproduces the bytes
 exactly. Attribute names may contain single spaces; the loader re-joins the
-middle tokens, so names are canonicalized to single-space separation before
-saving and anything that cannot survive that round trip is rejected.
+middle tokens, so ``check_attribute_names`` rejects any other whitespace,
+which could not survive that round trip.
 """
 
 from __future__ import annotations
@@ -46,12 +46,8 @@ def dumps_model(model: SomModel) -> str:
         f"epochs={sched.epochs} alpha0={_fmt(sched.alpha0)} alpha_end={_fmt(sched.alpha_end)} "
         f"sigma0={_fmt(sched.sigma0)} shuffle={1 if sched.shuffle else 0} seed={sched.seed}",
     ]
+    check_attribute_names(model.schema)
     for spec in model.schema:
-        if spec.name != " ".join(spec.name.split()):
-            raise ValueError(
-                f"attribute name {spec.name!r} cannot round-trip through the model file "
-                "(runs of whitespace are not representable)"
-            )
         qc = 1 if spec.quasi_constant else 0
         lines.append(
             f"attr {spec.index} {spec.name} {_fmt(spec.raw_min)} {_fmt(spec.raw_max)} {qc}"
@@ -61,6 +57,16 @@ def dumps_model(model: SomModel) -> str:
     for idx, row in enumerate(model.weights):
         lines.append(f"w {idx} " + " ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
+
+
+def check_attribute_names(schema) -> None:
+    """Raise ``ValueError`` for the first attribute name that cannot round-trip."""
+    for spec in schema:
+        if spec.name != " ".join(spec.name.split()):
+            raise ValueError(
+                f"attribute name {spec.name!r} cannot round-trip through the model file "
+                "(runs of whitespace are not representable)"
+            )
 
 
 def _fmt(value) -> str:

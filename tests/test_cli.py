@@ -117,6 +117,32 @@ def test_classify_summary_counts_the_rows_and_clamped_rows_written(log_csv, tmp_
     assert summary == f"classified {len(body)} rows ({n_clamped} clamped) to {out}"
 
 
+def test_train_on_a_bom_csv_classifies_the_plain_csv(log_csv, tmp_path):
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes("\ufeff".encode() + log_csv.read_bytes())
+    assert train(marked, tmp_path / "bom.model") == cli.EXIT_OK
+    assert train(log_csv, tmp_path / "plain.model") == cli.EXIT_OK
+    assert (tmp_path / "bom.model").read_bytes() == (tmp_path / "plain.model").read_bytes()
+    argv = ["classify", "--model", str(tmp_path / "bom.model"), "--input", str(log_csv),
+            "--output", str(tmp_path / "a.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("name", ["Temp  A", "Temp\tA"], ids=repr)
+def test_unsavable_attribute_name_exits_1_before_training(tmp_path, capsys, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("train ran on a table whose model cannot be saved")
+
+    monkeypatch.setattr(cli, "train", refuse)
+    log = tmp_path / "log.csv"
+    log.write_text(f"{name},b\n0.1,0.2\n0.3,0.4\n")
+    assert train(log, tmp_path / "m.model") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"som-atlas: error: attribute name {name!r} cannot round-trip through the "
+                   "model file (runs of whitespace are not representable)\n")
+    assert not (tmp_path / "m.model").exists()
+
+
 def test_missing_input_exits_3(tmp_path):
     assert train(tmp_path / "absent.csv", tmp_path / "m.model") == cli.EXIT_IO
 

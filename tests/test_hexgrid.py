@@ -7,18 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from som_atlas.hexgrid import HexGrid
+from som_atlas.hexgrid import HexGrid, hop_table
+
+# (row, col) steps to the six neighbors in odd-r layout, by row parity: odd
+# rows sit half a cell to the right. Written out here, apart from the module.
+ODD_R_STEPS = (
+    ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 0)),  # even rows
+    ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1)),  # odd rows
+)
 
 
 def bfs_distances(grid: HexGrid, start: int) -> list[int]:
-    """Hop counts from ``start`` over the neighbors() adjacency; the oracle."""
+    """Hop counts from ``start`` over the literal ``ODD_R_STEPS`` adjacency; the oracle."""
     dist = [-1] * grid.n_nodes
     dist[start] = 0
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for nb in grid.neighbors(node):
-            if dist[nb] < 0:
+        row, col = divmod(node, grid.width)
+        for drow, dcol in ODD_R_STEPS[row & 1]:
+            nrow, ncol = row + drow, col + dcol
+            nb = nrow * grid.width + ncol
+            if 0 <= nrow < grid.height and 0 <= ncol < grid.width and dist[nb] < 0:
                 dist[nb] = dist[node] + 1
                 queue.append(nb)
     return dist
@@ -31,6 +41,11 @@ def test_single_node_has_no_neighbors():
 def test_interior_node_has_six_neighbors():
     grid = HexGrid(3, 3)
     assert grid.neighbors(4) == [1, 2, 3, 5, 7, 8]
+
+
+def test_even_row_interior_node_has_six_neighbors():
+    # Node 9 is (row 2, col 1): an even row, so its diagonal neighbors lean left.
+    assert HexGrid(4, 5).neighbors(9) == [4, 5, 8, 10, 12, 13]
 
 
 def test_neighbor_counts_on_border():
@@ -73,6 +88,14 @@ def test_distance_matches_bfs_oracle(width, height):
         oracle = bfs_distances(grid, a)
         for b in range(grid.n_nodes):
             assert grid.distance(a, b) == oracle[b], (a, b)
+
+
+def test_one_query_builds_no_table():
+    grid = HexGrid(10**6, 10**6)
+    tables = hop_table.cache_info().currsize
+    d = grid.distance(0, grid.n_nodes - 1)
+    assert d == 1499999 and type(d) is int
+    assert hop_table.cache_info().currsize == tables
 
 
 def test_distance_one_iff_neighbor():

@@ -93,6 +93,27 @@ def test_parse_headerless_generates_names():
     assert table.n_rows == 2
 
 
+BOM = "\ufeff".encode()
+
+
+def test_parse_path_drops_a_utf8_bom(tmp_path):
+    text = "Temp,Pressure\n0.5,2\n1.5,3\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    table = parse_csv(marked)
+    assert table.names == parse_csv(plain).names == ["Temp", "Pressure"]
+    assert np.array_equal(table.rows, parse_csv(plain).rows)
+
+
+def test_parse_path_drops_a_utf8_bom_without_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(BOM + b"0.5,2\n1.5,3\n")
+    table = parse_csv(path, header=False)
+    assert table.names == ["col1", "col2"]
+    assert np.array_equal(table.rows, [[0.5, 2], [1.5, 3]])
+
+
 def test_parse_duplicate_header_rejected():
     with pytest.raises(CsvFormatError, match="duplicate"):
         parse_csv(io.StringIO("a,a\n1,2\n"))

@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 
 from som_atlas import kernels
-from som_atlas.hexgrid import HexGrid
+from som_atlas.hexgrid import HexGrid, hop_row, hop_table
 from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
-from som_atlas.kernels.pure import hop_row, hop_table
 from som_atlas.som import (
     SomModel,
     TrainingSchedule,
