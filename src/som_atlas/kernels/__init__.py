@@ -23,6 +23,17 @@ value it returns.
 Both loops accept exactly the arguments ``pure.check_arguments`` accepts,
 and both read their hop distances from the one ``hexgrid.hop_table`` of
 the grid, cached per grid size: the winner's hop row is a slice of it.
+Both work in the (dim, n) layout of ``pure._sq_distances``. The wrapper
+from ``load`` allocates the C loop's scratch per call (theta, the transposed
+codebook and two per-neuron rows: O(n dim)), so the C file allocates
+nothing.
+
+The library is compiled with no ``-march`` flag, so one cached file runs on
+every CPU. On x86-64 with glibc, gcc >= 6 and clang >= 14 compile the loop
+once per instruction set (``target_clones``), and the loader picks the
+widest the CPU has when the library is loaded; elsewhere the one plain loop
+is compiled. Every variant runs the same rounded operations, so the choice
+never changes a result and needs no setting.
 """
 
 import ctypes
@@ -55,6 +66,8 @@ _ARRAYS = (
     ndpointer(np.float64, 1, flags="C_CONTIGUOUS"),
     ndpointer(np.float64, 1, flags="C_CONTIGUOUS"),
 )
+# theta, wt, acc, coef: scratch the wrapper allocates for each call.
+_SCRATCH = ndpointer(np.float64, 1, flags="C_CONTIGUOUS,WRITEABLE")
 
 
 def load(path):
@@ -65,7 +78,7 @@ def load(path):
     c_loop = ctypes.CDLL(os.fspath(path)).train_loop
     c_loop.restype = None
     c_loop.argtypes = [*_ARRAYS, ndpointer(np.int64, 3, flags="C_CONTIGUOUS"),
-                       ndpointer(np.float64, 1), *[ctypes.c_int64] * 6]
+                       *[_SCRATCH] * 4, *[ctypes.c_int64] * 6]
 
     def train_loop(weights, data, order, grid, alphas, sigmas, competitive_start):
         for kind, array in zip(_ARRAYS, (weights, data, order, alphas, sigmas)):
@@ -74,10 +87,12 @@ def load(path):
         competitive_start = check_arguments(
             weights, data, order, grid, alphas, sigmas, competitive_start
         )
+        n, dim = weights.shape
         hops = hop_table(grid.width, grid.height)
         max_dist = int(hops.max())  # bounds every hop the loop reads, so theta is never overrun
-        c_loop(weights, data, order, alphas, sigmas, hops, np.empty(max_dist + 1), max_dist,
-               grid.width, grid.height, weights.shape[1], order.shape[0], competitive_start)
+        c_loop(weights, data, order, alphas, sigmas, hops,
+               np.empty(max_dist + 1), np.empty(n * dim), np.empty(n), np.empty(n),
+               max_dist, grid.width, grid.height, dim, order.shape[0], competitive_start)
         return weights
 
     train_loop.__doc__ = pure.train_loop.__doc__

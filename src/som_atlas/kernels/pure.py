@@ -6,10 +6,13 @@ Each formula is written once: ``_sq_distances``, the distance scan of both
 ``train_loop`` and ``nearest``, adds dimensions left to right (one strict
 chain per neuron); ``theta_table``, the neighborhood of both ``train_loop``
 and ``som.neighborhood``, is built with libm ``exp`` per hop distance; the
-update is three separately rounded elementwise steps. Change both files
-together or not at all; ``tests/test_kernels.py`` pins bit-identical outputs.
-Both loops read their hop distances from ``hexgrid.hop_table``, built once
-per grid size; a winner's hop row is a slice of it.
+update is three separately rounded elementwise steps. The C loop scans the
+same (dim, n) layout as ``_sq_distances``: it transposes the codebook once
+per call and adds each dimension's row to every neuron's sum in turn. Change
+both files together or not at all; ``tests/test_kernels.py`` pins
+bit-identical outputs. Both loops read their hop distances from
+``hexgrid.hop_table``, built once per grid size; a winner's hop row is a
+slice of it.
 
 ``train_loop`` moves the work that does not depend on the step out of it,
 without changing a rounding:

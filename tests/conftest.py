@@ -31,11 +31,45 @@ def compiler():
         pytest.skip("no C compiler found; C kernel parity not checkable")
 
 
-@pytest.fixture(scope="session")
-def native_train_loop(compiler, tmp_path_factory):
-    """The C kernel, compiled from source by ``kernels.build`` into a temporary directory.
+# Compiled in, this define turns off the target_clones dispatch of _kernel.c.
+PLAIN_LOOP = "-DSOM_ATLAS_PLAIN_LOOP"
 
-    Skips only when no C compiler is found; a compiler that fails on the
-    source is an error.
+
+@pytest.fixture(scope="session")
+def native_libraries(compiler, tmp_path_factory):
+    """``{"dispatched": path, "plain": path}``: the C kernel, compiled by ``kernels.build``.
+
+    The dispatched build is the one the import compiles: on x86-64 glibc it
+    picks a target clone per CPU, and parity tests run the widest this host
+    has. The plain build adds ``PLAIN_LOOP`` to ``kernels.COMPILE_FLAGS``,
+    which ``build`` reads when called, and gives the loop musl, macOS and ARM
+    users get. Skips only when no C compiler is found; a compiler that fails
+    on the source is an error.
     """
-    return kernels.load(kernels.build(tmp_path_factory.mktemp("kernel")))
+    libraries = {"dispatched": kernels.build(tmp_path_factory.mktemp("dispatched"))}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "COMPILE_FLAGS", (*kernels.COMPILE_FLAGS, PLAIN_LOOP))
+        libraries["plain"] = kernels.build(tmp_path_factory.mktemp("plain"))
+    return libraries
+
+
+@pytest.fixture(scope="session")
+def native_train_loop(native_libraries):
+    """Both C builds as one twin of ``pure.train_loop``, so parity tests check each.
+
+    It runs the plain build on a copy of the weights, in their own layout,
+    then the dispatched build in place, and fails unless both leave the same
+    bytes; a test that compares the result with ``pure`` checks both builds.
+    Either build's error propagates as it is.
+    """
+    plain = kernels.load(native_libraries["plain"])
+    dispatched = kernels.load(native_libraries["dispatched"])
+
+    def train_loop(weights, *args):
+        twin = weights.copy(order="K")
+        plain(twin, *args)
+        dispatched(weights, *args)
+        assert twin.tobytes() == weights.tobytes(), "the plain and dispatched builds disagree"
+        return weights
+
+    return train_loop

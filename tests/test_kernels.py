@@ -1,13 +1,15 @@
 """Backend parity: the C kernel must match the numpy reference bit for bit.
 
-The C source is compiled by ``kernels.build`` into a temporary directory for
-the session (see ``native_train_loop`` in conftest.py), so parity is checked
-whatever library the import selected.
+The C source is compiled by ``kernels.build`` into temporary directories for
+the session, once as the import builds it and once with its instruction-set
+dispatch turned off (see ``native_train_loop`` in conftest.py), so parity is
+checked on both builds whatever library the import selected.
 """
 
 import importlib.util
 import math
 import os
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -16,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid, hop_row, hop_table
@@ -50,12 +54,12 @@ def _run_both(native_train_loop, epochs):
     return wa, wb
 
 
-def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.05):
+def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.05, sigma0=None):
     """Per-epoch kernel arguments, as ``train()`` passes them."""
     rng = np.random.default_rng(seed)
     grid = HexGrid(width, height)
     sched = TrainingSchedule(
-        epochs=epochs, alpha0=alpha0, alpha_end=alpha_end, seed=seed
+        epochs=epochs, alpha0=alpha0, alpha_end=alpha_end, sigma0=sigma0, seed=seed
     ).resolved(grid)
     weights = rng.random((grid.n_nodes, dim))
     data = rng.random((n_rows, dim))
@@ -92,6 +96,41 @@ def _workload(seed, width, height, dim, n_rows, epochs, alpha0=0.9, alpha_end=0.
 )
 def test_backends_bit_identical(seed, shape, native_train_loop):
     wa, wb = _run_both(native_train_loop, _workload(seed, **shape))
+    assert wa.tobytes() == wb.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 12),
+    height=st.integers(1, 12),
+    dim=st.integers(1, 12),
+    n_rows=st.integers(1, 16),
+    distinct=st.integers(1, 16),
+    tied_neurons=st.booleans(),
+    epochs=st.integers(1, 3),
+    alphas=st.sampled_from([(1.0, 1.0), (1.0, 0.05), (0.7, 0.05)]),
+    sigma0=st.sampled_from([None, 1e-161, 1e-170]),
+    competitive_start=st.sampled_from(["schedule", "zero", "total", "beyond"]),
+)
+def test_backends_bit_identical_on_any_map(native_train_loop, seed, width, height, dim, n_rows,
+                                           distinct, tied_neurons, epochs, alphas, sigma0,
+                                           competitive_start):
+    # Neuron counts off the vector width exercise the C loops' tails. Rows
+    # repeat from a pool of `distinct`, of mixed magnitudes so that a unit
+    # alpha's w + (x - w) often misses x; with tied_neurons the codebook
+    # repeats them too, so scans tie, often at a distance of zero. sigma0
+    # 1e-161 and 1e-170 give subnormal and zero theta denominators.
+    kws = _workload(seed, width, height, dim, n_rows, epochs, *alphas, sigma0=sigma0)
+    rng = np.random.default_rng(seed + 1)
+    pool = rng.random((distinct, dim)) * 10.0 ** rng.integers(-3, 4, (distinct, dim))
+    data = pool[rng.integers(0, distinct, n_rows)]
+    weights = pool[rng.integers(0, distinct, width * height)] if tied_neurons else kws[0]["weights"]
+    steps = {"zero": 0, "total": n_rows, "beyond": n_rows + 1}
+    kws = [{**kw, "weights": weights, "data": data,
+            "competitive_start": steps.get(competitive_start, kw["competitive_start"])}
+           for kw in kws]
+    wa, wb = _run_both(native_train_loop, kws)
     assert wa.tobytes() == wb.tobytes()
 
 
@@ -311,6 +350,32 @@ def test_build_compiles_without_fused_multiply_adds(tmp_path, monkeypatch):
         kernels.build(tmp_path)
     (command,) = commands
     assert "-ffp-contract=off" in command
+    # The cached library is named by source and command alone, so it must run
+    # on any CPU that shares the digest: no flag may tie it to this one.
+    tuned = [flag for flag in map(str, command) if flag.startswith(("-march=", "-mtune=", "-mavx"))]
+    assert tuned == []
+
+
+def _compiler_macros():
+    """The C compiler's predefined macros after ``<stdint.h>``, by name."""
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    out = subprocess.run([*cc, "-dM", "-E", "-x", "c", "-"], input=b"#include <stdint.h>\n",
+                         capture_output=True, check=True).stdout.decode()
+    return dict(line.split(" ", 2)[1:] for line in out.splitlines() if line.count(" ") >= 2)
+
+
+def test_plain_build_compiles_no_target_clones(native_libraries):
+    # Each target clone is a symbol train_loop.<target>. The plain build, the
+    # loop hosts without ifunc get, must hold none; the dispatched build holds
+    # them exactly where the source's rule, read off the compiler's own
+    # macros, enables them.
+    clone = b"train_loop.default"
+    assert clone not in native_libraries["plain"].read_bytes()
+    macros = _compiler_macros()
+    version = (int(macros.get("__clang_major__", 0)) >= 14 if "__clang__" in macros
+               else int(macros.get("__GNUC__", 0)) >= 6)
+    expected = "__x86_64__" in macros and "__GLIBC__" in macros and version
+    assert (clone in native_libraries["dispatched"].read_bytes()) == expected
 
 
 def test_build_reuses_the_library_of_the_same_source(compiler, tmp_path):
