@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,19 @@ import pytest
 from som_atlas.errors import SchemaMismatchError
 from som_atlas import analysis
 from som_atlas.analysis import (
+    AttributeStats,
     ClusterModel,
+    CorrelationReport,
     assignments_to_csv,
     classify,
     cluster_stats,
     component_plane,
+    correlation_to_csv,
     kmeans_codebook,
     plane_correlation,
     predict_forward,
     predict_reverse,
+    stats_to_csv,
 )
 from som_atlas.hexgrid import HexGrid
 from som_atlas.ingest import AttributeSpec, apply_schema, denormalize, normalize
@@ -226,6 +231,39 @@ class TestPlaneCorrelation:
         single_neuron = model_with(rng.random((1, 3)))
         with pytest.raises(ValueError, match="two neurons"):
             plane_correlation(single_neuron)
+
+
+def _reference_correlation(model) -> CorrelationReport:
+    """Pearson coefficients from each plane centred on its own, pair by pair."""
+    n = model.dim
+    centered = [model.weights[:, i] - model.weights[:, i].mean() for i in range(n)]
+    var_sums = [float(np.dot(dx, dx)) for dx in centered]
+    matrix = np.zeros((n, n))
+    valid = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(i, n):
+            if var_sums[i] == 0.0 or var_sums[j] == 0.0:
+                continue
+            r = float(np.dot(centered[i], centered[j])) / math.sqrt(var_sums[i] * var_sums[j])
+            matrix[i, j] = matrix[j, i] = min(1.0, max(-1.0, r))
+            valid[i, j] = valid[j, i] = True
+    return CorrelationReport(names=tuple(a.name for a in model.schema), matrix=matrix, valid=valid)
+
+
+@pytest.mark.parametrize("n_neurons", [2, 3, 17, 1600, 10000])
+def test_plane_correlation_matches_per_column_reference(n_neurons):
+    rng = np.random.default_rng(n_neurons)
+    # Plane spreads from 1e-9 to 1; plane 4 is constant, plane 5 copies
+    # plane 2 and plane 6 mirrors plane 3.
+    scales = np.array([1e-9, 1e-6, 1e-3, 0.5, 0.0, 0.0, 0.0])
+    for _ in range(10):
+        weights = rng.random((n_neurons, 7)) * scales + rng.random(7) * (1.0 - scales)
+        weights[:, 5] = weights[:, 2]
+        weights[:, 6] = 1.0 - weights[:, 3]
+        model = model_with(weights)
+        assert correlation_to_csv(plane_correlation(model)) == correlation_to_csv(
+            _reference_correlation(model)
+        )
 
 
 class TestKmeans:
@@ -448,6 +486,51 @@ class TestClusterStats:
         assignments = classify(model, table)[:-1]
         with pytest.raises(ValueError, match="assignments"):
             cluster_stats(cm, assignments, table, model)
+
+
+def _reference_cluster_stats(clusters, assignments, table) -> ClusterModel:
+    """Per-cluster statistics read one attribute column at a time."""
+    row_labels = clusters.neuron_labels[assignments["neuron"]]
+    stats = []
+    for c in range(clusters.k):
+        members = table.rows[row_labels == c]
+        per_attr = []
+        for i in range(table.n_attrs):
+            col = members[:, i]
+            if col.size == 0:
+                per_attr.append(AttributeStats(count=0, mean=None, std=None))
+            elif col.size == 1:
+                per_attr.append(
+                    AttributeStats(count=1, mean=float(col[0]), std=0.0, single_sample=True)
+                )
+            else:
+                mean, std = float(col.mean()), float(col.std(ddof=1))
+                per_attr.append(AttributeStats(count=col.size, mean=mean, std=std))
+        stats.append(tuple(per_attr))
+    return replace(clusters, stats=tuple(stats))
+
+
+@pytest.mark.parametrize("n_rows", [2, 9, 300, 20001])
+def test_cluster_stats_match_per_column_reference(n_rows):
+    rng = np.random.default_rng(n_rows)
+    # Neurons 0-1 are cluster 0, neuron 2 cluster 1, neurons 3-4 cluster 3;
+    # neuron 5 is cluster 2, which no row reaches.
+    clusters = ClusterModel(
+        k=4, centroids=np.zeros((4, 5)), neuron_labels=np.array([0, 0, 1, 3, 3, 2]), inertia=0.0
+    )
+    model = model_with(rng.random((6, 5)))
+    scales = np.array([1e-3, 1.0, 37.5, 1e6, 0.0])  # attribute 4 is constant
+    for _ in range(10):
+        rows = rng.normal(size=(n_rows, 5)) * scales + rng.normal(size=5) * 10.0 * scales
+        rows[:, 4] = 42.0
+        rows[0, 0] = -0.0  # row 0 alone in cluster 1: its mean keeps the sign
+        assignments = np.zeros(n_rows, dtype=analysis.ASSIGNMENT)
+        assignments["neuron"] = rng.choice([0, 1, 1, 3, 4], size=n_rows)
+        assignments["neuron"][0] = 2
+        table = make_table(rows)
+        assert stats_to_csv(cluster_stats(clusters, assignments, table, model), table.names) == (
+            stats_to_csv(_reference_cluster_stats(clusters, assignments, table), table.names)
+        )
 
 
 class TestPredict:

@@ -88,8 +88,10 @@ def _reference_ppm(fills, grid, r) -> bytes:
 
 # At r = 1/sqrt(3) odd-row hexagons share vertical edges through pixel
 # centres, so two hexagons claim those pixels and ownership shows in the bytes.
-@pytest.mark.parametrize("radius", [1e-300, 0.3, 0.57735, 1 / math.sqrt(3), 1.0, 2.5, 6.0, 12.0,
-                                    17.3])  # fmt: skip
+RADII = [1e-300, 0.3, 0.57735, 1 / math.sqrt(3), 1.0, 2.5, 6.0, 12.0, 17.3]
+
+
+@pytest.mark.parametrize("radius", RADII)
 def test_ppm_matches_per_pixel_reference(radius):
     # Distinct colours per hexagon, so a pixel given to the wrong one of two
     # overlapping hexagons changes the bytes.
@@ -107,3 +109,47 @@ def test_ppm_matches_per_pixel_reference(radius):
             assert render_cluster_map(
                 labels, grid, format="ppm", cell_radius=radius
             ) == _reference_ppm(fills, grid, radius), (width, height)
+
+
+def _reference_svg(fills, grid, r, caption) -> bytes:
+    """Polygon-by-polygon writer: each hexagon's six corners from its centre
+    and per-corner trigonometry, each coordinate formatted on its own."""
+    w, h = _canvas_size(grid, r)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.6f}" height="{h:.6f}" '
+        f'viewBox="0 0 {w:.6f} {h:.6f}">',
+    ]
+    if caption is not None:
+        lines.append(f"<!-- {caption} -->")
+    for idx in range(grid.n_nodes):
+        row, col = divmod(idx, grid.width)
+        cx, cy = _hex_center(row, col, r)
+        corners = []
+        for i in range(6):
+            ang = math.radians(60.0 * i - 30.0)
+            corners.append(f"{cx + r * math.cos(ang):.6f},{cy + r * math.sin(ang):.6f}")
+        red, green, blue = fills[idx]
+        lines.append(f'<polygon points="{" ".join(corners)}" fill="rgb({red},{green},{blue})"/>')
+    lines.append("</svg>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("radius", RADII)
+def test_svg_matches_per_polygon_reference(radius):
+    rng = np.random.default_rng(int(radius * 1000))
+    for width in range(1, 9):
+        for height in range(1, 8):
+            grid = HexGrid(width, height)
+            plane = ComponentPlane(attribute=0, values=rng.random((height, width)))
+            flat = plane.values.reshape(-1)
+            fills = [colormap(float(v)) for v in flat]
+            caption = f"values min={flat.min():.6f} max={flat.max():.6f}"
+            assert render_plane(plane, grid, format="svg", cell_radius=radius) == _reference_svg(
+                fills, grid, radius, caption
+            ), (width, height)
+            labels = rng.permutation(grid.n_nodes)
+            fills = [CLUSTER_PALETTE[lab % len(CLUSTER_PALETTE)] for lab in labels]
+            assert render_cluster_map(
+                labels, grid, format="svg", cell_radius=radius
+            ) == _reference_svg(fills, grid, radius, None), (width, height)
