@@ -161,13 +161,10 @@ def plane_correlation(model: SomModel) -> CorrelationReport:
     if model.n_neurons < 2:
         raise ValueError("plane correlation needs at least two neurons")
 
-    centered = []
-    var_sums = []
-    for i in range(n):
-        col = model.weights[:, i]
-        dx = col - col.mean()
-        centered.append(dx)
-        var_sums.append(float(np.dot(dx, dx)))
+    # One contiguous row per plane: its mean rounds as the column's own would.
+    centered = model.weights.T.copy()
+    centered -= centered.mean(axis=1, keepdims=True)
+    var_sums = [float(np.dot(dx, dx)) for dx in centered]
 
     matrix = np.zeros((n, n))
     valid = np.zeros((n, n), dtype=bool)
@@ -282,25 +279,18 @@ def cluster_stats(
 
     stats: list[tuple[AttributeStats, ...]] = []
     for c in range(clusters.k):
-        member_rows = table.rows[row_labels == c]
-        count = member_rows.shape[0]
-        per_attr = []
-        for i in range(table.n_attrs):
-            if count == 0:
-                per_attr.append(AttributeStats(count=0, mean=None, std=None))
-            elif count == 1:
-                per_attr.append(
-                    AttributeStats(
-                        count=1, mean=float(member_rows[0, i]), std=0.0, single_sample=True
-                    )
-                )
-            else:
-                col = member_rows[:, i]
-                per_attr.append(
-                    AttributeStats(
-                        count=count, mean=float(col.mean()), std=float(col.std(ddof=1))
-                    )
-                )
+        # Transposed, so each attribute's sums run along one contiguous row and
+        # round as its column's did; mean(axis=0) would not.
+        members = table.rows[row_labels == c].T.copy()
+        count = members.shape[1]
+        if count == 0:
+            per_attr = [AttributeStats(count=0, mean=None, std=None)] * table.n_attrs
+        elif count == 1:  # the value itself, so -0.0 keeps its sign
+            values = members[:, 0].tolist()
+            per_attr = [AttributeStats(1, v, 0.0, single_sample=True) for v in values]
+        else:
+            means, stds = members.mean(axis=1).tolist(), members.std(axis=1, ddof=1).tolist()
+            per_attr = [AttributeStats(count, m, d) for m, d in zip(means, stds)]
         stats.append(tuple(per_attr))
     return replace(clusters, stats=tuple(stats))
 

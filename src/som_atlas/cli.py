@@ -181,12 +181,15 @@ def _echo_config(args, **extra) -> None:
 
 
 def _read_table(args):
-    return parse_csv(
+    table = parse_csv(
         args.input,
         delimiter=args.delimiter,
         header=not args.no_header,
         drop_bad_rows=args.drop_bad_rows,
     )
+    for rownum, reason in table.dropped_rows:
+        print(f"dropped row {rownum}: {reason}", file=sys.stderr)
+    return table
 
 
 def cmd_train(args) -> None:
@@ -209,8 +212,6 @@ def cmd_train(args) -> None:
     _echo_config(args, seed=seed, sigma0=schedule.sigma0, kernel=kernels.BACKEND, **library)
 
     table = _read_table(args)
-    for rownum, reason in table.dropped_rows:
-        print(f"dropped row {rownum}: {reason}", file=sys.stderr)
     if args.time_period is not None:
         table = append_time_counter(table, args.time_period)
     check_attribute_names(table.schema)  # before training, not at the save after it

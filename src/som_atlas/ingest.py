@@ -142,7 +142,9 @@ def parse_csv(
     unique attribute names unless ``header=False``, in which case columns are
     named col1..colN. Ragged rows, non-numeric cells and non-finite literals
     reject the file with the 1-based row number; with ``drop_bad_rows`` the
-    offending rows are skipped and recorded in ``dropped_rows`` instead.
+    offending rows are skipped and recorded in ``dropped_rows`` instead. A
+    line the ``csv`` module cannot read (say, a field longer than
+    ``csv.field_size_limit()``) rejects the file with its line number.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be exactly one character, got {delimiter!r}")
@@ -156,7 +158,7 @@ def parse_csv(
     dropped: list[tuple[int, str]] = []
     width = 0
 
-    for rownum, record in enumerate(reader, start=1):
+    for rownum, record in enumerate(_records(reader), start=1):
         if not record:
             continue  # blank line (e.g. trailing newline)
         if names is None:
@@ -203,6 +205,13 @@ def parse_csv(
     rows = np.asarray(data, dtype=np.float64)
     schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
     return DataTable(schema=schema, rows=rows, dropped_rows=tuple(dropped))
+
+
+def _records(reader):
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"row {reader.line_num}: {exc}") from None
 
 
 def normalize(table: DataTable) -> NormalizedTable:

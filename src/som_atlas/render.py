@@ -106,14 +106,6 @@ def _hex_center(row: int, col: int, r: float) -> tuple[float, float]:
     return cx, cy
 
 
-def _hex_corners(cx: float, cy: float, r: float) -> list[tuple[float, float]]:
-    pts = []
-    for i in range(6):
-        ang = math.radians(60.0 * i - 30.0)
-        pts.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
-    return pts
-
-
 def _render_svg(fills, grid, r, caption) -> bytes:
     w, h = _canvas_size(grid, r)
     lines = [
@@ -123,12 +115,14 @@ def _render_svg(fills, grid, r, caption) -> bytes:
     ]
     if caption is not None:
         lines.append(f"<!-- {caption} -->")
-    for idx in range(grid.n_nodes):
-        row, col = divmod(idx, grid.width)
-        cx, cy = _hex_center(row, col, r)
-        pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in _hex_corners(cx, cy, r))
-        red, green, blue = fills[idx]
-        lines.append(f'<polygon points="{pts}" fill="rgb({red},{green},{blue})"/>')
+    # Corner i is the centre plus r * cos and r * sin of -30 + 60i degrees,
+    # added as Python floats are; "%.6f" writes the same text as f"{x:.6f}".
+    angles = [math.radians(60.0 * i - 30.0) for i in range(6)]
+    offsets = np.array([(r * math.cos(a), r * math.sin(a)) for a in angles])
+    rows, cols = np.divmod(np.arange(grid.n_nodes), grid.width)
+    corners = np.stack(_hex_center(rows, cols, r), axis=1)[:, None, :] + offsets
+    polygon = '<polygon points="' + " ".join(["%.6f,%.6f"] * 6) + '" fill="rgb(%d,%d,%d)"/>'
+    lines += [polygon % (*xy, *fill) for xy, fill in zip(corners.reshape(-1, 12).tolist(), fills)]
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -83,6 +83,22 @@ def test_malformed_csv_exits_2(tmp_path):
     assert train(bad, tmp_path / "m.model") == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["train", "classify"])
+def test_field_over_the_csv_size_limit_exits_2_naming_the_row(log_csv, tmp_path, capsys, command):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    capsys.readouterr()
+    huge = tmp_path / "huge.csv"
+    huge.write_text(log_csv.read_text() + "0.5,0.5," + "5" * 200_000 + "\n")
+    if command == "train":
+        assert train(huge, tmp_path / "n.model") == cli.EXIT_DATA
+    else:
+        argv = ["classify", "--model", str(tmp_path / "m.model"), "--input", str(huge),
+                "--output", str(tmp_path / "a.csv")]
+        assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("som-atlas: error: row 14: field larger than")
+    assert not (tmp_path / "n.model").exists() and not (tmp_path / "a.csv").exists()
+
+
 def test_csv_passed_as_model_exits_2(log_csv, tmp_path):
     argv = ["correlate", "--model", str(log_csv), "--output", str(tmp_path / "r.csv")]
     assert cli.main(argv) == cli.EXIT_DATA
@@ -115,6 +131,21 @@ def test_classify_summary_counts_the_rows_and_clamped_rows_written(log_csv, tmp_
     assert (len(body), n_clamped) == (14, 2)
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary == f"classified {len(body)} rows ({n_clamped} clamped) to {out}"
+
+
+def test_classify_reports_a_dropped_row_and_writes_the_clean_rows(log_csv, tmp_path, capsys):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    lines = log_csv.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines[:5] + ["0.5,oops,0.5\n"] + lines[5:]))
+    capsys.readouterr()
+    for log, out in ((log_csv, "clean.csv"), (bad, "dropped.csv")):
+        argv = ["classify", "--model", str(tmp_path / "m.model"), "--input", str(log),
+                "--output", str(tmp_path / out), "--drop-bad-rows"]
+        assert cli.main(argv) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert err == "dropped row 6: column 2 (b): not a number: 'oops'\n"
+    assert (tmp_path / "dropped.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
 
 
 def test_train_on_a_bom_csv_classifies_the_plain_csv(log_csv, tmp_path):

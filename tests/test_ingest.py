@@ -87,6 +87,13 @@ def test_drop_bad_rows_keeps_good_ones():
     assert [rownum for rownum, _ in table.dropped_rows] == [3, 5]
 
 
+@pytest.mark.parametrize("drop_bad_rows", [False, True])
+def test_parse_field_over_the_csv_size_limit_names_the_row(drop_bad_rows):
+    src = "a,b\n1,2\n3," + "4" * 200_000 + "\n5,6\n"
+    with pytest.raises(CsvFormatError, match=r"^row 3: field larger than field limit"):
+        parse_csv(io.StringIO(src), drop_bad_rows=drop_bad_rows)
+
+
 def test_parse_headerless_generates_names():
     table = parse_csv(io.StringIO("1,2\n3,4\n"), header=False)
     assert table.names == ["col1", "col2"]
