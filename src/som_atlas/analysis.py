@@ -161,7 +161,7 @@ def plane_correlation(model: SomModel) -> CorrelationReport:
     if model.n_neurons < 2:
         raise ValueError("plane correlation needs at least two neurons")
 
-    # One contiguous row per plane: its mean rounds as the column's own would.
+    # One contiguous row per plane, whose mean rounds as its column's alone.
     centered = model.weights.T.copy()
     centered -= centered.mean(axis=1, keepdims=True)
     var_sums = [float(np.dot(dx, dx)) for dx in centered]
@@ -279,8 +279,8 @@ def cluster_stats(
 
     stats: list[tuple[AttributeStats, ...]] = []
     for c in range(clusters.k):
-        # Transposed, so each attribute's sums run along one contiguous row and
-        # round as its column's did; mean(axis=0) would not.
+        # Transposed, so each attribute is one contiguous row whose axis=1 sums
+        # round as a sum over its column alone; mean(axis=0) rounds otherwise.
         members = table.rows[row_labels == c].T.copy()
         count = members.shape[1]
         if count == 0:

@@ -115,8 +115,7 @@ def _render_svg(fills, grid, r, caption) -> bytes:
     ]
     if caption is not None:
         lines.append(f"<!-- {caption} -->")
-    # Corner i is the centre plus r * cos and r * sin of -30 + 60i degrees,
-    # added as Python floats are; "%.6f" writes the same text as f"{x:.6f}".
+    # Corner i is the centre plus (r cos a, r sin a) for a = -30 + 60i degrees.
     angles = [math.radians(60.0 * i - 30.0) for i in range(6)]
     offsets = np.array([(r * math.cos(a), r * math.sin(a)) for a in angles])
     rows, cols = np.divmod(np.arange(grid.n_nodes), grid.width)
