@@ -168,6 +168,47 @@ def test_competition_adds_dimensions_left_to_right(native_train_loop):
         assert w[0, 0] == 0.25 and w[1, 0] == 0.5
 
 
+def _assert_steps_agree(native_train_loop, weights, data, grid, cooperative):
+    """Present every row of ``data`` once, in order, to both backends; compare the bytes."""
+    steps = data.shape[0]
+    args = (data, np.arange(steps, dtype=np.int64), grid, np.full(steps, 0.5),
+            np.linspace(2.0, 0.5, steps), steps if cooperative else 0)
+    wa, wb = weights.copy(), weights.copy()
+    with np.errstate(over="ignore"):  # squares of +-1e200 overflow to inf
+        pure.train_loop(wa, *args)
+    native_train_loop(wb, *args)
+    assert wa.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("cooperative", [True, False])
+@pytest.mark.parametrize("width,height", [(11, 3), (8, 8), (13, 5)])
+def test_backends_agree_on_nan_and_inf_sums(native_train_loop, width, height, cooperative):
+    # The winner is np.argmin's: the first NaN sum if there is one, else the
+    # first smallest sum. 33, 64 and 65 neurons hold 32-neuron blocks and
+    # remainders of 1, 0 and 1; NaNs sit at neuron 0, inside an 8-lane
+    # group, inside a block, at the last neuron, and in pairs where the
+    # first must win. Squares of +-1e200 overflow, so every sum is inf
+    # (a tie at neuron 0) or only some are.
+    rng = np.random.default_rng(width * height)
+    n, dim = width * height, 3
+    grid = HexGrid(width, height)
+    data = rng.random((6, dim))
+    weights = rng.random((n, dim))
+    for nans in ([0], [5], [20], [n - 1], [3, 26], [9, n - 1]):
+        w = weights.copy()
+        w[nans, [i % dim for i in nans]] = np.nan
+        _assert_steps_agree(native_train_loop, w, data, grid, cooperative)
+    huge = 1e200 * (1.0 + rng.random((n, dim)))
+    _assert_steps_agree(native_train_loop, huge, -huge[:6], grid, cooperative)
+    signs = rng.choice([-1.0, 1.0], (6, dim))
+    _assert_steps_agree(native_train_loop, weights, 1e200 * signs, grid, cooperative)
+    mixed = huge.copy()
+    mixed[[7, n - 1]] = 0.5  # the finite sums tie
+    _assert_steps_agree(native_train_loop, mixed, data, grid, cooperative)
+    rows = np.where(rng.random((6, 1)) < 0.5, data, 1e200 * signs)
+    _assert_steps_agree(native_train_loop, mixed, rows, grid, cooperative)
+
+
 def test_backends_bit_identical_on_large_map(native_train_loop):
     kw = _workload(4, width=40, height=40, dim=8, n_rows=60, epochs=3)
     wa, wb = _run_both(native_train_loop, kw)
