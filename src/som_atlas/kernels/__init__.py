@@ -23,10 +23,13 @@ value it returns.
 Both loops accept exactly the arguments ``pure.check_arguments`` accepts,
 and both read their hop distances from the one ``hexgrid.hop_table`` of
 the grid, cached per grid size: the winner's hop row is a slice of it.
-Both work in the (dim, n) layout of ``pure._sq_distances``. The wrapper
-from ``load`` allocates the C loop's scratch per call (theta, the transposed
-codebook and two per-neuron rows: O(n dim)), so the C file allocates
-nothing.
+Both work in the (dim, n) layout of ``pure._sq_distances`` and take
+``np.argmin``'s winner: the first NaN sum if any sum is NaN, else the lowest
+index of the smallest sum. The C loop scans and updates blocks of 32
+neurons held in registers across the dimensions, then the ``n mod 32``
+neurons left over through its per-neuron rows. The wrapper from ``load``
+allocates the C loop's scratch per call (theta, the transposed codebook and
+two per-neuron rows: O(n dim)), so the C file allocates nothing.
 
 The library is compiled with no ``-march`` flag, so one cached file runs on
 every CPU. On x86-64 with glibc, gcc >= 6 and clang >= 14 compile the loop

@@ -2,12 +2,13 @@
 
 Bit-for-bit lockstep with the numpy reference is a hard requirement (see
 pure.py): each neuron's squared distance accumulates over j left to right,
-ties go to the lowest index, the per-step theta table comes from libm exp()
-and is indexed by the hop distances of hexgrid.hop_table, and every update is
-three separately rounded steps. Build with -ffp-contract=off so that no
-multiply-add fuses. The Python wrapper checks dtypes, shapes and indices,
-and builds hops and allocates the scratch; nothing here validates its input
-or allocates.
+the winner is np.argmin's (the first NaN sum if any sum is NaN, else the
+lowest index of the smallest sum), the per-step theta table comes from libm
+exp() and is indexed by the hop distances of hexgrid.hop_table, and every
+update is three separately rounded steps. Build with -ffp-contract=off so
+that no multiply-add fuses. The Python wrapper checks dtypes, shapes and
+indices, and builds hops and allocates the scratch; nothing here validates
+its input or allocates.
 
 w is (n, dim) with n = width * height, data is (n_rows, dim); order, alphas
 and sigmas have total entries. hops is hexgrid.hop_table(width, height), a
@@ -17,11 +18,19 @@ node dr rows and dc columns away. Scratch: theta has max_dist + 1 entries,
 max_dist being the largest entry of hops; wt has n * dim, acc and coef n.
 
 The loop works neuron-major, in the (dim, n) layout of pure._sq_distances:
-w is transposed into wt on entry and back on return. The scan adds one
-dimension to every neuron's sum before the next, so each neuron still adds
-its dimensions left to right, and the inner loop over neurons, free of any
-carried sum, vectorizes without reassociating. The cooperative update fills
-coef[v] = theta[hop] * alpha once per step and then runs per dimension.
+w is transposed into wt on entry and back on return. The scan and the
+cooperative update run over blocks of BLOCK neurons, whose sums (scan) or
+coefficients coef[v] = theta[hop] * alpha (update) stay in registers while
+the loop walks the dimensions; the n mod BLOCK neurons left over take the
+same steps through acc and coef, one dimension at a time. Either way each
+neuron adds its dimensions left to right, and the loops over neurons, free
+of any carried value, vectorize without reassociating. gcc 12 left blocks
+of 16 scalar; blocks of 32 vectorize in every clone.
+
+The winner search passes over acc in LANES lanes, each keeping the
+smallest sum it saw and the total of its sums, then scans acc from the start
+to the winner. Sums are >= 0 or NaN, so a total is NaN exactly when some
+sum is; then the first NaN wins, else the first sum equal to the smallest.
 
 Dispatch: on x86-64 with glibc, whose ifunc lets the loader pick a variant
 when the library is loaded, gcc >= 6 and clang >= 14 compile train_loop once
@@ -41,6 +50,10 @@ every CPU that shares its digest. */
 #define DISPATCH
 #endif
 
+/* Neurons per register block, and lanes of the winner search. */
+#define BLOCK 32
+#define LANES 8
+
 DISPATCH
 void train_loop(double *w, const double *data, const int64_t *order,
                 const double *alphas, const double *sigmas, const int64_t *hops,
@@ -48,29 +61,64 @@ void train_loop(double *w, const double *data, const int64_t *order,
                 double *restrict coef, int64_t max_dist, int64_t width, int64_t height,
                 int64_t dim, int64_t total, int64_t competitive_start)
 {
-    const int64_t n = width * height, span = 2 * width - 1;
+    const int64_t n = width * height, span = 2 * width - 1, tail = n - n % BLOCK;
     for (int64_t v = 0; v < n; v++)
         for (int64_t j = 0; j < dim; j++)
             wt[j * n + v] = w[v * dim + j];
 
     for (int64_t s = 0; s < total; s++) {
         const double *x = data + order[s] * dim;
-        for (int64_t v = 0; v < n; v++)
+        for (int64_t b = 0; b < tail; b += BLOCK) {
+            double sum[BLOCK] = {0.0};
+            for (int64_t j = 0; j < dim; j++) {
+                const double *row = wt + j * n + b, xj = x[j];
+                for (int l = 0; l < BLOCK; l++) {
+                    double diff = row[l] - xj;
+                    sum[l] = sum[l] + diff * diff;
+                }
+            }
+            for (int l = 0; l < BLOCK; l++)
+                acc[b + l] = sum[l];
+        }
+        for (int64_t v = tail; v < n; v++)
             acc[v] = 0.0;
         for (int64_t j = 0; j < dim; j++) {
             const double *row = wt + j * n, xj = x[j];
-            for (int64_t v = 0; v < n; v++) {
+            for (int64_t v = tail; v < n; v++) {
                 double diff = row[v] - xj;
                 acc[v] = acc[v] + diff * diff;
             }
         }
-        int64_t u = 0;
-        double best = acc[0];
-        for (int64_t v = 1; v < n; v++)
-            if (acc[v] < best) {
-                best = acc[v];
-                u = v;
+
+        /* np.argmin's winner (see the header): the lane minima skip NaNs,
+           the totals catch them. */
+        double low[LANES], sums[LANES];
+        for (int l = 0; l < LANES; l++) {
+            low[l] = INFINITY;
+            sums[l] = 0.0;
+        }
+        int64_t v = 0;
+        for (; v + LANES <= n; v += LANES)
+            for (int l = 0; l < LANES; l++) {
+                low[l] = acc[v + l] < low[l] ? acc[v + l] : low[l];
+                sums[l] = sums[l] + acc[v + l];
             }
+        double best = INFINITY, all = 0.0;
+        for (; v < n; v++) {
+            best = acc[v] < best ? acc[v] : best;
+            all = all + acc[v];
+        }
+        for (int l = 0; l < LANES; l++) {
+            best = low[l] < best ? low[l] : best;
+            all = all + sums[l];
+        }
+        int64_t u = 0;
+        if (all != all)
+            while (acc[u] == acc[u])
+                u++;
+        else
+            while (acc[u] != best)
+                u++;
 
         double alpha = alphas[s];
         if (s < competitive_start) {
@@ -87,9 +135,22 @@ void train_loop(double *w, const double *data, const int64_t *order,
             for (int64_t vr = 0; vr < height; vr++, hop += span)
                 for (int64_t vc = 0; vc < width; vc++)
                     coef[vr * width + vc] = theta[hop[vc]] * alpha;
+            for (int64_t b = 0; b < tail; b += BLOCK) {
+                double c[BLOCK];
+                for (int l = 0; l < BLOCK; l++)
+                    c[l] = coef[b + l];
+                for (int64_t j = 0; j < dim; j++) {
+                    double *row = wt + j * n + b, xj = x[j];
+                    for (int l = 0; l < BLOCK; l++) {
+                        double t = xj - row[l];
+                        t = c[l] * t;
+                        row[l] = row[l] + t;
+                    }
+                }
+            }
             for (int64_t j = 0; j < dim; j++) {
                 double *row = wt + j * n, xj = x[j];
-                for (int64_t v = 0; v < n; v++) {
+                for (int64_t v = tail; v < n; v++) {
                     double t = xj - row[v];
                     t = coef[v] * t;
                     row[v] = row[v] + t;

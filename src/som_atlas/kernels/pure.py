@@ -4,13 +4,17 @@ Numerical lockstep contract: every floating-point operation here must happen
 in the same order, with the same intermediate roundings, as in ``_kernel.c``.
 Each formula is written once: ``_sq_distances``, the distance scan of both
 ``train_loop`` and ``nearest``, adds dimensions left to right (one strict
-chain per neuron); ``theta_table``, the neighborhood of both ``train_loop``
-and ``som.neighborhood``, is built with libm ``exp`` per hop distance; the
+chain per neuron); a step's winner is ``np.argmin``'s, the first NaN sum
+if any sum is NaN, else the lowest index of the smallest sum;
+``theta_table``, the neighborhood of both ``train_loop`` and
+``som.neighborhood``, is built with libm ``exp`` per hop distance; the
 update is three separately rounded elementwise steps. The C loop scans the
 same (dim, n) layout as ``_sq_distances``: it transposes the codebook once
-per call and adds each dimension's row to every neuron's sum in turn. Change
-both files together or not at all; ``tests/test_kernels.py`` pins
-bit-identical outputs. Both loops read their hop distances from
+per call and adds each dimension's row to every neuron's sum in turn, over
+blocks of 32 neurons whose sums stay in registers and then over the
+``n mod 32`` left over; its update runs over the same blocks. Change both
+files together or not at all; ``tests/test_kernels.py`` pins bit-identical
+outputs. Both loops read their hop distances from
 ``hexgrid.hop_table``, built once per grid size; a winner's hop row is a
 slice of it.
 

@@ -209,6 +209,55 @@ def test_backends_agree_on_nan_and_inf_sums(native_train_loop, width, height, co
     _assert_steps_agree(native_train_loop, mixed, rows, grid, cooperative)
 
 
+@pytest.mark.parametrize("cooperative", [True, False])
+@pytest.mark.parametrize("width,height", [(1, 1), (7, 1), (4, 2), (3, 3), (31, 1), (8, 4),
+                                          (11, 3), (9, 7), (8, 8), (13, 5), (70, 70)])
+def test_backends_agree_at_block_and_lane_edges(native_train_loop, width, height, cooperative):
+    # n = 1, 7, 8, 9, 31, 32, 33, 63, 64, 65 and 4900 neurons: on either side
+    # of the C loop's 8-lane groups and 32-neuron blocks. The first row's
+    # smallest sum repeats across a lane edge, across a block edge and at
+    # the last neuron, and one codebook ties every neuron.
+    rng = np.random.default_rng(width * height)
+    n, dim = width * height, 5
+    grid = HexGrid(width, height)
+    data = rng.random((8, dim))
+    weights = rng.random((n, dim))
+    _assert_steps_agree(native_train_loop, weights, data, grid, cooperative)
+    for tie in ([7, 8], [31, 32], [n // 2, n - 1], [n - 1]):
+        if max(tie) < n:
+            w = weights.copy()
+            w[tie] = data[0] + 0.01
+            _assert_steps_agree(native_train_loop, w, data, grid, cooperative)
+    _assert_steps_agree(native_train_loop, np.full((n, dim), 0.25), data, grid, cooperative)
+
+
+def test_block_loops_vectorize_in_the_wide_clones(compiler, tmp_path):
+    # Each 32-neuron block's sums and coefficients must stay in vector
+    # registers; gcc 12 left blocks of 16 scalar, and the step ran 50-110%
+    # slower than with no blocks at all. The avx512f clone vectorizes with
+    # 64-byte vectors and the avx2 clone with 32-byte ones.
+    macros = _compiler_macros()
+    if "__clang__" in macros or not ("__x86_64__" in macros and "__GLIBC__" in macros):
+        pytest.skip("checked where gcc compiles the target clones: x86-64 glibc")
+    lines = kernels._SOURCE.read_text().splitlines()
+    # A block loop's body starts with the first difference of its step.
+    blocks = [i for i, line in enumerate(lines, 1)
+              if line.strip() in ("double diff = row[l] - xj;", "double t = xj - row[l];")]
+    assert len(blocks) == 2
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    report = subprocess.run(
+        [*cc, *kernels.COMPILE_FLAGS, "-shared", "-fPIC", "-fopt-info-vec-optimized",
+         "-o", tmp_path / "kernel.so", kernels._SOURCE, "-lm"],
+        capture_output=True, check=True, text=True, timeout=kernels.BUILD_TIMEOUT_S,
+    ).stderr
+    for body in blocks:
+        loop = f"{kernels._SOURCE}:{body - 1}:"
+        for width in (64, 32):
+            suffix = f"loop vectorized using {width} byte vectors"
+            assert any(line.startswith(loop) and line.endswith(suffix)
+                       for line in report.splitlines()), (loop, suffix)
+
+
 def test_backends_bit_identical_on_large_map(native_train_loop):
     kw = _workload(4, width=40, height=40, dim=8, n_rows=60, epochs=3)
     wa, wb = _run_both(native_train_loop, kw)
