@@ -24,7 +24,13 @@ from .analysis import (
     predict_forward,
     predict_reverse,
 )
-from .errors import CsvFormatError, ModelFormatError, SchemaMismatchError, SomAtlasError
+from .errors import (
+    CsvFormatError,
+    ModelFormatError,
+    RangeOverflowError,
+    SchemaMismatchError,
+    SomAtlasError,
+)
 from .hexgrid import HexGrid
 from .ingest import (
     AttributeSpec,
@@ -67,6 +73,7 @@ __all__ = [
     "NormalizedTable",
     "PulseCurve",
     "PulseFeatures",
+    "RangeOverflowError",
     "SchemaMismatchError",
     "SomAtlasError",
     "SomModel",

@@ -6,9 +6,11 @@ class SomAtlasError(Exception):
 
 
 class CsvFormatError(SomAtlasError):
-    """Malformed CSV input (ragged row, bad cell, missing header).
+    """Malformed CSV input (ragged row, bad cell, missing header, bytes not UTF-8).
 
-    Messages carry the 1-based physical row number of the offending line.
+    Messages carry the 1-based physical row number of the offending line,
+    except for input that is not UTF-8 text: the text layer decodes ahead of
+    the reader, so no line is named.
     """
 
 
@@ -18,3 +20,7 @@ class ModelFormatError(SomAtlasError):
 
 class SchemaMismatchError(SomAtlasError):
     """Input columns do not match the schema a model was trained with."""
+
+
+class RangeOverflowError(SomAtlasError, ValueError):
+    """An attribute's range is wider than float64 can hold; a ``ValueError`` too."""

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, RangeOverflowError
 
 # Raw ranges narrower than this are treated as constant.
 QUASI_CONSTANT_EPS = 1e-9
@@ -144,13 +144,19 @@ def parse_csv(
     reject the file with the 1-based row number; with ``drop_bad_rows`` the
     offending rows are skipped and recorded in ``dropped_rows`` instead. A
     line the ``csv`` module cannot read (say, a field longer than
-    ``csv.field_size_limit()``) rejects the file with its line number.
+    ``csv.field_size_limit()``) rejects the file with its line number; a path
+    whose bytes are not UTF-8 rejects it naming the path.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be exactly one character, got {delimiter!r}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return parse_csv(fh, delimiter=delimiter, header=header, drop_bad_rows=drop_bad_rows)
+            try:
+                return parse_csv(fh, delimiter=delimiter, header=header,
+                                 drop_bad_rows=drop_bad_rows)
+            except UnicodeDecodeError as exc:
+                # Decoded ahead of the reader, in blocks: no line to name.
+                raise CsvFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
     reader = csv.reader(source, delimiter=delimiter)
     names: list[str] | None = None
@@ -218,7 +224,8 @@ def normalize(table: DataTable) -> NormalizedTable:
     """Min-max normalize every attribute against its observed range.
 
     Quasi-constant columns map to 0.5 everywhere (with a warning) so that a
-    sub-tolerance wiggle cannot masquerade as full-scale structure.
+    sub-tolerance wiggle cannot masquerade as full-scale structure. A range
+    wider than float64 can hold raises ``RangeOverflowError``.
     """
     if table.n_rows == 0:
         raise ValueError("cannot normalize an empty table")
@@ -227,7 +234,7 @@ def normalize(table: DataTable) -> NormalizedTable:
     )
     for spec in schema:
         if not math.isfinite(spec.raw_max - spec.raw_min):
-            raise ValueError(
+            raise RangeOverflowError(
                 f"attribute {spec.name!r}: range [{spec.raw_min}, {spec.raw_max}] "
                 "is wider than float64 can hold"
             )

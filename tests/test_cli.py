@@ -83,6 +83,24 @@ def test_malformed_csv_exits_2(tmp_path):
     assert train(bad, tmp_path / "m.model") == cli.EXIT_DATA
 
 
+def test_csv_that_is_not_utf8_exits_2_naming_the_input(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    assert train(bad, tmp_path / "m.model") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"som-atlas: error: {bad}: not UTF-8 text")
+    assert not (tmp_path / "m.model").exists()
+
+
+def test_column_range_wider_than_float64_exits_2_naming_it(tmp_path, capsys):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1e308,1\n-1e308,2\n")
+    assert train(wide, tmp_path / "m.model") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("som-atlas: error: attribute 'a': range")
+    assert not (tmp_path / "m.model").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "classify"])
 def test_field_over_the_csv_size_limit_exits_2_naming_the_row(log_csv, tmp_path, capsys, command):
     assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from som_atlas.errors import CsvFormatError
+from som_atlas.errors import CsvFormatError, RangeOverflowError, SomAtlasError
 from som_atlas.ingest import (
     QUASI_CONSTANT_EPS,
     AttributeSpec,
@@ -182,6 +182,14 @@ def test_normalize_rejects_range_wider_than_float64():
     table = make_table([[-1e308], [0.0], [1e308]], names=["wide"])
     with pytest.raises(ValueError, match="wide"):
         normalize(table)
+
+
+def test_range_wider_than_float64_is_a_data_error():
+    # A SomAtlasError, so the CLI exits 2; still a ValueError for library callers.
+    table = make_table([[1e308, 1.0], [-1e308, 2.0]], names=["a", "b"])
+    with pytest.raises(RangeOverflowError, match="attribute 'a'.*wider than float64") as info:
+        normalize(table)
+    assert isinstance(info.value, SomAtlasError) and isinstance(info.value, ValueError)
 
 
 def _normalize_value(spec, v):
