@@ -5,8 +5,10 @@ pure.py): each neuron's squared distance accumulates over j left to right,
 the winner is np.argmin's (the first NaN sum if any sum is NaN, else the
 lowest index of the smallest sum), the per-step theta table comes from libm
 exp() and is indexed by the hop distances of hexgrid.hop_table, and every
-update is three separately rounded steps. Build with -ffp-contract=off so
-that no multiply-add fuses. The Python wrapper checks dtypes, shapes and
+update is w - c (w - x) in three separately rounded steps, as the numpy
+reference takes them (w + c (x - w) would differ in the sign of a zero
+when w and x are both -0). Build with -ffp-contract=off so that no
+multiply-add fuses. The Python wrapper checks dtypes, shapes and
 indices, and builds hops and allocates the scratch; nothing here validates
 its input or allocates.
 
@@ -14,18 +16,31 @@ w is (n, dim) with n = width * height, data is (n_rows, dim); order, alphas
 and sigmas have total entries. hops is hexgrid.hop_table(width, height), a
 (2, 2 height - 1, 2 width - 1) table whose entry [p, dr + height - 1,
 dc + width - 1] is the hop distance from a node in a row of parity p to the
-node dr rows and dc columns away. Scratch: theta has max_dist + 1 entries,
-max_dist being the largest entry of hops; wt has n * dim, acc and coef n.
+node dr rows and dc columns away. Scratch: theta has max_dist + 1 entries
+(theta * alpha per hop distance), max_dist being the largest entry of hops;
+wt has n * dim, acc and coef n.
 
 The loop works neuron-major, in the (dim, n) layout of pure._sq_distances:
 w is transposed into wt on entry and back on return. The scan and the
 cooperative update run over blocks of BLOCK neurons, whose sums (scan) or
-coefficients coef[v] = theta[hop] * alpha (update) stay in registers while
-the loop walks the dimensions; the n mod BLOCK neurons left over take the
-same steps through acc and coef, one dimension at a time. Either way each
+coefficients c = coef[v], theta * alpha at v's hop (update), stay in
+registers while the loop walks the dimensions; the n mod BLOCK neurons left
+over take the same steps through acc and coef, one dimension at a time. Either way each
 neuron adds its dimensions left to right, and the loops over neurons, free
 of any carried value, vectorize without reassociating. gcc 12 left blocks
 of 16 scalar; blocks of 32 vectorize in every clone.
+
+theta * alpha is taken once per hop distance, the product the numpy
+reference takes. Where it is subnormal (far hops while sigma is small),
+every vector multiply holding it takes a microcode assist of about 100
+cycles on x86: on a 20x20 map with sigma falling from 1 to 0 that was a
+third of the loop's time. So a block holding a subnormal c takes a second
+loop, in which a lane takes c = 0 where the exact |c t|, t = w - x rounded,
+is below 2^-1023 and |w| is at least 2^-968. There c t rounds to at most
+2^-1023, under half the spacing of doubles around w, so w - c t is w, and
+w - (+-0) is w too, bit for bit. The test does no subnormal arithmetic:
+cs = |c| 2^100 is exact, and a rounded |t| cs below 2^-923 puts the exact
+|c t| below 2^-1023. Every other lane takes its rounded steps as written.
 
 The winner search passes over acc in LANES lanes, each keeping the
 smallest sum it saw and the total of its sums, then scans acc from the start
@@ -42,6 +57,7 @@ every CPU that shares its digest. */
 
 #include <math.h>
 #include <stdint.h> /* on glibc, defines __GLIBC__ before the test below */
+#include <string.h>
 
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(SOM_ATLAS_PLAIN_LOOP) \
     && ((defined(__clang__) && __clang_major__ >= 14) || (!defined(__clang__) && __GNUC__ >= 6))
@@ -123,10 +139,11 @@ void train_loop(double *w, const double *data, const int64_t *order,
         double alpha = alphas[s];
         if (s < competitive_start) {
             double denom = 2.0 * sigmas[s] * sigmas[s];
-            /* 2 sigma^2 can underflow to 0; the Gaussian's limit is then a
-               Kronecker delta, as in the numpy reference. */
+            /* theta times alpha, per hop distance. 2 sigma^2 can underflow
+               to 0; the Gaussian's limit is then a Kronecker delta, as in
+               the numpy reference. */
             for (int64_t d = 0; d <= max_dist; d++)
-                theta[d] = denom == 0.0 ? (d == 0) : exp(-(double)(d * d) / denom);
+                theta[d] = (denom == 0.0 ? (d == 0) : exp(-(double)(d * d) / denom)) * alpha;
             /* The winner's hop row: row offset -ur and column offset -uc
                reach node (0, 0); each map row is one table row further. */
             int64_t ur = u / width, uc = u % width;
@@ -134,33 +151,56 @@ void train_loop(double *w, const double *data, const int64_t *order,
                                  + width - 1 - uc;
             for (int64_t vr = 0; vr < height; vr++, hop += span)
                 for (int64_t vc = 0; vc < width; vc++)
-                    coef[vr * width + vc] = theta[hop[vc]] * alpha;
+                    coef[vr * width + vc] = theta[hop[vc]];
             for (int64_t b = 0; b < tail; b += BLOCK) {
-                double c[BLOCK];
-                for (int l = 0; l < BLOCK; l++)
+                double c[BLOCK], cs[BLOCK];
+                int64_t subnormal = 0;
+                for (int l = 0; l < BLOCK; l++) {
                     c[l] = coef[b + l];
+                    subnormal |= (int64_t)(c[l] != 0.0) & (int64_t)(fabs(c[l]) < 0x1p-1022);
+                }
+                if (!subnormal) {
+                    for (int64_t j = 0; j < dim; j++) {
+                        double *row = wt + j * n + b, xj = x[j];
+                        for (int l = 0; l < BLOCK; l++) {
+                            double t = row[l] - xj;
+                            t = c[l] * t;
+                            row[l] = row[l] - t;
+                        }
+                    }
+                    continue;
+                }
+                /* cs = |c| 2^100 for a subnormal c (exact, from its bits), inf
+                   otherwise; see the header for why a lane may take c = 0. */
+                for (int l = 0; l < BLOCK; l++) {
+                    double a = fabs(c[l]);
+                    uint64_t bits;
+                    memcpy(&bits, &a, sizeof bits);
+                    cs[l] = a < 0x1p-1022 ? (double)bits * 0x1p-974 : INFINITY;
+                }
                 for (int64_t j = 0; j < dim; j++) {
                     double *row = wt + j * n + b, xj = x[j];
                     for (int l = 0; l < BLOCK; l++) {
-                        double t = xj - row[l];
-                        t = c[l] * t;
-                        row[l] = row[l] + t;
+                        double t = row[l] - xj;
+                        double k = fabs(t) * cs[l] < 0x1p-923 && fabs(row[l]) >= 0x1p-968 ? 0.0 : c[l];
+                        t = k * t;
+                        row[l] = row[l] - t;
                     }
                 }
             }
             for (int64_t j = 0; j < dim; j++) {
                 double *row = wt + j * n, xj = x[j];
                 for (int64_t v = tail; v < n; v++) {
-                    double t = xj - row[v];
+                    double t = row[v] - xj;
                     t = coef[v] * t;
-                    row[v] = row[v] + t;
+                    row[v] = row[v] - t;
                 }
             }
         } else {
             for (int64_t j = 0; j < dim; j++) {
-                double t = x[j] - wt[j * n + u];
+                double t = wt[j * n + u] - x[j];
                 t = alpha * t;
-                wt[j * n + u] = wt[j * n + u] + t;
+                wt[j * n + u] = wt[j * n + u] - t;
             }
         }
         if (alpha == 1.0) /* a unit coefficient reproduces the row exactly */

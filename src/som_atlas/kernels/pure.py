@@ -22,11 +22,9 @@ slice of it.
 without changing a rounding:
 - theta, times alpha, is built for a block of cooperative steps at once: the
   same libm ``exp`` per entry and the same product ``theta[h] * alpha`` the C
-  loop takes per neuron. A block holds at most ``THETA_BLOCK`` values.
+  loop takes per hop distance. A block holds at most ``THETA_BLOCK`` values.
 - The scan leaves ``w - x`` in its buffer, and the update reuses it:
-  ``w - coef (w - x)`` equals C's ``w + coef (x - w)`` bit for bit, because
-  IEEE negation is exact: round(w - x) = -round(x - w),
-  coef (-t) = -(coef t), and a - b is a + (-b).
+  ``w - coef (w - x)``, the C loop's update, in the same three roundings.
 
 ``nearest`` first screens rows with one BLAS matrix product, whose summation
 order is not ours. The screen is only a bound: it decides which rows may skip
@@ -266,8 +264,7 @@ def train_loop(
             u = int(_sq_distances(w3, x3, diff, acc, sq).argmin())
             if i < cooperative:
                 thetas[i].take(hop_row(hops, *divmod(u, width)), out=coef, mode="clip")
-                # -(coef (x - w)), exactly: IEEE negation is exact and
-                # w - (-t) is w + t, so this is the C loop's update.
+                # w - coef (w - x), the C loop's update.
                 diff *= coef.reshape(n_neurons)
                 w3 -= diff
             else:

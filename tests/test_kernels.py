@@ -231,19 +231,55 @@ def test_backends_agree_at_block_and_lane_edges(native_train_loop, width, height
     _assert_steps_agree(native_train_loop, np.full((n, dim), 0.25), data, grid, cooperative)
 
 
+# Around the bounds of the C update's c = 0 lanes: both zeros, subnormals,
+# normals below and at 2^-968, and values far from the rows.
+SPECIAL_WEIGHTS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1000, 2.0**-975, 1e-300,
+                   2.0**-968 * (1 - 2.0**-53), 2.0**-968, 2.0**-967, 0.5, 1.0, -1.0,
+                   4096.0, -4096.0, 1e10, -1e10]
+
+
+@pytest.mark.parametrize("cooperative", [True, False])
+@pytest.mark.parametrize("width,height", [(40, 2), (20, 20)])
+def test_backends_agree_on_subnormal_coefficients(native_train_loop, width, height, cooperative):
+    # Each step's sigma puts exp(-720) * alpha, a subnormal, at hop distance
+    # 1 to 5, so blocks holding a subnormal coefficient take the C loop's
+    # second update loop, where a lane may take c = 0. Weights and rows drawn
+    # from values around its bounds check that this never changes a bit.
+    rng = np.random.default_rng(width * height)
+    n, dim, steps = width * height, 4, 40
+    grid = HexGrid(width, height)
+    pool = np.array(SPECIAL_WEIGHTS)
+    weights = np.where(rng.random((n, dim)) < 0.3, rng.random((n, dim)),
+                       pool[rng.integers(0, pool.size, (n, dim))])
+    data = np.where(rng.random((steps, dim)) < 0.5, rng.random((steps, dim)),
+                    pool[rng.integers(0, pool.size, (steps, dim))])
+    hop = np.arange(steps) % 5 + 1
+    alphas = np.full(steps, 0.5)
+    sigmas = hop / math.sqrt(1440.0)
+    coefficients = pure.theta_table(sigmas, 5)[np.arange(steps), hop] * alphas
+    assert ((0.0 < coefficients) & (coefficients < 2.0**-1022)).all()
+    args = (data, rng.integers(0, steps, steps), grid, alphas, sigmas,
+            steps if cooperative else 0)
+    wa, wb = weights.copy(), weights.copy()
+    pure.train_loop(wa, *args)
+    native_train_loop(wb, *args)
+    assert wa.tobytes() == wb.tobytes()
+
+
 def test_block_loops_vectorize_in_the_wide_clones(compiler, tmp_path):
     # Each 32-neuron block's sums and coefficients must stay in vector
     # registers; gcc 12 left blocks of 16 scalar, and the step ran 50-110%
-    # slower than with no blocks at all. The avx512f clone vectorizes with
-    # 64-byte vectors and the avx2 clone with 32-byte ones.
+    # slower than with no blocks at all. The scan, the update and the
+    # update of blocks holding subnormal coefficients vectorize with 64-byte
+    # vectors in the avx512f clone and 32-byte ones in the avx2 clone.
     macros = _compiler_macros()
     if "__clang__" in macros or not ("__x86_64__" in macros and "__GLIBC__" in macros):
         pytest.skip("checked where gcc compiles the target clones: x86-64 glibc")
     lines = kernels._SOURCE.read_text().splitlines()
     # A block loop's body starts with the first difference of its step.
     blocks = [i for i, line in enumerate(lines, 1)
-              if line.strip() in ("double diff = row[l] - xj;", "double t = xj - row[l];")]
-    assert len(blocks) == 2
+              if line.strip() in ("double diff = row[l] - xj;", "double t = row[l] - xj;")]
+    assert len(blocks) == 3
     cc = shlex.split(sysconfig.get_config_var("CC"))
     report = subprocess.run(
         [*cc, *kernels.COMPILE_FLAGS, "-shared", "-fPIC", "-fopt-info-vec-optimized",
