@@ -27,7 +27,9 @@ Both work in the (dim, n) layout of ``pure._sq_distances`` and take
 ``np.argmin``'s winner: the first NaN sum if any sum is NaN, else the lowest
 index of the smallest sum. The C loop scans and updates blocks of 32
 neurons held in registers across the dimensions, then the ``n mod 32``
-neurons left over through its per-neuron rows. The wrapper from ``load``
+neurons left over through its per-neuron rows; a block holding a subnormal
+coefficient takes a second update loop, which skips the multiplies that
+cannot move a weight and leaves the same bits. The wrapper from ``load``
 allocates the C loop's scratch per call (theta, the transposed codebook and
 two per-neuron rows: O(n dim)), so the C file allocates nothing.
 

@@ -38,9 +38,10 @@ third of the loop's time. So a block holding a subnormal c takes a second
 loop, in which a lane takes c = 0 where the exact |c t|, t = w - x rounded,
 is below 2^-1023 and |w| is at least 2^-968. There c t rounds to at most
 2^-1023, under half the spacing of doubles around w, so w - c t is w, and
-w - (+-0) is w too, bit for bit. The test does no subnormal arithmetic:
-cs = |c| 2^100 is exact, and a rounded |t| cs below 2^-923 puts the exact
-|c t| below 2^-1023. Every other lane takes its rounded steps as written.
+w - (+-0) is w too, bit for bit. The test never multiplies by c: cs =
+|c| 2^100, built from c's bits, is exact and normal, and a rounded |t| cs
+below 2^-923 puts the exact |c t| below 2^-1023. Every other lane takes its
+rounded steps as written.
 
 The winner search passes over acc in LANES lanes, each keeping the
 smallest sum it saw and the total of its sums, then scans acc from the start

@@ -244,7 +244,8 @@ def test_backends_agree_on_subnormal_coefficients(native_train_loop, width, heig
     # Each step's sigma puts exp(-720) * alpha, a subnormal, at hop distance
     # 1 to 5, so blocks holding a subnormal coefficient take the C loop's
     # second update loop, where a lane may take c = 0. Weights and rows drawn
-    # from values around its bounds check that this never changes a bit.
+    # from values around its bounds check that this never changes a bit;
+    # -0 in both also pins the update's form, w - c (w - x).
     rng = np.random.default_rng(width * height)
     n, dim, steps = width * height, 4, 40
     grid = HexGrid(width, height)
