@@ -256,7 +256,7 @@ def train_loop(
         rows = order[start:stop].tolist()
         rates = alphas[start:stop].tolist()
         cooperative = min(max(competitive_start - start, 0), stop - start)
-        # theta * alpha, the product the C loop takes per neuron.
+        # theta * alpha, the product the C loop takes per hop distance.
         thetas = theta_table(sigmas[start : start + cooperative], max_dist)
         thetas *= alphas[start : start + cooperative, None]
         for i, (row, alpha) in enumerate(zip(rows, rates)):
