@@ -8,9 +8,9 @@ class SomAtlasError(Exception):
 class CsvFormatError(SomAtlasError):
     """Malformed CSV input (ragged row, bad cell, missing header, bytes not UTF-8).
 
-    Messages carry the 1-based physical row number of the offending line,
-    except for input that is not UTF-8 text: the text layer decodes ahead of
-    the reader, so no line is named.
+    Messages carry the 1-based physical line on which the offending record
+    starts, except for input that is not UTF-8 text: the text layer decodes
+    ahead of the reader, so no line is named.
     """
 
 
@@ -24,3 +24,7 @@ class SchemaMismatchError(SomAtlasError):
 
 class RangeOverflowError(SomAtlasError, ValueError):
     """An attribute's range is wider than float64 can hold; a ``ValueError`` too."""
+
+
+class CurveError(SomAtlasError, ValueError):
+    """Samples that form no pulse curve or miss its windows; a ``ValueError`` too."""

@@ -141,8 +141,10 @@ def parse_csv(
     dropped, or a text file object, read as it is. The first row is a header of
     unique attribute names unless ``header=False``, in which case columns are
     named col1..colN. Ragged rows, non-numeric cells and non-finite literals
-    reject the file with the 1-based row number; with ``drop_bad_rows`` the
-    offending rows are skipped and recorded in ``dropped_rows`` instead. A
+    reject the file with the row's number, the 1-based line it starts on
+    (blank lines and newlines inside quoted fields counted); with
+    ``drop_bad_rows`` the offending rows are skipped and recorded in
+    ``dropped_rows``, by the same number, instead. A
     line the ``csv`` module cannot read (say, a field longer than
     ``csv.field_size_limit()``) rejects the file with its line number; a path
     whose bytes are not UTF-8 rejects it naming the path.
@@ -164,7 +166,7 @@ def parse_csv(
     dropped: list[tuple[int, str]] = []
     width = 0
 
-    for rownum, record in enumerate(_records(reader), start=1):
+    for rownum, record in _records(reader):
         if not record:
             continue  # blank line (e.g. trailing newline)
         if names is None:
@@ -214,10 +216,14 @@ def parse_csv(
 
 
 def _records(reader):
+    """Each record with the 1-based line it starts on, blank lines counted."""
+    line = reader.line_num + 1
     try:
-        yield from reader
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise CsvFormatError(f"row {reader.line_num}: {exc}") from None
+        raise CsvFormatError(f"row {line}: {exc}") from None
 
 
 def normalize(table: DataTable) -> NormalizedTable:

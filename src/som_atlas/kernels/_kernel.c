@@ -18,17 +18,22 @@ and sigmas have total entries. hops is hexgrid.hop_table(width, height), a
 dc + width - 1] is the hop distance from a node in a row of parity p to the
 node dr rows and dc columns away. Scratch: theta has max_dist + 1 entries
 (theta * alpha per hop distance), max_dist being the largest entry of hops;
-wt has n * dim, acc and coef n.
+wt has stride * dim entries and acc and coef stride, stride being n rounded
+up to whole blocks of BLOCK neurons; the padded neurons start at 0 in wt and
+coef. wt is 64-byte aligned, and so is each of its rows, stride * 8 being a
+multiple of 256.
 
 The loop works neuron-major, in the (dim, n) layout of pure._sq_distances:
-w is transposed into wt on entry and back on return. The scan and the
-cooperative update run over blocks of BLOCK neurons, whose sums (scan) or
-coefficients c = coef[v], theta * alpha at v's hop (update), stay in
-registers while the loop walks the dimensions; the n mod BLOCK neurons left
-over take the same steps through acc and coef, one dimension at a time. Either way each
-neuron adds its dimensions left to right, and the loops over neurons, free
-of any carried value, vectorize without reassociating. gcc 12 left blocks
-of 16 scalar; blocks of 32 vectorize in every clone.
+w is transposed into wt's first n columns on entry and back on return. The
+scan and the cooperative update run over whole blocks of BLOCK neurons,
+padded ones included, whose sums (scan) or coefficients c = coef[v],
+theta * alpha at v's hop (update), stay in registers while the loop walks
+the dimensions. Each neuron adds its dimensions left to right, and the loops
+over neurons, free of any carried value, vectorize without reassociating.
+gcc 12 left blocks of 16 scalar; blocks of 32 vectorize in every clone. A
+padded neuron's c stays 0, so its weight stays 0, or turns NaN through
+0 * inf where a row holds an inf; the winner search reads only acc[0..n)
+and only the first n columns go back into w, so no padded value is read.
 
 theta * alpha is taken once per hop distance, the product the numpy
 reference takes. Where it is subnormal (far hops while sigma is small),
@@ -71,24 +76,26 @@ every CPU that shares its digest. */
 #define BLOCK 32
 #define LANES 8
 
+const int64_t block_neurons = BLOCK; /* read by the wrapper to pad wt */
+
 DISPATCH
 void train_loop(double *w, const double *data, const int64_t *order,
                 const double *alphas, const double *sigmas, const int64_t *hops,
                 double *restrict theta, double *restrict wt, double *restrict acc,
                 double *restrict coef, int64_t max_dist, int64_t width, int64_t height,
-                int64_t dim, int64_t total, int64_t competitive_start)
+                int64_t stride, int64_t dim, int64_t total, int64_t competitive_start)
 {
-    const int64_t n = width * height, span = 2 * width - 1, tail = n - n % BLOCK;
+    const int64_t n = width * height, span = 2 * width - 1;
     for (int64_t v = 0; v < n; v++)
         for (int64_t j = 0; j < dim; j++)
-            wt[j * n + v] = w[v * dim + j];
+            wt[j * stride + v] = w[v * dim + j];
 
     for (int64_t s = 0; s < total; s++) {
         const double *x = data + order[s] * dim;
-        for (int64_t b = 0; b < tail; b += BLOCK) {
+        for (int64_t b = 0; b < stride; b += BLOCK) {
             double sum[BLOCK] = {0.0};
             for (int64_t j = 0; j < dim; j++) {
-                const double *row = wt + j * n + b, xj = x[j];
+                const double *row = wt + j * stride + b, xj = x[j];
                 for (int l = 0; l < BLOCK; l++) {
                     double diff = row[l] - xj;
                     sum[l] = sum[l] + diff * diff;
@@ -96,15 +103,6 @@ void train_loop(double *w, const double *data, const int64_t *order,
             }
             for (int l = 0; l < BLOCK; l++)
                 acc[b + l] = sum[l];
-        }
-        for (int64_t v = tail; v < n; v++)
-            acc[v] = 0.0;
-        for (int64_t j = 0; j < dim; j++) {
-            const double *row = wt + j * n, xj = x[j];
-            for (int64_t v = tail; v < n; v++) {
-                double diff = row[v] - xj;
-                acc[v] = acc[v] + diff * diff;
-            }
         }
 
         /* np.argmin's winner (see the header): the lane minima skip NaNs,
@@ -153,7 +151,7 @@ void train_loop(double *w, const double *data, const int64_t *order,
             for (int64_t vr = 0; vr < height; vr++, hop += span)
                 for (int64_t vc = 0; vc < width; vc++)
                     coef[vr * width + vc] = theta[hop[vc]];
-            for (int64_t b = 0; b < tail; b += BLOCK) {
+            for (int64_t b = 0; b < stride; b += BLOCK) {
                 double c[BLOCK], cs[BLOCK];
                 int64_t subnormal = 0;
                 for (int l = 0; l < BLOCK; l++) {
@@ -162,7 +160,7 @@ void train_loop(double *w, const double *data, const int64_t *order,
                 }
                 if (!subnormal) {
                     for (int64_t j = 0; j < dim; j++) {
-                        double *row = wt + j * n + b, xj = x[j];
+                        double *row = wt + j * stride + b, xj = x[j];
                         for (int l = 0; l < BLOCK; l++) {
                             double t = row[l] - xj;
                             t = c[l] * t;
@@ -180,7 +178,7 @@ void train_loop(double *w, const double *data, const int64_t *order,
                     cs[l] = a < 0x1p-1022 ? (double)bits * 0x1p-974 : INFINITY;
                 }
                 for (int64_t j = 0; j < dim; j++) {
-                    double *row = wt + j * n + b, xj = x[j];
+                    double *row = wt + j * stride + b, xj = x[j];
                     for (int l = 0; l < BLOCK; l++) {
                         double t = row[l] - xj;
                         double k = fabs(t) * cs[l] < 0x1p-923 && fabs(row[l]) >= 0x1p-968 ? 0.0 : c[l];
@@ -189,27 +187,19 @@ void train_loop(double *w, const double *data, const int64_t *order,
                     }
                 }
             }
-            for (int64_t j = 0; j < dim; j++) {
-                double *row = wt + j * n, xj = x[j];
-                for (int64_t v = tail; v < n; v++) {
-                    double t = row[v] - xj;
-                    t = coef[v] * t;
-                    row[v] = row[v] - t;
-                }
-            }
         } else {
             for (int64_t j = 0; j < dim; j++) {
-                double t = wt[j * n + u] - x[j];
+                double t = wt[j * stride + u] - x[j];
                 t = alpha * t;
-                wt[j * n + u] = wt[j * n + u] - t;
+                wt[j * stride + u] = wt[j * stride + u] - t;
             }
         }
         if (alpha == 1.0) /* a unit coefficient reproduces the row exactly */
             for (int64_t j = 0; j < dim; j++)
-                wt[j * n + u] = x[j];
+                wt[j * stride + u] = x[j];
     }
 
     for (int64_t v = 0; v < n; v++)
         for (int64_t j = 0; j < dim; j++)
-            w[v * dim + j] = wt[j * n + v];
+            w[v * dim + j] = wt[j * stride + v];
 }

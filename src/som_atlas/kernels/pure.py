@@ -11,10 +11,10 @@ if any sum is NaN, else the lowest index of the smallest sum;
 update is three separately rounded elementwise steps. The C loop scans the
 same (dim, n) layout as ``_sq_distances``: it transposes the codebook once
 per call and adds each dimension's row to every neuron's sum in turn, over
-blocks of 32 neurons whose sums stay in registers and then over the
-``n mod 32`` left over; its update runs over the same blocks. Change both
-files together or not at all; ``tests/test_kernels.py`` pins bit-identical
-outputs. Both loops read their hop distances from
+blocks of 32 neurons whose sums stay in registers, its rows padded to whole
+blocks with neurons that no result reads; its update runs over the same
+blocks. Change both files together or not at all; ``tests/test_kernels.py``
+pins bit-identical outputs. Both loops read their hop distances from
 ``hexgrid.hop_table``, built once per grid size; a winner's hop row is a
 slice of it.
 
@@ -228,7 +228,8 @@ def train_loop(
     on ``grid`` (``hexgrid.hop_table``), which has one node per neuron (see
     ``check_arguments``). For s >= ``competitive_start`` (clamped to the
     steps) only u itself moves (theta collapses to a Kronecker delta) and
-    ``sigmas[s]`` is ignored.
+    ``sigmas[s]`` is ignored. Overflow and invalid operations (squares of
+    huge values, ``inf - inf``, ``0 * inf``) warn nowhere, as in the C loop.
     """
     n_neurons, dim = weights.shape
     competitive_start = check_arguments(
@@ -251,28 +252,29 @@ def train_loop(
     coef = np.empty((height, width))
     tdim = np.empty(dim)
 
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        rows = order[start:stop].tolist()
-        rates = alphas[start:stop].tolist()
-        cooperative = min(max(competitive_start - start, 0), stop - start)
-        # theta * alpha, the product the C loop takes per hop distance.
-        thetas = theta_table(sigmas[start : start + cooperative], max_dist)
-        thetas *= alphas[start : start + cooperative, None]
-        for i, (row, alpha) in enumerate(zip(rows, rates)):
-            x[:] = data[row]
-            u = int(_sq_distances(w3, x3, diff, acc, sq).argmin())
-            if i < cooperative:
-                thetas[i].take(hop_row(hops, *divmod(u, width)), out=coef, mode="clip")
-                # w - coef (w - x), the C loop's update.
-                diff *= coef.reshape(n_neurons)
-                w3 -= diff
-            else:
-                np.multiply(diff[:, 0, u], alpha, out=tdim)
-                wt[:, u] -= tdim
-            if alpha == 1.0:
-                # Unit coefficient must reproduce the input bit-exactly.
-                wt[:, u] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, block):
+            stop = min(start + block, total)
+            rows = order[start:stop].tolist()
+            rates = alphas[start:stop].tolist()
+            cooperative = min(max(competitive_start - start, 0), stop - start)
+            # theta * alpha, the product the C loop takes per hop distance.
+            thetas = theta_table(sigmas[start : start + cooperative], max_dist)
+            thetas *= alphas[start : start + cooperative, None]
+            for i, (row, alpha) in enumerate(zip(rows, rates)):
+                x[:] = data[row]
+                u = int(_sq_distances(w3, x3, diff, acc, sq).argmin())
+                if i < cooperative:
+                    thetas[i].take(hop_row(hops, *divmod(u, width)), out=coef, mode="clip")
+                    # w - coef (w - x), the C loop's update.
+                    diff *= coef.reshape(n_neurons)
+                    w3 -= diff
+                else:
+                    np.multiply(diff[:, 0, u], alpha, out=tdim)
+                    wt[:, u] -= tdim
+                if alpha == 1.0:
+                    # Unit coefficient must reproduce the input bit-exactly.
+                    wt[:, u] = x
 
     weights[:, :] = wt.T
     return weights

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CurveError
 from .ingest import DataTable
 
 
@@ -23,6 +24,8 @@ class PulseCurve:
 
     Times must be strictly increasing and both windows must lie inside the
     sampled range; the regeneration window is [t_close, t_close + regen_duration].
+    Samples that break this raise ``CurveError``, windows that are themselves
+    invalid ``ValueError``.
     """
 
     times: np.ndarray
@@ -37,19 +40,21 @@ class PulseCurve:
         if times.ndim != 1 or times.shape != pressures.shape:
             raise ValueError("times and pressures must be 1-D arrays of equal length")
         if times.size < 2:
-            raise ValueError("a curve needs at least two samples")
+            raise CurveError("a curve needs at least two samples")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(pressures))):
-            raise ValueError("curve contains non-finite samples")
+            raise CurveError("curve contains non-finite samples")
         if not np.all(np.diff(times) > 0):
-            raise ValueError("sample times must be strictly increasing")
+            raise CurveError("sample times must be strictly increasing")
         if not (self.t_open < self.t_close):
             raise ValueError(f"t_open {self.t_open} must precede t_close {self.t_close}")
         if not (self.regen_duration >= 0):
             raise ValueError("regen_duration must be non-negative")
+        if not np.all(np.isfinite([self.t_open, self.t_close, self.regen_duration])):
+            raise ValueError("t_open, t_close and regen_duration must be finite")
         if self.t_open < times[0]:
-            raise ValueError(f"pulse window opens at {self.t_open}, before the first sample {times[0]}")
+            raise CurveError(f"pulse window opens at {self.t_open}, before the first sample {times[0]}")
         if self.t_close + self.regen_duration > times[-1]:
-            raise ValueError(
+            raise CurveError(
                 f"regeneration window ends at {self.t_close + self.regen_duration}, "
                 f"after the last sample {times[-1]}"
             )
@@ -68,7 +73,7 @@ class PulseFeatures:
 def curve_from_table(table: DataTable, t_open: float, t_close: float, regen_duration: float) -> PulseCurve:
     """Build a curve from a two-column (time, pressure) table."""
     if table.n_attrs != 2:
-        raise ValueError(f"pulse curve table needs exactly 2 columns, got {table.n_attrs}")
+        raise CurveError(f"pulse curve table needs exactly 2 columns, got {table.n_attrs}")
     return PulseCurve(
         times=table.rows[:, 0],
         pressures=table.rows[:, 1],

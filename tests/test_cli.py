@@ -1,12 +1,21 @@
 """Command-line exit codes and reproducible outputs, through ``cli.main``."""
 
 import csv
+import io
+import random
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from som_atlas import cli, kernels
+from som_atlas.kernels import pure
+from som_atlas.model_io import load_model
 
 TRAIN = ["--width", "3", "--height", "2", "--epochs", "3"]
 
@@ -115,6 +124,20 @@ def test_field_over_the_csv_size_limit_exits_2_naming_the_row(log_csv, tmp_path,
         assert cli.main(argv) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("som-atlas: error: row 14: field larger than")
     assert not (tmp_path / "n.model").exists() and not (tmp_path / "a.csv").exists()
+
+
+def test_rows_after_a_quoted_newline_are_named_by_their_line(log_csv, tmp_path, capsys):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    lines = log_csv.read_text().splitlines(keepends=True)
+    log = tmp_path / "quoted.csv"
+    log.write_text("".join(lines[:2] + ['"0.5\n",0.5,0.5\n', "0.5,oops,0.5\n"] + lines[2:]))
+    capsys.readouterr()
+    argv = ["classify", "--model", str(tmp_path / "m.model"), "--input", str(log),
+            "--output", str(tmp_path / "a.csv")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "som-atlas: error: row 5: column 2 (b): not a number: 'oops'\n"
+    assert cli.main([*argv, "--drop-bad-rows"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == "dropped row 5: column 2 (b): not a number: 'oops'\n"
 
 
 def test_csv_passed_as_model_exits_2(log_csv, tmp_path):
@@ -237,6 +260,34 @@ def test_nan_regen_duration_exits_1_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--t-open", "--t-close", "--regen-duration"])
+def test_infinite_window_exits_1_and_writes_nothing(tmp_path, flag):
+    # A window no file can cover is a usage error, not a data error.
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,p\n0.0,5.0\n1.0,3.0\n2.0,4.0\n3.0,5.0\n")
+    out = tmp_path / "features.csv"
+    window = {"--t-open": "0.5", "--t-close": "1.5", "--regen-duration": "1.0"}
+    window[flag] = "-inf" if flag == "--t-open" else "inf"
+    argv = ["features", "--input", str(curve), *(arg for pair in window.items() for arg in pair),
+            "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["t,p\n0.0,5.0\n2.0,3.0\n1.0,4.0\n3.0,5.0\n",  # times fall
+                                  "t,p\n0.0,5.0\n1.0,3.0\n2.0,4.0\n",  # ends inside the window
+                                  "t,p,q\n0.0,5.0,1.0\n3.0,3.0,1.0\n"])  # three columns
+def test_curve_file_that_cannot_fill_the_windows_exits_2(tmp_path, capsys, text):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(text)
+    out = tmp_path / "features.csv"
+    argv = ["features", "--input", str(curve), "--t-open", "0.5", "--t-close", "1.5",
+            "--regen-duration", "1.0", "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err.count("som-atlas: error:") == 1
+    assert not out.exists()
+
+
 def test_negative_kmeans_seed_exits_1_naming_it(log_csv, tmp_path, capsys):
     assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
     argv = ["cluster", "--model", str(tmp_path / "m.model"), "--outdir", str(tmp_path / "out"),
@@ -244,3 +295,97 @@ def test_negative_kmeans_seed_exits_1_naming_it(log_csv, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "kmeans_seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+# Byte strings a mutation writes: CSV and model syntax, numbers at float64's
+# edges, and bytes that are not UTF-8.
+TOKENS = (b",", b"\n", b"\r", b'"', b" ", b"-", b".", b"e", b"9", b"nan", b"inf", b"1e308",
+          b"\xff", b"\x00")
+# A file's mutations: none, or the seed of its edits.
+MUTATIONS = st.none() | st.integers(0, 2**32 - 1)
+
+
+def _mutate(data: bytes, seed) -> bytes:
+    """``data`` after 1 to 4 edits drawn from ``seed`` (``None``: as it is).
+
+    Each edit writes a token over a uniform offset, inserts it there, or
+    deletes as many bytes as it holds; a token is one of ``TOKENS`` or 1-2
+    random bytes.
+    """
+    if seed is None:
+        return data
+    rnd = random.Random(seed)
+    data = bytearray(data)
+    for _ in range(rnd.randint(1, 4)):
+        at = rnd.randrange(len(data) + 1)
+        token = rnd.choice(TOKENS) if rnd.random() < 0.8 else rnd.randbytes(rnd.randint(1, 2))
+        op = rnd.choice(["replace", "delete", "insert"])
+        if op == "insert":
+            data[at:at] = token
+        else:
+            data[at : at + len(token)] = token if op == "replace" else b""
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of a sensor log, of a pulse curve, and of a model trained on the log."""
+    tmp = tmp_path_factory.mktemp("valid")
+    rows = np.random.default_rng(3).random((12, 3))
+    log = "a,b,c\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+    (tmp / "log.csv").write_text(log)
+    assert train(tmp / "log.csv", tmp / "m.model") == cli.EXIT_OK
+    curve = "t,p\n" + "".join(f"{0.5 * i},{5.0 - i % 3}\n" for i in range(8))
+    return {"log": log.encode(), "curve": curve.encode(), "model": (tmp / "m.model").read_bytes()}
+
+
+def _argv(command, inp, model, out):
+    """Valid flags for ``command``, reading ``inp`` or ``model`` and writing under ``out``."""
+    return [str(arg) for arg in {
+        "train": ["train", "--input", inp, "--model", out / "m.model", *TRAIN],
+        "planes": ["planes", "--model", model, "--outdir", out / "planes", "--format", "ppm",
+                   "--radius", "2"],
+        "classify": ["classify", "--model", model, "--input", inp, "--output", out / "a.csv"],
+        "cluster": ["cluster", "--model", model, "--input", inp, "--k", "2",
+                    "--outdir", out / "clusters"],
+        "correlate": ["correlate", "--model", model, "--output", out / "r.csv"],
+        "features": ["features", "--input", inp, "--t-open", "0.5", "--t-close", "1.5",
+                     "--regen-duration", "1.0", "--output", out / "f.csv"],
+    }[command]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["train", "planes", "classify", "cluster", "correlate",
+                                "features"]),
+       input_seed=MUTATIONS, model_seed=MUTATIONS)
+def test_mutated_files_exit_0_2_or_3(valid_files, native_train_loop, command, input_seed,
+                                     model_seed):
+    # Bad file content is never a usage error (exit 1) and never escapes as
+    # an exception. A failure prints one error line and writes nothing; a
+    # train that succeeds writes finite weights, alike on both backends.
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, model = Path(tmp, "in.csv"), Path(tmp, "in.model")
+        source = valid_files["curve" if command == "features" else "log"]
+        inp.write_bytes(_mutate(source, input_seed))
+        model.write_bytes(_mutate(valid_files["model"], model_seed))
+        loops = [pure.train_loop, native_train_loop] if command == "train" else [kernels.train_loop]
+        runs = []
+        for i, loop in enumerate(loops):
+            out = Path(tmp, f"out{i}")
+            out.mkdir()
+            err = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()), \
+                    redirect_stderr(err):
+                mp.setattr(kernels, "train_loop", loop)
+                code = cli.main(_argv(command, inp, model, out))
+            written = sorted(path for path in out.rglob("*") if path.is_file())
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_IO), err.getvalue()
+            if code != cli.EXIT_OK:
+                assert err.getvalue().startswith("som-atlas: error:"), err.getvalue()
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert written == []
+            runs.append((code, err.getvalue(), [path.read_bytes() for path in written]))
+        if command == "train":
+            assert runs[0] == runs[1], "the numpy and C backends disagree"
+            if code == cli.EXIT_OK:
+                assert np.isfinite(load_model(out / "m.model").weights).all()

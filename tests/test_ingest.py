@@ -87,6 +87,25 @@ def test_drop_bad_rows_keeps_good_ones():
     assert [rownum for rownum, _ in table.dropped_rows] == [3, 5]
 
 
+# Line 2 is a record whose quoted field holds a newline, so line 4 is the third record.
+MULTILINE = 'a,b\n"1\n",2\n3,x\n'
+
+
+def test_parse_numbers_rows_by_the_line_they_start_on():
+    with pytest.raises(CsvFormatError, match=r"^row 4: column 2 \(b\): not a number"):
+        parse_csv(io.StringIO(MULTILINE))
+    with pytest.raises(CsvFormatError, match=r"^row 4: expected 2 fields, found 1"):
+        parse_csv(io.StringIO('a,b\n"1\n",2\n3\n'))
+    with pytest.raises(CsvFormatError, match=r"^row 4: field larger than field limit"):
+        parse_csv(io.StringIO('a,b\n"1\n",2\n3,' + "4" * 200_000 + "\n"))
+    with pytest.raises(CsvFormatError, match=r"^row 3: column 1 \(a\): not a number: 'x\\ny'"):
+        parse_csv(io.StringIO('a,b\n1,2\n"x\ny",2\n'))  # the line it starts on, not ends on
+    table = parse_csv(io.StringIO(MULTILINE), drop_bad_rows=True)
+    assert table.dropped_rows == ((4, "column 2 (b): not a number: 'x'"),)
+    table = parse_csv(io.StringIO("a,b\n\n1,2\n\n3\n"), drop_bad_rows=True)
+    assert [rownum for rownum, _ in table.dropped_rows] == [5]  # blank lines count
+
+
 @pytest.mark.parametrize("drop_bad_rows", [False, True])
 def test_parse_field_over_the_csv_size_limit_names_the_row(drop_bad_rows):
     src = "a,b\n1,2\n3," + "4" * 200_000 + "\n5,6\n"

@@ -36,7 +36,7 @@ from som_atlas.som import (
     update_step,
 )
 
-from conftest import make_table
+from conftest import PLAIN_LOOP, make_table
 
 ARGS = ("weights", "data", "order", "grid", "alphas", "sigmas", "competitive_start")
 
@@ -116,9 +116,10 @@ def test_backends_bit_identical(seed, shape, native_train_loop):
 def test_backends_bit_identical_on_any_map(native_train_loop, seed, width, height, dim, n_rows,
                                            distinct, tied_neurons, epochs, alphas, sigma0,
                                            competitive_start):
-    # Neuron counts off the vector width exercise the C loops' tails. Rows
-    # repeat from a pool of `distinct`, of mixed magnitudes so that a unit
-    # alpha's w + (x - w) often misses x; with tied_neurons the codebook
+    # Neuron counts off the vector width exercise the C loop's padded
+    # blocks and its winner search's last partial lane group. Rows repeat
+    # from a pool of `distinct`, of mixed magnitudes so that a unit alpha's
+    # w + (x - w) often misses x; with tied_neurons the codebook
     # repeats them too, so scans tie, often at a distance of zero. sigma0
     # 1e-161 and 1e-170 give subnormal and zero theta denominators.
     kws = _workload(seed, width, height, dim, n_rows, epochs, *alphas, sigma0=sigma0)
@@ -174,21 +175,23 @@ def _assert_steps_agree(native_train_loop, weights, data, grid, cooperative):
     args = (data, np.arange(steps, dtype=np.int64), grid, np.full(steps, 0.5),
             np.linspace(2.0, 0.5, steps), steps if cooperative else 0)
     wa, wb = weights.copy(), weights.copy()
-    with np.errstate(over="ignore"):  # squares of +-1e200 overflow to inf
-        pure.train_loop(wa, *args)
+    pure.train_loop(wa, *args)
     native_train_loop(wb, *args)
     assert wa.tobytes() == wb.tobytes()
 
 
 @pytest.mark.parametrize("cooperative", [True, False])
-@pytest.mark.parametrize("width,height", [(11, 3), (8, 8), (13, 5)])
+@pytest.mark.parametrize("width,height", [(11, 3), (8, 8), (13, 5), (70, 70)])
 def test_backends_agree_on_nan_and_inf_sums(native_train_loop, width, height, cooperative):
     # The winner is np.argmin's: the first NaN sum if there is one, else the
-    # first smallest sum. 33, 64 and 65 neurons hold 32-neuron blocks and
-    # remainders of 1, 0 and 1; NaNs sit at neuron 0, inside an 8-lane
-    # group, inside a block, at the last neuron, and in pairs where the
-    # first must win. Squares of +-1e200 overflow, so every sum is inf
-    # (a tie at neuron 0) or only some are.
+    # first smallest sum. 33, 64, 65 and 4900 neurons fill 32-neuron blocks
+    # with 31, 0, 31 and 28 padded neurons; NaNs sit at neuron 0, inside an
+    # 8-lane group, inside a block, at the last neuron, and in pairs where
+    # the first must win. Squares of +-1e200 overflow, so every sum is inf
+    # (a tie at neuron 0) or only some are. Rows holding +-inf make every
+    # sum inf or NaN, and cooperative steps turn the padded neurons' weights
+    # NaN through 0 * inf, which no result may read. The pure loop must not
+    # warn on any of these, as the C loop cannot.
     rng = np.random.default_rng(width * height)
     n, dim = width * height, 3
     grid = HexGrid(width, height)
@@ -207,6 +210,10 @@ def test_backends_agree_on_nan_and_inf_sums(native_train_loop, width, height, co
     _assert_steps_agree(native_train_loop, mixed, data, grid, cooperative)
     rows = np.where(rng.random((6, 1)) < 0.5, data, 1e200 * signs)
     _assert_steps_agree(native_train_loop, mixed, rows, grid, cooperative)
+    infinite = data.copy()
+    infinite[[1, 4], [0, 2]] = np.inf * signs[[1, 4], [0, 2]]
+    _assert_steps_agree(native_train_loop, weights, infinite, grid, cooperative)
+    _assert_steps_agree(native_train_loop, weights, np.inf * signs, grid, cooperative)
 
 
 @pytest.mark.parametrize("cooperative", [True, False])
@@ -214,9 +221,10 @@ def test_backends_agree_on_nan_and_inf_sums(native_train_loop, width, height, co
                                           (11, 3), (9, 7), (8, 8), (13, 5), (70, 70)])
 def test_backends_agree_at_block_and_lane_edges(native_train_loop, width, height, cooperative):
     # n = 1, 7, 8, 9, 31, 32, 33, 63, 64, 65 and 4900 neurons: on either side
-    # of the C loop's 8-lane groups and 32-neuron blocks. The first row's
-    # smallest sum repeats across a lane edge, across a block edge and at
-    # the last neuron, and one codebook ties every neuron.
+    # of the C loop's 8-lane groups and 32-neuron blocks, so its last block
+    # holds from 0 to 31 padded neurons. The first row's smallest sum
+    # repeats across a lane edge, across a block edge and at the last
+    # neuron, and one codebook ties every neuron.
     rng = np.random.default_rng(width * height)
     n, dim = width * height, 5
     grid = HexGrid(width, height)
@@ -503,6 +511,19 @@ def test_plain_build_compiles_no_target_clones(native_libraries):
                else int(macros.get("__GNUC__", 0)) >= 6)
     expected = "__x86_64__" in macros and "__GLIBC__" in macros and version
     assert (clone in native_libraries["dispatched"].read_bytes()) == expected
+
+
+@pytest.mark.parametrize("defines", [(), (PLAIN_LOOP,)], ids=["dispatched", "plain"])
+def test_kernel_compiles_without_warnings(compiler, tmp_path, defines):
+    # A stale variable or a signed/unsigned comparison fails here, in both
+    # builds, before it can hide in a loop bound.
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    result = subprocess.run(
+        [*cc, *kernels.COMPILE_FLAGS, *defines, "-Wall", "-Wextra", "-Werror",
+         "-shared", "-fPIC", "-o", tmp_path / "kernel.so", kernels._SOURCE, "-lm"],
+        capture_output=True, text=True, timeout=kernels.BUILD_TIMEOUT_S,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_build_reuses_the_library_of_the_same_source(compiler, tmp_path):

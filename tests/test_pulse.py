@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from som_atlas.errors import CurveError
 from som_atlas.pulse import PulseCurve, curve_from_table, extract_pulse_features
 
 from conftest import make_table
@@ -108,18 +109,28 @@ def test_area_additivity_at_interior_sample(data):
 
 
 def test_window_validation():
+    # Samples that miss the windows are CurveErrors; windows that are
+    # invalid on their own are plain ValueErrors.
     times = np.arange(0.0, 5.0)
     flat = np.full(5, 1.0)
-    with pytest.raises(ValueError, match="before the first sample"):
+    with pytest.raises(CurveError, match="before the first sample"):
         PulseCurve(times=times, pressures=flat, t_open=-1.0, t_close=2.0, regen_duration=1.0)
-    with pytest.raises(ValueError, match="after the last sample"):
+    with pytest.raises(CurveError, match="after the last sample"):
         PulseCurve(times=times, pressures=flat, t_open=1.0, t_close=3.0, regen_duration=5.0)
-    with pytest.raises(ValueError, match="precede"):
-        PulseCurve(times=times, pressures=flat, t_open=3.0, t_close=3.0, regen_duration=0.5)
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(CurveError, match="strictly increasing"):
         PulseCurve(times=np.array([0.0, 0.0, 1.0]), pressures=np.ones(3), t_open=0.0, t_close=0.5, regen_duration=0.1)
-    with pytest.raises(ValueError, match="regen_duration must be non-negative"):
+    with pytest.raises(CurveError, match="at least two samples"):
+        PulseCurve(times=np.zeros(1), pressures=np.ones(1), t_open=0.0, t_close=0.5, regen_duration=0.1)
+    with pytest.raises(ValueError, match="precede") as info:
+        PulseCurve(times=times, pressures=flat, t_open=3.0, t_close=3.0, regen_duration=0.5)
+    assert not isinstance(info.value, CurveError)
+    with pytest.raises(ValueError, match="regen_duration must be non-negative") as info:
         PulseCurve(times=times, pressures=flat, t_open=1.0, t_close=2.0, regen_duration=float("nan"))
+    assert not isinstance(info.value, CurveError)
+    for window in ((-np.inf, 2.0, 1.0), (1.0, np.inf, 1.0), (1.0, 2.0, np.inf)):
+        with pytest.raises(ValueError, match="must be finite") as info:
+            PulseCurve(times, flat, *window)
+        assert not isinstance(info.value, CurveError)
 
 
 def test_curve_from_table_requires_two_columns():
@@ -127,5 +138,5 @@ def test_curve_from_table_requires_two_columns():
     curve = curve_from_table(good, t_open=0.0, t_close=1.0, regen_duration=1.0)
     assert curve.times.tolist() == [0.0, 1.0, 2.0]
     bad = make_table([[0.0], [1.0]], names=["t"])
-    with pytest.raises(ValueError, match="2 columns"):
+    with pytest.raises(CurveError, match="2 columns"):
         curve_from_table(bad, t_open=0.0, t_close=1.0, regen_duration=0.5)
