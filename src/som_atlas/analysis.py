@@ -38,6 +38,12 @@ _CLASSIFY_CHUNK = 4096
 # any raw value lay outside the training range. Element i is table row i.
 ASSIGNMENT = np.dtype([("neuron", np.intp), ("distance", np.float64), ("clamped", bool)])
 
+# |r| at or above which two component planes count as strongly correlated.
+STRONG_CORRELATION = 0.8
+
+# Seeded k-means starts per clustering; a single start can stall in a local optimum.
+KMEANS_RESTARTS = 10
+
 
 @dataclass(frozen=True)
 class ComponentPlane:
@@ -55,13 +61,13 @@ class CorrelationReport:
     matrix: np.ndarray  # (n, n) floats in [-1, 1]; 0.0 where invalid
     valid: np.ndarray  # (n, n) bools; False where a plane has zero variance
 
-    def strong_pairs(self, threshold: float = 0.8) -> list[tuple[int, int, float]]:
-        """Attribute pairs (i < j) whose |r| meets the threshold."""
+    def strong_pairs(self) -> list[tuple[int, int, float]]:
+        """Attribute pairs (i < j) whose |r| is at least ``STRONG_CORRELATION``."""
         out = []
         n = len(self.names)
         for i in range(n):
             for j in range(i + 1, n):
-                if self.valid[i, j] and abs(self.matrix[i, j]) >= threshold:
+                if self.valid[i, j] and abs(self.matrix[i, j]) >= STRONG_CORRELATION:
                     out.append((i, j, float(self.matrix[i, j])))
         return out
 
@@ -183,30 +189,28 @@ def plane_correlation(model: SomModel) -> CorrelationReport:
 
 
 def kmeans_codebook(
-    model: SomModel, k: int, kmeans_seed: int = 7, max_iters: int = 300, n_init: int = 10
+    model: SomModel, k: int, kmeans_seed: int = 7, max_iters: int = 300
 ) -> ClusterModel:
     """Lloyd's algorithm over the neuron weight vectors, k-means++ seeded.
 
-    Runs ``n_init`` independent seeded starts and keeps the lowest-inertia
-    result; a single start can stall in a local optimum. Deterministic for
-    fixed inputs: restart seeds derive from ``kmeans_seed``, assignment ties
-    break toward the lower cluster index, and an emptied cluster is reseeded
-    with the point farthest from its own centroid. Each start stops when
-    labels repeat or at ``max_iters``.
+    Runs ``KMEANS_RESTARTS`` independent seeded starts and keeps the
+    lowest-inertia result. Deterministic for fixed inputs: restart seeds
+    derive from ``kmeans_seed``, assignment ties break toward the lower
+    cluster index, and an emptied cluster is reseeded with the point farthest
+    from its own centroid. Each start stops when labels repeat or at
+    ``max_iters``.
     """
     n = model.n_neurons
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
     if kmeans_seed < 0:
         raise ValueError(f"kmeans_seed must be >= 0, got {kmeans_seed}")
     points = model.weights
 
     best: ClusterModel | None = None
-    for restart in range(n_init):
+    for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence(kmeans_seed, spawn_key=(restart,)))
         centroids = _kmeans_pp_init(points, k, rng)
         labels = kernels.nearest(centroids, points)[0]

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import __version__, kernels
 from .analysis import (
+    STRONG_CORRELATION,
     assignments_to_csv,
     classify,
     cluster_stats,
@@ -296,7 +297,8 @@ def cmd_correlate(args) -> None:
     strong = report.strong_pairs()
     print(f"correlation matrix ({model.dim}x{model.dim}) written to {args.output}")
     for i, j, r in strong:
-        print(f"correlated (|r| >= 0.8): {report.names[i]} / {report.names[j]} r={r:.4f}")
+        print(f"correlated (|r| >= {STRONG_CORRELATION}): "
+              f"{report.names[i]} / {report.names[j]} r={r:.4f}")
 
 
 def cmd_features(args) -> None:

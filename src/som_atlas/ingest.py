@@ -10,8 +10,10 @@ signal (measurement jitter would blow up to full scale); they are pinned to
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -129,12 +131,8 @@ def _observed_spec(name: str, index: int, column: np.ndarray) -> AttributeSpec:
     )
 
 
-def parse_csv(
-    source,
-    delimiter: str = ",",
-    header: bool = True,
-    drop_bad_rows: bool = False,
-) -> DataTable:
+def parse_csv(source, delimiter: str = ",", header: bool = True,
+              drop_bad_rows: bool = False) -> DataTable:
     """Parse a numeric CSV into a DataTable.
 
     ``source`` is a path, read as UTF-8 with a leading byte-order mark
@@ -144,86 +142,86 @@ def parse_csv(
     reject the file with the row's number, the 1-based line it starts on
     (blank lines and newlines inside quoted fields counted); with
     ``drop_bad_rows`` the offending rows are skipped and recorded in
-    ``dropped_rows``, by the same number, instead. A
-    line the ``csv`` module cannot read (say, a field longer than
-    ``csv.field_size_limit()``) rejects the file with its line number; a path
-    whose bytes are not UTF-8 rejects it naming the path.
+    ``dropped_rows``, by the same number, instead. A line the ``csv`` module
+    cannot read (say, a field longer than ``csv.field_size_limit()``) rejects
+    the file with its line number; a path whose bytes are not UTF-8 rejects
+    it naming the path.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be exactly one character, got {delimiter!r}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             try:
-                return parse_csv(fh, delimiter=delimiter, header=header,
-                                 drop_bad_rows=drop_bad_rows)
+                return parse_csv(fh, delimiter, header, drop_bad_rows)
             except UnicodeDecodeError as exc:
                 # Decoded ahead of the reader, in blocks: no line to name.
                 raise CsvFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
-    reader = csv.reader(source, delimiter=delimiter)
-    names: list[str] | None = None
-    data: list[list[float]] = []
-    dropped: list[tuple[int, str]] = []
-    width = 0
-
-    for rownum, record in _records(reader):
-        if not record:
-            continue  # blank line (e.g. trailing newline)
-        if names is None:
-            if header:
-                names = [cell.strip() for cell in record]
-                if any(not n for n in names):
-                    raise CsvFormatError(f"row {rownum}: empty attribute name in header")
-                if len(set(names)) != len(names):
-                    raise CsvFormatError(f"row {rownum}: duplicate attribute names in header")
-                width = len(names)
-                continue
-            width = len(record)
-            names = [f"col{i + 1}" for i in range(width)]
-            # fall through: this record is data
-
-        problem = None
-        if len(record) != width:
-            problem = f"expected {width} fields, found {len(record)}"
-        else:
-            values = []
-            for colnum, cell in enumerate(record, start=1):
-                try:
-                    v = float(cell.strip())
-                except ValueError:
-                    problem = f"column {colnum} ({names[colnum - 1]}): not a number: {cell.strip()!r}"
-                    break
-                if not math.isfinite(v):
-                    problem = f"column {colnum} ({names[colnum - 1]}): non-finite value {cell.strip()!r}"
-                    break
-                values.append(v)
-
-        if problem is not None:
-            if drop_bad_rows:
-                dropped.append((rownum, problem))
-                continue
-            raise CsvFormatError(f"row {rownum}: {problem}")
-        data.append(values)
-
-    if names is None:
+    records = _records(csv.reader(source, delimiter=delimiter))
+    rownum, record = next(records, (0, []))
+    if not record:
         raise CsvFormatError("empty input: no header row")
-    if not data:
-        raise CsvFormatError("no data rows")
+    if header:
+        names = [cell.strip() for cell in record]
+        if any(not n for n in names):
+            raise CsvFormatError(f"row {rownum}: empty attribute name in header")
+        if len(set(names)) != len(names):
+            raise CsvFormatError(f"row {rownum}: duplicate attribute names in header")
+    else:
+        names = [f"col{i + 1}" for i in range(len(record))]
+        records = itertools.chain([(rownum, record)], records)
 
-    rows = np.asarray(data, dtype=np.float64)
+    values = array("d")
+    dropped: list[tuple[int, str]] = []
+    for rownum, record in records:
+        try:
+            row = list(map(float, record))
+        except ValueError:
+            row = []
+        # The cell by cell path decides: a sum of finite values can overflow,
+        # and str.strip() removes characters that float() keeps (\x1c-\x1f).
+        if len(row) != len(names) or not math.isfinite(sum(row)):
+            row = _cells(record, names)
+        if isinstance(row, list):
+            values.extend(row)
+        elif drop_bad_rows:
+            dropped.append((rownum, row))
+        else:
+            raise CsvFormatError(f"row {rownum}: {row}")
+
+    if not values:
+        raise CsvFormatError("no data rows")
+    rows = np.frombuffer(values, dtype=np.float64).reshape(-1, len(names))
     schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
     return DataTable(schema=schema, rows=rows, dropped_rows=tuple(dropped))
 
 
 def _records(reader):
-    """Each record with the 1-based line it starts on, blank lines counted."""
+    """Each non-blank record with the 1-based line it starts on, blank lines counted."""
     line = reader.line_num + 1
     try:
         for record in reader:
-            yield line, record
+            if record:
+                yield line, record
             line = reader.line_num + 1
     except csv.Error as exc:
         raise CsvFormatError(f"row {line}: {exc}") from None
+
+
+def _cells(record, names) -> list[float] | str:
+    """``record``'s stripped cells as finite floats, or why they are not a row under ``names``."""
+    if len(record) != len(names):
+        return f"expected {len(names)} fields, found {len(record)}"
+    row = []
+    for colnum, (name, cell) in enumerate(zip(names, record), start=1):
+        cell = cell.strip()
+        try:
+            row.append(float(cell))
+        except ValueError:
+            return f"column {colnum} ({name}): not a number: {cell!r}"
+        if not math.isfinite(row[-1]):
+            return f"column {colnum} ({name}): non-finite value {cell!r}"
+    return row
 
 
 def normalize(table: DataTable) -> NormalizedTable:

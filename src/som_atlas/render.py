@@ -89,6 +89,10 @@ def render_cluster_map(
 def _render(fills, grid, format, cell_radius, caption):
     if not (math.isfinite(cell_radius) and cell_radius > 0):
         raise ValueError(f"cell_radius must be a positive finite number, got {cell_radius}")
+    # An SVG canvas must be finite; PPM pixel extents must also fit intp.
+    limit = np.iinfo(np.intp).max if format == "ppm" else math.inf
+    if not max(_canvas_size(grid, cell_radius)) < limit:
+        raise ValueError(f"cell_radius {cell_radius} gives a canvas too large to draw")
     if format == "svg":
         return _render_svg(fills, grid, cell_radius, caption)
     if format == "ppm":

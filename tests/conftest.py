@@ -1,3 +1,4 @@
+import random
 import shlex
 import shutil
 import sysconfig
@@ -16,6 +17,34 @@ def make_table(rows, names=None) -> DataTable:
         names = [f"a{i}" for i in range(rows.shape[1])]
     schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
     return DataTable(schema=schema, rows=rows)
+
+
+# Byte strings a mutation writes: CSV and model syntax, numbers at float64's
+# edges, and bytes that are not UTF-8.
+TOKENS = (b",", b"\n", b"\r", b'"', b" ", b"-", b".", b"e", b"9", b"nan", b"inf", b"1e308",
+          b"\xff", b"\x00")
+
+
+def mutate(data: bytes, seed) -> bytes:
+    """``data`` after 1 to 4 edits drawn from ``seed`` (``None``: as it is).
+
+    Each edit writes a token over a uniform offset, inserts it there, or
+    deletes as many bytes as it holds; a token is one of ``TOKENS`` or 1-2
+    random bytes.
+    """
+    if seed is None:
+        return data
+    rnd = random.Random(seed)
+    data = bytearray(data)
+    for _ in range(rnd.randint(1, 4)):
+        at = rnd.randrange(len(data) + 1)
+        token = rnd.choice(TOKENS) if rnd.random() < 0.8 else rnd.randbytes(rnd.randint(1, 2))
+        op = rnd.choice(["replace", "delete", "insert"])
+        if op == "insert":
+            data[at:at] = token
+        else:
+            data[at : at + len(token)] = token if op == "replace" else b""
+    return bytes(data)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 
 import csv
 import io
-import random
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +15,8 @@ from hypothesis import strategies as st
 from som_atlas import cli, kernels
 from som_atlas.kernels import pure
 from som_atlas.model_io import load_model
+
+from conftest import mutate
 
 TRAIN = ["--width", "3", "--height", "2", "--epochs", "3"]
 
@@ -239,6 +240,22 @@ def test_non_finite_or_zero_radius_exits_1(log_csv, tmp_path, command, fmt, radi
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("fmt,radius", [("ppm", "1e20"), ("ppm", "1e300"), ("svg", "1e308")])
+@pytest.mark.parametrize("command", ["planes", "cluster"])
+def test_radius_too_large_to_draw_exits_1(log_csv, tmp_path, capsys, command, fmt, radius):
+    # Finite, but the canvas overflows float64 or the PPM pixel index.
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    capsys.readouterr()
+    argv = [command, "--model", str(tmp_path / "m.model"), "--outdir", str(tmp_path / "out"),
+            "--format", fmt, "--radius", radius]
+    if command == "cluster":
+        argv += ["--k", "2"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("som-atlas: error: cell_radius") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cluster_with_mismatched_input_exits_2_and_writes_nothing(log_csv, tmp_path):
     assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
     other = tmp_path / "other.csv"
@@ -297,34 +314,8 @@ def test_negative_kmeans_seed_exits_1_naming_it(log_csv, tmp_path, capsys):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
-# Byte strings a mutation writes: CSV and model syntax, numbers at float64's
-# edges, and bytes that are not UTF-8.
-TOKENS = (b",", b"\n", b"\r", b'"', b" ", b"-", b".", b"e", b"9", b"nan", b"inf", b"1e308",
-          b"\xff", b"\x00")
 # A file's mutations: none, or the seed of its edits.
 MUTATIONS = st.none() | st.integers(0, 2**32 - 1)
-
-
-def _mutate(data: bytes, seed) -> bytes:
-    """``data`` after 1 to 4 edits drawn from ``seed`` (``None``: as it is).
-
-    Each edit writes a token over a uniform offset, inserts it there, or
-    deletes as many bytes as it holds; a token is one of ``TOKENS`` or 1-2
-    random bytes.
-    """
-    if seed is None:
-        return data
-    rnd = random.Random(seed)
-    data = bytearray(data)
-    for _ in range(rnd.randint(1, 4)):
-        at = rnd.randrange(len(data) + 1)
-        token = rnd.choice(TOKENS) if rnd.random() < 0.8 else rnd.randbytes(rnd.randint(1, 2))
-        op = rnd.choice(["replace", "delete", "insert"])
-        if op == "insert":
-            data[at:at] = token
-        else:
-            data[at : at + len(token)] = token if op == "replace" else b""
-    return bytes(data)
 
 
 @pytest.fixture(scope="module")
@@ -366,8 +357,8 @@ def test_mutated_files_exit_0_2_or_3(valid_files, native_train_loop, command, in
     with tempfile.TemporaryDirectory() as tmp:
         inp, model = Path(tmp, "in.csv"), Path(tmp, "in.model")
         source = valid_files["curve" if command == "features" else "log"]
-        inp.write_bytes(_mutate(source, input_seed))
-        model.write_bytes(_mutate(valid_files["model"], model_seed))
+        inp.write_bytes(mutate(source, input_seed))
+        model.write_bytes(mutate(valid_files["model"], model_seed))
         loops = [pure.train_loop, native_train_loop] if command == "train" else [kernels.train_loop]
         runs = []
         for i, loop in enumerate(loops):

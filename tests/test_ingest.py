@@ -1,7 +1,9 @@
 """CSV parsing, normalization round trips, the synthetic time counter."""
 
+import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from som_atlas.errors import CsvFormatError, RangeOverflowError, SomAtlasError
 from som_atlas.ingest import (
     QUASI_CONSTANT_EPS,
     AttributeSpec,
+    DataTable,
     NormalizedTable,
+    _observed_spec,
     append_time_counter,
     apply_schema,
     denormalize,
@@ -20,7 +24,7 @@ from som_atlas.ingest import (
     parse_csv,
 )
 
-from conftest import make_table
+from conftest import make_table, mutate
 
 # The 27 attribute labels of the reference sensor-log schema.
 SENSOR_LOG_LABELS = [
@@ -79,6 +83,13 @@ def test_parse_rejects_non_finite():
         parse_csv(io.StringIO("a\ninf\n"))
 
 
+def test_parse_keeps_rows_whose_cells_parse_one_by_one():
+    # A sum of finite values that overflows, and a cell whose \x1f str.strip()
+    # removes and float() rejects: the per-row conversion alone refuses both.
+    table = parse_csv(io.StringIO("a,b\n1e308,1.5e308\n1\x1f,2\n"))
+    assert table.rows.tolist() == [[1e308, 1.5e308], [1.0, 2.0]]
+
+
 def test_drop_bad_rows_keeps_good_ones():
     src = "a,b\n1,2\n3,oops\n5,6\n7\n"
     table = parse_csv(io.StringIO(src), drop_bad_rows=True)
@@ -111,6 +122,112 @@ def test_parse_field_over_the_csv_size_limit_names_the_row(drop_bad_rows):
     src = "a,b\n1,2\n3," + "4" * 200_000 + "\n5,6\n"
     with pytest.raises(CsvFormatError, match=r"^row 3: field larger than field limit"):
         parse_csv(io.StringIO(src), drop_bad_rows=drop_bad_rows)
+
+
+def _reference_parse_csv(source, header=True, drop_bad_rows=False) -> DataTable:
+    """Per-cell reader that the one-pass ``parse_csv`` replaced, on a text stream."""
+    reader = csv.reader(source)
+    names = None
+    data = []
+    dropped = []
+    width = 0
+    line = reader.line_num + 1
+    try:
+        for record in reader:
+            rownum, line = line, reader.line_num + 1
+            if not record:
+                continue
+            if names is None:
+                if header:
+                    names = [cell.strip() for cell in record]
+                    if any(not n for n in names):
+                        raise CsvFormatError(f"row {rownum}: empty attribute name in header")
+                    if len(set(names)) != len(names):
+                        raise CsvFormatError(f"row {rownum}: duplicate attribute names in header")
+                    width = len(names)
+                    continue
+                width = len(record)
+                names = [f"col{i + 1}" for i in range(width)]
+            problem = None
+            if len(record) != width:
+                problem = f"expected {width} fields, found {len(record)}"
+            else:
+                values = []
+                for colnum, cell in enumerate(record, start=1):
+                    name, text = names[colnum - 1], cell.strip()
+                    try:
+                        v = float(text)
+                    except ValueError:
+                        problem = f"column {colnum} ({name}): not a number: {text!r}"
+                        break
+                    if not math.isfinite(v):
+                        problem = f"column {colnum} ({name}): non-finite value {text!r}"
+                        break
+                    values.append(v)
+            if problem is not None:
+                if drop_bad_rows:
+                    dropped.append((rownum, problem))
+                    continue
+                raise CsvFormatError(f"row {rownum}: {problem}")
+            data.append(values)
+    except csv.Error as exc:
+        raise CsvFormatError(f"row {line}: {exc}") from None
+    if names is None:
+        raise CsvFormatError("empty input: no header row")
+    if not data:
+        raise CsvFormatError("no data rows")
+    rows = np.asarray(data, dtype=np.float64)
+    schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
+    return DataTable(schema=schema, rows=rows, dropped_rows=tuple(dropped))
+
+
+# The valid log of the CLI's mutation test, plus a row of finite values whose sum overflows.
+_LOG_ROWS = np.random.default_rng(3).random((12, 3)).tolist() + [[1e308, 1.5e308, -1e308]]
+LOG = ("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in _LOG_ROWS)).encode()
+
+
+def _parsed(parse, data: bytes, header, drop_bad_rows):
+    """A table as (row bytes, schema, dropped rows), or the text of its CsvFormatError."""
+    # Decoded and split into lines as a path is, so the reader sees any '\r'.
+    source = io.StringIO(data.decode("utf-8", "replace"), newline="")
+    try:
+        table = parse(source, header=header, drop_bad_rows=drop_bad_rows)
+    except CsvFormatError as exc:
+        return str(exc)
+    return table.rows.tobytes(), table.schema, table.dropped_rows
+
+
+@pytest.mark.parametrize("drop_bad_rows", [False, True])
+@pytest.mark.parametrize("header", [True, False])
+def test_parse_matches_the_per_cell_reference_on_mutated_logs(header, drop_bad_rows):
+    log = LOG if header else LOG.split(b"\n", 1)[1]
+    seen = set()
+    for seed in [None, *range(2000)]:
+        data = mutate(log, seed)
+        expected = _parsed(_reference_parse_csv, data, header, drop_bad_rows)
+        assert _parsed(parse_csv, data, header, drop_bad_rows) == expected, (seed, data)
+        seen.add("error" if isinstance(expected, str) else "dropped" if expected[2] else "clean")
+    # The mutations reach every outcome the flags allow.
+    assert seen == ({"error", "clean", "dropped"} if drop_bad_rows else {"error", "clean"})
+
+
+def test_long_log_memory_grows_by_the_values_alone():
+    # 8 columns are 64 bytes a row as float64; a Python float per value, in a
+    # list per row, costs about 400.
+    values = np.random.default_rng(15).random(100_000 * 8).tolist()
+    lines = (("%.4f," * 7 + "%.4f\n") * 100_000 % tuple(values)).splitlines(keepends=True)
+    header = ",".join(f"a{i}" for i in range(8)) + "\n"
+
+    def peak(n_rows):
+        source = io.StringIO(header + "".join(lines[:n_rows]))
+        tracemalloc.start()
+        try:
+            parse_csv(source)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(100_000) - peak(25_000)) / 75_000 <= 3 * 8 * 8
 
 
 def test_parse_headerless_generates_names():

@@ -46,9 +46,13 @@ def test_image_bytes_are_pinned(kind, fmt):
     assert hashlib.sha256(data).hexdigest() == DIGESTS[kind, fmt]
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fmt", ["svg", "ppm"])
-def test_radius_must_be_positive_and_finite(radius, fmt):
+@pytest.mark.parametrize(
+    "fmt,radius",
+    [(fmt, r) for fmt in ("svg", "ppm") for r in (0.0, -1.0, math.nan, math.inf, -math.inf)]
+    # A canvas wider than float64 holds, or PPM pixel extents wider than intp.
+    + [("svg", 1e308), ("ppm", 1e308), ("ppm", 1e300), ("ppm", 1e20)],
+)
+def test_radius_must_be_positive_and_finite(fmt, radius):
     with pytest.raises(ValueError, match="cell_radius"):
         render_plane(PLANE, GRID, format=fmt, cell_radius=radius)
     with pytest.raises(ValueError, match="cell_radius"):
@@ -56,8 +60,8 @@ def test_radius_must_be_positive_and_finite(radius, fmt):
 
 
 def _reference_ppm(fills, grid, r) -> bytes:
-    """Per-pixel rasterizer the vectorized one replaced: hexagons painted in
-    index order over their bounding boxes, P3 written pixel by pixel."""
+    """Rasterizer the batched one replaced: hexagons painted in index order,
+    each over its bounding box, so a later hexagon overwrites a shared pixel."""
     w, h = _canvas_size(grid, r)
     pw, ph = math.ceil(w), math.ceil(h)
     raster = np.full((ph, pw, 3), 255, dtype=np.uint8)
@@ -70,20 +74,13 @@ def _reference_ppm(fills, grid, r) -> bytes:
         y1 = min(ph, math.ceil(cy + r))
         x0 = max(0, math.floor(cx - half_width))
         x1 = min(pw, math.ceil(cx + half_width))
-        color = np.asarray(fills[idx], dtype=np.uint8)
-        for py in range(y0, y1):
-            dy = (py + 0.5) - cy
-            for px in range(x0, x1):
-                dx = (px + 0.5) - cx
-                if abs(dx) <= half_width and abs(dy) <= r - abs(dx) / _SQRT3:
-                    raster[py, px] = color
+        dy = (np.arange(y0, y1) + 0.5)[:, None] - cy
+        dx = (np.arange(x0, x1) + 0.5)[None, :] - cx
+        inside = (abs(dx) <= half_width) & (abs(dy) <= r - abs(dx) / _SQRT3)
+        raster[y0:y1, x0:x1][inside] = fills[idx]
 
-    out = [f"P3\n{pw} {ph}\n255"]
-    for py in range(ph):
-        for px in range(pw):
-            red, green, blue = raster[py, px]
-            out.append(f"{red} {green} {blue}")
-    return ("\n".join(out) + "\n").encode("ascii")
+    pixels = [f"{red} {green} {blue}" for red, green, blue in raster.reshape(-1, 3).tolist()]
+    return "\n".join([f"P3\n{pw} {ph}\n255", *pixels, ""]).encode("ascii")
 
 
 # At r = 1/sqrt(3) odd-row hexagons share vertical edges through pixel
