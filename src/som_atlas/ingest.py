@@ -131,8 +131,12 @@ def _observed_spec(name: str, index: int, column: np.ndarray) -> AttributeSpec:
     )
 
 
-def parse_csv(source, delimiter: str = ",", header: bool = True,
-              drop_bad_rows: bool = False) -> DataTable:
+def parse_csv(
+    source,
+    delimiter: str = ",",
+    header: bool = True,
+    drop_bad_rows: bool = False,
+) -> DataTable:
     """Parse a numeric CSV into a DataTable.
 
     ``source`` is a path, read as UTF-8 with a leading byte-order mark
@@ -142,17 +146,18 @@ def parse_csv(source, delimiter: str = ",", header: bool = True,
     reject the file with the row's number, the 1-based line it starts on
     (blank lines and newlines inside quoted fields counted); with
     ``drop_bad_rows`` the offending rows are skipped and recorded in
-    ``dropped_rows``, by the same number, instead. A line the ``csv`` module
-    cannot read (say, a field longer than ``csv.field_size_limit()``) rejects
-    the file with its line number; a path whose bytes are not UTF-8 rejects
-    it naming the path.
+    ``dropped_rows``, by the same number, instead. A
+    line the ``csv`` module cannot read (say, a field longer than
+    ``csv.field_size_limit()``) rejects the file with its line number; a path
+    whose bytes are not UTF-8 rejects it naming the path.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be exactly one character, got {delimiter!r}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             try:
-                return parse_csv(fh, delimiter, header, drop_bad_rows)
+                return parse_csv(fh, delimiter=delimiter, header=header,
+                                 drop_bad_rows=drop_bad_rows)
             except UnicodeDecodeError as exc:
                 # Decoded ahead of the reader, in blocks: no line to name.
                 raise CsvFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
@@ -174,14 +179,7 @@ def parse_csv(source, delimiter: str = ",", header: bool = True,
     values = array("d")
     dropped: list[tuple[int, str]] = []
     for rownum, record in records:
-        try:
-            row = list(map(float, record))
-        except ValueError:
-            row = []
-        # The cell by cell path decides: a sum of finite values can overflow,
-        # and str.strip() removes characters that float() keeps (\x1c-\x1f).
-        if len(row) != len(names) or not math.isfinite(sum(row)):
-            row = _cells(record, names)
+        row = _cells(record, names)
         if isinstance(row, list):
             values.extend(row)
         elif drop_bad_rows:
@@ -213,14 +211,15 @@ def _cells(record, names) -> list[float] | str:
     if len(record) != len(names):
         return f"expected {len(names)} fields, found {len(record)}"
     row = []
-    for colnum, (name, cell) in enumerate(zip(names, record), start=1):
+    for colnum, cell in enumerate(record, start=1):
         cell = cell.strip()
         try:
-            row.append(float(cell))
+            v = float(cell)
         except ValueError:
-            return f"column {colnum} ({name}): not a number: {cell!r}"
-        if not math.isfinite(row[-1]):
-            return f"column {colnum} ({name}): non-finite value {cell!r}"
+            return f"column {colnum} ({names[colnum - 1]}): not a number: {cell!r}"
+        if not math.isfinite(v):
+            return f"column {colnum} ({names[colnum - 1]}): non-finite value {cell!r}"
+        row.append(v)
     return row
 
 
