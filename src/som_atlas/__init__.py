@@ -3,106 +3,55 @@
 Train hexagonal Kohonen maps on numeric logs, classify and cluster the data,
 detect correlated attributes through component-plane comparison, and render
 per-attribute heatmaps. Training runs on a small C kernel loaded through
-``ctypes``, compiled on first import into the user cache
-(``$XDG_CACHE_HOME/som-atlas``), else, without a working compiler or cache,
-on a bit-identical numpy reference
+``ctypes``, compiled on first use of ``som_atlas.kernels`` into the user
+cache (``$XDG_CACHE_HOME/som-atlas``), else, without a working compiler or
+cache, on a bit-identical numpy reference
 (``som_atlas.kernels.BACKEND`` names the choice).
+
+Importing the package loads no submodule: each public name below imports
+the submodule that defines it on first access, so a process pays only for
+the parts it uses.
 """
 
-from .analysis import (
-    AttributeRange,
-    AttributeStats,
-    ClusterModel,
-    ComponentPlane,
-    CorrelationReport,
-    ForwardPrediction,
-    classify,
-    cluster_stats,
-    component_plane,
-    kmeans_codebook,
-    plane_correlation,
-    predict_forward,
-    predict_reverse,
-)
-from .errors import (
-    CsvFormatError,
-    ModelFormatError,
-    RangeOverflowError,
-    SchemaMismatchError,
-    SomAtlasError,
-)
-from .hexgrid import HexGrid
-from .ingest import (
-    AttributeSpec,
-    DataTable,
-    NormalizedTable,
-    append_time_counter,
-    denormalize,
-    normalize,
-    parse_csv,
-)
-from .model_io import dumps_model, load_model, loads_model, save_model
-from .pulse import PulseCurve, PulseFeatures, curve_from_table, extract_pulse_features
-from .render import colormap, render_cluster_map, render_plane
-from .som import (
-    SomModel,
-    TrainingSchedule,
-    find_bmu,
-    init_codebook,
-    learning_rate,
-    neighborhood,
-    quantization_error,
-    train,
-    update_step,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeRange",
-    "AttributeSpec",
-    "AttributeStats",
-    "ClusterModel",
-    "ComponentPlane",
-    "CorrelationReport",
-    "CsvFormatError",
-    "DataTable",
-    "ForwardPrediction",
-    "HexGrid",
-    "ModelFormatError",
-    "NormalizedTable",
-    "PulseCurve",
-    "PulseFeatures",
-    "RangeOverflowError",
-    "SchemaMismatchError",
-    "SomAtlasError",
-    "SomModel",
-    "TrainingSchedule",
-    "append_time_counter",
-    "classify",
-    "cluster_stats",
-    "colormap",
-    "component_plane",
-    "curve_from_table",
-    "denormalize",
-    "dumps_model",
-    "extract_pulse_features",
-    "find_bmu",
-    "init_codebook",
-    "kmeans_codebook",
-    "learning_rate",
-    "load_model",
-    "loads_model",
-    "neighborhood",
-    "normalize",
-    "parse_csv",
-    "plane_correlation",
-    "predict_forward",
-    "predict_reverse",
-    "quantization_error",
-    "render_cluster_map",
-    "render_plane",
-    "save_model",
-    "train",
-    "update_step",
-]
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "analysis": (
+        "AttributeRange", "AttributeStats", "ClusterModel", "ComponentPlane",
+        "CorrelationReport", "ForwardPrediction", "classify", "cluster_stats",
+        "component_plane", "kmeans_codebook", "plane_correlation", "predict_forward",
+        "predict_reverse",
+    ),
+    "errors": (
+        "CsvFormatError", "ModelFormatError", "RangeOverflowError", "SchemaMismatchError",
+        "SomAtlasError",
+    ),
+    "hexgrid": ("HexGrid",),
+    "ingest": (
+        "AttributeSpec", "DataTable", "NormalizedTable", "append_time_counter", "denormalize",
+        "normalize", "parse_csv",
+    ),
+    "model_io": ("dumps_model", "load_model", "loads_model", "save_model"),
+    "pulse": ("PulseCurve", "PulseFeatures", "curve_from_table", "extract_pulse_features"),
+    "render": ("colormap", "render_cluster_map", "render_plane"),
+    "som": (
+        "SomModel", "TrainingSchedule", "find_bmu", "init_codebook", "learning_rate",
+        "neighborhood", "quantization_error", "train", "update_step",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _OWNER.keys())

@@ -247,8 +247,10 @@ def _update_centroids(
     points: np.ndarray, labels: np.ndarray, k: int, previous: np.ndarray
 ) -> np.ndarray:
     centroids = previous.copy()
-    present = np.unique(labels)
-    empty = np.setdiff1d(np.arange(k), present)
+    # bincount, not np.unique, which imports numpy.ma (15-36 ms a process).
+    counts = np.bincount(labels, minlength=k)
+    present = np.flatnonzero(counts)
+    empty = np.flatnonzero(counts == 0)
     dsq = np.empty(points.shape[0])  # each point's sum to its own centroid
     for c in present:
         own = labels == c

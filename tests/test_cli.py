@@ -1,7 +1,11 @@
-"""Command-line exit codes and reproducible outputs, through ``cli.main``."""
+"""Command-line exit codes and reproducible outputs, through ``cli.main`` and the process entry."""
 
+import ast
 import csv
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -380,3 +384,45 @@ def test_mutated_files_exit_0_2_or_3(valid_files, native_train_loop, command, in
             assert runs[0] == runs[1], "the numpy and C backends disagree"
             if code == cli.EXIT_OK:
                 assert np.isfinite(load_model(out / "m.model").weights).all()
+
+
+def _spawn(*argv, cwd):
+    """``python -m som_atlas.cli`` in a fresh interpreter, the way users run it."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "som_atlas.cli", *map(str, argv)],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+
+
+def test_process_train_writes_the_in_process_model_bytes(log_csv, tmp_path):
+    assert train(log_csv, tmp_path / "a.model") == cli.EXIT_OK
+    args = ["train", "--input", log_csv, "--model", tmp_path / "b.model", *TRAIN]
+    proc = _spawn(*args, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+    assert (tmp_path / "b.model").read_bytes() == (tmp_path / "a.model").read_bytes()
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("config: command=train ")
+    assert lines[-1] == f"model written to {tmp_path / 'b.model'}"
+
+
+def test_process_malformed_csv_exits_2_in_one_error_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n0.1,0.2\n0.3\n")
+    proc = _spawn("train", "--input", bad, "--model", tmp_path / "m.model", *TRAIN, cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_DATA
+    assert proc.stderr.startswith("som-atlas: error:") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "m.model").exists()
+
+
+def test_installed_script_and_module_run_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    source = Path(cli.__file__).read_text()
+    (block,) = [node for node in ast.parse(source).body
+                if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    (call,) = [node.value for node in block.body if isinstance(node, ast.Expr)]
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["som-atlas"] == f"som_atlas.cli:{call.func.id}"
+    assert callable(getattr(cli, call.func.id))
