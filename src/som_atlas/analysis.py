@@ -5,7 +5,8 @@ Classification scales raw rows with the stored training ranges
 best matching unit with the batched ``kernels.bmu``, a chunk of rows at a
 time, straight into one structured ``ASSIGNMENT`` record: only that record,
 17 bytes a row, grows with the log. Forward prediction uses the same two
-calls on one masked row. Component planes slice one attribute out of the
+calls on one row of the given attributes and the codebook's columns of
+those attributes. Component planes slice one attribute out of the
 codebook for rendering; their pairwise Pearson coefficients quantify the
 "two planes look alike" judgement, including inverse relations at r close to
 -1. K-means over the codebook groups neurons into operating regimes, on the
@@ -28,7 +29,7 @@ import numpy as np
 from . import kernels
 from .errors import SchemaMismatchError
 from .ingest import DataTable, apply_schema, denormalize
-from .som import SomModel, find_bmu
+from .som import SomModel
 
 # Rows normalized and searched per batch in ``classify``; bounds the
 # normalized copy whatever the table length.
@@ -330,14 +331,12 @@ def predict_forward(
     mask = sorted(index_of[name] for name in values)
     schema = [model.schema[i] for i in mask]
     normalized, clamped = apply_schema(schema, [[values[spec.name] for spec in schema]])
-    x = np.zeros(model.dim)
-    x[mask] = normalized[0]
-
-    neuron, distance = find_bmu(model, x, mask=mask)
+    idx, dist = kernels.bmu(model.weights[:, mask], normalized)
+    neuron = int(idx[0])
     cluster = int(clusters.neuron_labels[neuron])
     return ForwardPrediction(
         neuron=neuron,
-        distance=distance,
+        distance=float(dist[0]),
         cluster=cluster,
         target=target,
         stats=clusters.stats[cluster][index_of[target]],

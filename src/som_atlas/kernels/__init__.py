@@ -16,9 +16,11 @@ Nothing is printed either way. ``BACKEND`` names the choice, ``LIBRARY``
 the bound library's path (``None`` for ``pure``), and ``pure`` stays
 importable as the reference either way. ``nearest``, the batched
 nearest-neuron search on the training scan behind ``bmu`` and k-means, and
-``theta_table`` have one implementation, in ``pure``. ``nearest`` screens
-rows with a matrix product first; the screen is a rounding bound, never a
-value it returns.
+``theta_table`` have one implementation, in ``pure``. ``nearest`` and
+``bmu`` take a codebook and rows of the same columns, nothing else; a search
+over some attributes passes both sliced to them. ``nearest`` screens rows
+with a matrix product first; the screen is a rounding bound, never a value
+it returns.
 
 Both loops accept exactly the arguments ``pure.check_arguments`` accepts,
 and both read their hop distances from the one ``hexgrid.hop_table`` of

@@ -109,13 +109,12 @@ def _screen_margins(wt: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return screen, margin
 
 
-def nearest(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+def nearest(weights: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest neurons of the rows of ``X``: (intp indices, float64 squared sums).
 
-    ``X`` is 2-D, one row per query. ``mask``, when given, is an ascending
-    array of attribute indices; sums are taken over those dimensions only,
-    with the training scan. Ties break toward the lowest neuron index; the
-    sum is the winner's.
+    ``X`` is 2-D, one row per query, with the columns of ``weights``; a search
+    over some attributes only passes both sliced to them. Ties break toward
+    the lowest neuron index; the sum is the winner's, from the training scan.
 
     One matrix product of the rows ``[x, 1]`` with ``_screen_margins``'
     matrix screens each chunk of ``max(1, BMU_SCRATCH // (dim + 1 + n))``
@@ -127,14 +126,11 @@ def nearest(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, 
     the full scan's, bit for bit, and scratch stays bounded however many rows
     there are.
     """
-    n = weights.shape[0]
+    n, dim = weights.shape
     rows = X.shape[0]
-    cols = slice(None) if mask is None else mask
-    wt = np.ascontiguousarray(weights.T[cols])
-    x = X[:, cols]
-    dim = wt.shape[0]
-    w3, x3 = wt[:, None, :], x.T[:, :, None]
-    screen, margin = _screen_margins(wt, x)
+    wt = np.ascontiguousarray(weights.T)
+    w3, x3 = wt[:, None, :], X.T[:, :, None]
+    screen, margin = _screen_margins(wt, X)
     chunk = max(1, min(BMU_SCRATCH // (dim + 1 + n), rows))
     scan = max(1, BMU_SCRATCH // ((dim + 1) * n))
     xs = np.empty((chunk, dim + 1))
@@ -147,7 +143,7 @@ def nearest(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, 
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
         k = stop - start
-        xs[:k, :dim] = x[start:stop]
+        xs[:k, :dim] = X[start:stop]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow, inf - inf: undecided
             s = np.matmul(xs[:k], screen, out=a[:k])
             u = s.argmin(axis=1, out=idx[start:stop])
@@ -165,9 +161,9 @@ def nearest(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, 
     return idx, dist
 
 
-def bmu(weights: np.ndarray, X: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+def bmu(weights: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best matching units of the rows of ``X``: ``nearest``'s indices and the roots of its sums."""
-    idx, dist = nearest(weights, X, mask)
+    idx, dist = nearest(weights, X)
     return idx, np.sqrt(dist, out=dist)
 
 

@@ -107,34 +107,6 @@ def init_codebook(grid: HexGrid, dim: int, seed: int) -> SomModel:
     return SomModel(grid=grid, dim=dim, weights=weights)
 
 
-def find_bmu(model: SomModel, x, mask=None) -> tuple[int, float]:
-    """Best matching unit for ``x``: (neuron index, Euclidean distance).
-
-    ``mask`` restricts the distance to a subset of attribute indices, given
-    as integers (not floats or booleans); ties break toward the lowest neuron
-    index. Raises ``ValueError`` when an attribute the distance uses is not
-    finite.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"input has shape {x.shape}, model expects ({model.dim},)")
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.size == 0:
-            raise ValueError("mask must name at least one attribute")
-        if mask.dtype.kind not in "iu":
-            raise ValueError(f"mask must hold integer attribute indices, not {mask.dtype}")
-        if len(np.unique(mask)) != mask.size:
-            raise ValueError("mask contains duplicate attribute indices")
-        if mask.min() < 0 or mask.max() >= model.dim:
-            raise ValueError("mask index out of range")
-        mask = np.sort(mask).astype(np.intp)
-    if not np.isfinite(x if mask is None else x[mask]).all():
-        raise ValueError("input holds a non-finite value")
-    idx, dist = kernels.bmu(model.weights, x[None, :], mask)
-    return int(idx[0]), float(dist[0])
-
-
 def learning_rate(s: int, schedule: TrainingSchedule, n_rows: int) -> float:
     """Learning rate at presentation ``s``; linear from alpha0 to alpha_end."""
     # alpha does not depend on the radius, which only a grid can resolve.

@@ -1,3 +1,4 @@
+import math
 import random
 import shlex
 import shutil
@@ -17,6 +18,22 @@ def make_table(rows, names=None) -> DataTable:
         names = [f"a{i}" for i in range(rows.shape[1])]
     schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
     return DataTable(schema=schema, rows=rows)
+
+
+def bmu_row(weights, x) -> tuple[int, float]:
+    """The one-row BMU scan ``kernels.bmu`` batches, written out: (neuron, distance).
+
+    Adds each column's squared difference to every neuron's sum, left to
+    right; the lowest index of the smallest sum wins.
+    """
+    acc = np.zeros(weights.shape[0])
+    buf = np.empty_like(acc)
+    for j in range(weights.shape[1]):
+        np.subtract(weights[:, j], x[j], out=buf)
+        buf *= buf
+        acc += buf
+    u = int(np.argmin(acc))
+    return u, math.sqrt(float(acc[u]))
 
 
 # Byte strings a mutation writes: CSV and model syntax, numbers at float64's

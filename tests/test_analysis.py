@@ -27,9 +27,9 @@ from som_atlas.analysis import (
 )
 from som_atlas.hexgrid import HexGrid
 from som_atlas.ingest import AttributeSpec, apply_schema, denormalize, normalize
-from som_atlas.som import SomModel, TrainingSchedule, find_bmu, train
+from som_atlas.som import SomModel, TrainingSchedule, train
 
-from conftest import make_table
+from conftest import bmu_row, make_table
 
 
 def model_with(weights, names=None, ranges=None) -> SomModel:
@@ -115,7 +115,7 @@ class TestClassify:
         chunked = classify(model, table)
         assert chunked.tobytes() == whole.tobytes()
         assert whole["clamped"].tolist() == [row == 4 for row in range(10)]
-        per_row = [find_bmu(model, x) for x in apply_schema(model.schema, rows)[0]]
+        per_row = [bmu_row(model.weights, x) for x in apply_schema(model.schema, rows)[0]]
         assert per_row == list(zip(whole["neuron"].tolist(), whole["distance"].tolist()))
 
     def test_long_log_memory_grows_by_the_record_alone(self):
@@ -563,6 +563,29 @@ class TestPredict:
         scan = int(np.argmin(np.abs(model.weights[:, 0] - t)))
         pred = predict_forward(model, cm, {"opening": raw}, target="mass")
         assert pred.neuron == scan
+
+    def test_partial_input_scans_only_the_named_columns(self, rng):
+        table, model, cm = self.fit(rng)
+        raw = {"mass": 42.0, "opening": 3.7}
+        specs = [model.schema[0], model.schema[2]]
+        t = [(raw[s.name] - s.raw_min) / (s.raw_max - s.raw_min) for s in specs]
+        assert all(0.0 < v < 1.0 for v in t)
+        neuron, distance = bmu_row(model.weights[:, [0, 2]], t)
+        pred = predict_forward(model, cm, raw, target="duration")
+        assert (pred.neuron, pred.distance.hex()) == (neuron, distance.hex())
+        assert pred.cluster == int(cm.neuron_labels[neuron])
+        assert not pred.clamped
+
+    def test_tie_on_the_named_columns_goes_to_the_lower_neuron(self):
+        # Neurons 1 and 3 agree on a and c. On b, left out, neuron 3 is the
+        # nearer to 0, so a search that counted it as 0 would pick 3.
+        weights = [[0.8, 0.5, 0.9], [0.2, 0.9, 0.4], [0.9, 0.2, 0.1], [0.2, 0.1, 0.4]]
+        m = model_with(weights, names=["a", "b", "c"])
+        table = make_table(weights, names=["a", "b", "c"])
+        cm = cluster_stats(kmeans_codebook(m, 2, kmeans_seed=0), classify(m, table), table, m)
+        pred = predict_forward(m, cm, {"c": 0.4, "a": 0.25}, target="b")
+        assert pred.neuron == 1
+        assert pred.distance.hex() == bmu_row(m.weights[:, [0, 2]], [0.25, 0.4])[1].hex()
 
     def test_unknown_names_rejected(self, rng):
         table, model, cm = self.fit(rng)

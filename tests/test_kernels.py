@@ -36,7 +36,7 @@ from som_atlas.som import (
     update_step,
 )
 
-from conftest import PLAIN_LOOP, make_table
+from conftest import PLAIN_LOOP, bmu_row, make_table
 
 ARGS = ("weights", "data", "order", "grid", "alphas", "sigmas", "competitive_start")
 
@@ -635,31 +635,34 @@ def test_bmu_matches_train_loop_competition(native_train_loop):
             assert np.flatnonzero((w != weights).any(axis=1)).tolist() == [u]
 
 
-def _bmu_row(weights, x, mask=None):
-    """The one-row BMU scan ``kernels.bmu`` batches: the reference it must match."""
-    n = weights.shape[0]
-    acc = np.zeros(n)
-    buf = np.empty(n)
-    cols = range(weights.shape[1]) if mask is None else mask
-    for j in cols:
-        np.subtract(weights[:, j], x[j], out=buf)
-        buf *= buf
-        acc += buf
-    u = int(np.argmin(acc))
-    return u, math.sqrt(float(acc[u]))
-
-
-def _assert_matches_rows(weights, X, mask=None):
-    idx, dist = kernels.bmu(weights, X, mask)
+def _assert_matches_rows(weights, X, cols=slice(None)):
+    """``kernels.bmu`` against ``bmu_row`` per row, over the columns ``cols`` of both."""
+    weights, X = weights[:, cols], X[:, cols]
+    idx, dist = kernels.bmu(weights, X)
     assert idx.dtype == np.intp and dist.dtype == np.float64
     assert idx.shape == dist.shape == (X.shape[0],)
-    expected = [_bmu_row(weights, x, mask) for x in X]
+    expected = [bmu_row(weights, x) for x in X]
     assert idx.tolist() == [u for u, _ in expected]
     assert dist.tobytes() == np.array([d for _, d in expected]).tobytes()
 
 
-# Rows per chunk on a 50-neuron map scanned over 5 attributes (no mask); the
-# longer 1309 and 3937 rows also end off the chunk edges of both masks below.
+@settings(max_examples=150)
+@given(st.data())
+def test_scale_invariance_of_argmin(data):
+    n = data.draw(st.integers(2, 12), label="n_neurons")
+    dim = data.draw(st.integers(1, 6), label="dim")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    weights = rng.random((n, dim))
+    x = rng.random((1, dim))
+    idx_base, _ = kernels.bmu(weights, x)
+    c = 2.5
+    idx_scaled, _ = kernels.bmu(weights * c, x * c)
+    assert idx_base.tolist() == idx_scaled.tolist()
+
+
+# Rows per chunk on a 50-neuron map scanned over all 5 attributes; the longer
+# 1309 and 3937 rows also end off the chunk edges of both column subsets below.
 CHUNK_50 = pure.BMU_SCRATCH // ((5 + 1) * 50)
 
 
@@ -673,8 +676,8 @@ def test_batched_bmu_matches_row_scan(n_rows):
     hits = min(4, n_rows)  # exact hits, two of them on duplicated neurons
     X[:hits] = weights[[4, 9, 17, 44][:hits]]
     _assert_matches_rows(weights, X)
-    _assert_matches_rows(weights, X, np.array([1, 3]))
-    _assert_matches_rows(weights, X, np.array([4]))
+    _assert_matches_rows(weights, X, [1, 3])
+    _assert_matches_rows(weights, X, [4])
 
 
 @pytest.mark.parametrize("dim", [1, 8, 9])
@@ -685,10 +688,10 @@ def test_batched_bmu_on_one_neuron_map(dim):
     # dimensions) lands ulps above it.
     weights = np.array([[1.5] + [2.0**-26] * (dim - 1)])
     X = np.vstack([np.zeros((1, dim)), np.random.default_rng(dim).random((6, dim))])
-    for mask in (None, np.arange(min(dim, 8))):
+    for cols in (slice(None), slice(8)):
         for i in range(len(X)):
-            _assert_matches_rows(weights, X[i : i + 1], mask)
-        _assert_matches_rows(weights, X, mask)
+            _assert_matches_rows(weights, X[i : i + 1], cols)
+        _assert_matches_rows(weights, X, cols)
     assert kernels.bmu(weights, X[:1])[1].tolist() == [1.5]
 
 
@@ -700,7 +703,7 @@ def test_batched_bmu_on_map_wider_than_scratch():
     _assert_matches_rows(weights, X)
 
 
-def _full_scan_rows(monkeypatch, weights, X, mask=None):
+def _full_scan_rows(monkeypatch, weights, X):
     """How many rows ``kernels.bmu`` sends through the full scan of every neuron."""
     n = weights.shape[0]
     sent = []
@@ -712,7 +715,7 @@ def _full_scan_rows(monkeypatch, weights, X, mask=None):
         return scan(w3, x3, buf, out)
 
     monkeypatch.setattr(pure, "_sq_distances", counting)
-    _assert_matches_rows(weights, X, mask)
+    _assert_matches_rows(weights, X)
     return sum(sent)
 
 
@@ -752,9 +755,8 @@ def test_screened_bmu_on_near_ties(dim):
     rng = np.random.default_rng(dim)
     weights, X = _near_ties(rng, 30, dim)
     _assert_matches_rows(weights, X)
-    mask = np.arange(0, dim, 2)
-    _assert_matches_rows(weights, X, mask)
-    _assert_matches_rows(weights, X, np.array([dim - 1]))
+    _assert_matches_rows(weights, X, slice(0, dim, 2))
+    _assert_matches_rows(weights, X, [dim - 1])
 
 
 @pytest.mark.parametrize("dim", [1, 64])
@@ -763,7 +765,7 @@ def test_screened_bmu_on_one_neuron_and_empty_input(dim):
     weights = rng.random((1, dim))
     X = np.vstack([weights, rng.random((9, dim))])
     _assert_matches_rows(weights, X)
-    _assert_matches_rows(weights, X, np.array([0]))
+    _assert_matches_rows(weights, X, [0])
     for w in (weights, rng.random((7, dim))):
         idx, dist = kernels.bmu(w, np.empty((0, dim)))
         assert idx.shape == dist.shape == (0,)
@@ -779,7 +781,7 @@ def test_screened_bmu_on_subnormal_scale(scale):
     weights, X = _near_ties(rng, 40, 4)
     X = np.vstack([X, rng.random((300, 4)), np.zeros((1, 4))])
     _assert_matches_rows(weights * scale, X * scale)
-    _assert_matches_rows(weights * scale, X * scale, np.array([1, 2]))
+    _assert_matches_rows(weights * scale, X * scale, [1, 2])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -802,7 +804,7 @@ def test_screened_bmu_where_the_screen_overflows(scale):
     X = scale * (1.0 + 0.01 * rng.random((40, 4)))
     X[:3] = weights[[5, 6, 7]]
     _assert_matches_rows(weights, X)
-    _assert_matches_rows(weights, X, np.array([0, 3]))
+    _assert_matches_rows(weights, X, [0, 3])
 
 
 def test_quantization_error_is_the_sequential_row_sum():
@@ -813,7 +815,7 @@ def test_quantization_error_is_the_sequential_row_sum():
     model = init_codebook(grid, 3, seed=1)
     total = 0.0
     for x in rows:
-        total += _bmu_row(model.weights, x)[1]
+        total += bmu_row(model.weights, x)[1]
     assert quantization_error(model, table) == total / len(rows)
 
 

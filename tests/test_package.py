@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -36,12 +37,13 @@ def test_unknown_name_raises_attribute_error_and_submodules_import():
     assert kernels is sys.modules["som_atlas.kernels"]
 
 
-def _loaded_after(statement: str) -> set[str]:
-    """Modules of interest a fresh interpreter holds after running ``statement``."""
+def _loaded_after(statement: str, names=("numpy",)) -> set[str]:
+    """The modules in ``names`` or under ``som_atlas`` that a fresh interpreter holds
+    after running ``statement`` (one or more lines)."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     code = (
-        f"import sys; {statement}; "
-        "print(*(m for m in sys.modules if m == 'numpy' or m.startswith('som_atlas.')))"
+        f"import sys\n{statement}\n"
+        f"print(*(m for m in sys.modules if m in {tuple(names)!r} or m.startswith('som_atlas.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -59,3 +61,23 @@ def test_cli_import_loads_only_what_train_needs():
     loaded = _loaded_after("import som_atlas.cli")
     assert {"som_atlas.som", "som_atlas.model_io", "numpy"} <= loaded
     assert not loaded & {"som_atlas.analysis", "som_atlas.render", "som_atlas.pulse"}
+
+
+def test_prediction_loads_no_numpy_ma():
+    # numpy.ma takes 15-36 ms to import, and nothing a prediction runs needs it.
+    loaded = _loaded_after(textwrap.dedent(r"""
+        import io
+        import numpy as np
+        from som_atlas.analysis import classify, cluster_stats, kmeans_codebook, predict_forward
+        from som_atlas.hexgrid import HexGrid
+        from som_atlas.ingest import normalize, parse_csv
+        from som_atlas.som import TrainingSchedule, train
+        rows = np.random.default_rng(0).random((30, 3)).tolist()
+        table = parse_csv(io.StringIO("a,b,c\n" + "\n".join(f"{a},{b},{c}" for a, b, c in rows)))
+        model = train(normalize(table), HexGrid(4, 3), TrainingSchedule(epochs=3, seed=1))
+        clusters = kmeans_codebook(model, 2, kmeans_seed=0)
+        clusters = cluster_stats(clusters, classify(model, table), table, model)
+        predict_forward(model, clusters, {"a": 0.5, "c": 0.2}, target="b")
+    """), ("numpy", "numpy.ma"))
+    assert "som_atlas.analysis" in loaded
+    assert "numpy.ma" not in loaded

@@ -1,4 +1,4 @@
-"""Codebook init, BMU search, schedules, the update rule, and full training."""
+"""Codebook init, schedules, the update rule, and full training."""
 
 import math
 import tracemalloc
@@ -13,7 +13,6 @@ from som_atlas.ingest import NormalizedTable, normalize
 from som_atlas.som import (
     SomModel,
     TrainingSchedule,
-    find_bmu,
     init_codebook,
     learning_rate,
     neighborhood,
@@ -22,7 +21,7 @@ from som_atlas.som import (
     update_step,
 )
 
-from conftest import make_table
+from conftest import bmu_row, make_table
 
 
 def norm_table(rows) -> NormalizedTable:
@@ -68,93 +67,6 @@ class TestInitCodebook:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             init_codebook(HexGrid(2, 2), 0, seed=1)
-
-
-class TestFindBmu:
-    def test_single_neuron_wins(self):
-        m = small_model(1, 1, 2, weights=[[0.25, 0.25]])
-        idx, dist = find_bmu(m, [0.25, 0.75])
-        assert idx == 0
-        assert dist == pytest.approx(0.5, abs=1e-15)
-
-    def test_exact_match_distance_zero(self):
-        m = small_model(2, 2, 3)
-        x = m.weights[2].copy()
-        idx, dist = find_bmu(m, x)
-        assert idx == 2
-        assert dist == 0.0
-
-    def test_three_four_five(self):
-        m = small_model(2, 1, 2, weights=[[0.3, 0.4], [0.1, 0.0]])
-        idx, dist = find_bmu(m, [0.0, 0.0])
-        assert idx == 1
-        assert dist == pytest.approx(0.1, abs=1e-15)
-
-    def test_tie_breaks_to_lowest_index(self):
-        m = small_model(2, 1, 1, weights=[[0.5], [0.5]])
-        idx, _ = find_bmu(m, [0.2])
-        assert idx == 0
-
-    def test_masked_distance(self):
-        m = small_model(2, 1, 2, weights=[[0.0, 1.0], [1.0, 0.0]])
-        idx, dist = find_bmu(m, [0.1, 0.0], mask=[0])
-        assert idx == 0
-        assert dist == pytest.approx(0.1, abs=1e-15)
-        idx, _ = find_bmu(m, [0.1, 0.0], mask=[1])
-        assert idx == 1
-
-    def test_dimension_mismatch(self):
-        m = small_model(2, 2, 3)
-        with pytest.raises(ValueError):
-            find_bmu(m, [0.1, 0.2])
-
-    def test_bad_mask(self):
-        m = small_model(2, 2, 3)
-        with pytest.raises(ValueError):
-            find_bmu(m, [0.1, 0.2, 0.3], mask=[])
-        with pytest.raises(ValueError):
-            find_bmu(m, [0.1, 0.2, 0.3], mask=[0, 0])
-        with pytest.raises(ValueError):
-            find_bmu(m, [0.1, 0.2, 0.3], mask=[3])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_input_rejected(self, bad):
-        m = small_model(2, 2, 2)
-        with pytest.raises(ValueError, match="non-finite"):
-            find_bmu(m, [bad, 0.5])
-        # Only the attributes the distance uses must be finite.
-        assert find_bmu(m, [bad, 0.5], mask=[1]) == find_bmu(m, [0.0, 0.5], mask=[1])
-
-    @pytest.mark.parametrize("mask", [[1.7], [1.0], [True, False], np.array([0.0, 2.0])], ids=str)
-    def test_mask_must_be_integer(self, mask):
-        # Coerced to intp, [1.7] would silently mean attribute 1 and
-        # [True, False] attributes [1, 0].
-        m = small_model(2, 2, 3)
-        with pytest.raises(ValueError, match="integer"):
-            find_bmu(m, [0.1, 0.2, 0.3], mask=mask)
-
-    def test_unsigned_and_unsorted_integer_masks_are_accepted(self):
-        m = small_model(2, 1, 3, weights=[[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]])
-        expected = find_bmu(m, [0.9, 0.0, 0.1], mask=[0, 2])
-        assert expected[0] == 1
-        for mask in (np.array([2, 0], dtype=np.uint8), [2, 0], (0, 2)):
-            assert find_bmu(m, [0.9, 0.0, 0.1], mask=mask) == expected
-
-    @settings(max_examples=150)
-    @given(st.data())
-    def test_scale_invariance_of_argmin(self, data):
-        n = data.draw(st.integers(2, 12), label="n_neurons")
-        dim = data.draw(st.integers(1, 6), label="dim")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        rng = np.random.default_rng(seed)
-        weights = rng.random((n, dim))
-        x = rng.random((1, dim))
-        from som_atlas.kernels import bmu
-
-        idx_base, _ = bmu(weights, x)
-        c = 2.5
-        idx_scaled, _ = bmu(weights * c, x * c)
-        assert idx_base.tolist() == idx_scaled.tolist()
 
 
 class TestLearningRate:
@@ -249,7 +161,7 @@ class TestUpdateStep:
         sched = TrainingSchedule(epochs=1, alpha0=1.0, alpha_end=1.0, sigma0=1.0)
         x = np.array([0.3, 0.9])
         update_step(m, x, s=0, schedule=sched, n_rows=1)
-        u, dist = find_bmu(m, x)
+        u, dist = bmu_row(m.weights, x)
         assert dist == 0.0
         assert np.array_equal(m.weights[u], x)
 
@@ -282,7 +194,7 @@ class TestUpdateStep:
         before = m.weights.copy()
         x = np.array([1.0, 1.0])
         sched = TrainingSchedule(epochs=2, alpha0=0.5, alpha_end=0.1, sigma0=1.5)
-        u_before, _ = find_bmu(m, x)
+        u_before, _ = bmu_row(m.weights, x)
         update_step(m, x, s=0, schedule=sched, n_rows=5)
         # Per-neuron pull coefficient = |w' - w| / |x - w|; largest at the BMU.
         gaps = np.linalg.norm(x - before, axis=1)
