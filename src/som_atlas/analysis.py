@@ -87,11 +87,15 @@ class AttributeStats:
 class ClusterModel:
     """K-means partition of the codebook, optionally with data statistics."""
 
-    k: int
     centroids: np.ndarray  # (k, dim), normalized units
     neuron_labels: np.ndarray  # (n_neurons,) ints in [0, k)
     inertia: float
     stats: tuple[tuple[AttributeStats, ...], ...] | None = None  # [cluster][attribute]
+
+    @property
+    def k(self) -> int:
+        """Number of clusters: one centroid each."""
+        return self.centroids.shape[0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,7 @@ def plane_correlation(model: SomModel) -> CorrelationReport:
 def kmeans_codebook(
     model: SomModel, k: int, kmeans_seed: int = 7, max_iters: int = 300
 ) -> ClusterModel:
-    """Lloyd's algorithm over the neuron weight vectors, k-means++ seeded.
+    """``k`` clusters of the neuron weight vectors: Lloyd's algorithm, k-means++ seeded.
 
     Runs ``KMEANS_RESTARTS`` independent seeded starts and keeps the
     lowest-inertia result. Deterministic for fixed inputs: restart seeds
@@ -225,7 +229,7 @@ def kmeans_codebook(
         # Left to right, as ``quantization_error`` adds distances.
         inertia = float(np.add.accumulate(dsq)[-1])
         if best is None or inertia < best.inertia:
-            best = ClusterModel(k=k, centroids=centroids, neuron_labels=labels, inertia=inertia)
+            best = ClusterModel(centroids=centroids, neuron_labels=labels, inertia=inertia)
     return best
 
 
@@ -319,7 +323,7 @@ def predict_forward(
         raise ValueError("cluster statistics not computed; run cluster_stats first")
     if not values:
         raise ValueError("at least one attribute value is required")
-    index_of = {a.name: a.index for a in model.schema}
+    index_of = {a.name: i for i, a in enumerate(model.schema)}
     if target not in index_of:
         raise ValueError(f"unknown target attribute {target!r}")
 

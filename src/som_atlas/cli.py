@@ -205,7 +205,7 @@ def cmd_train(args) -> None:
     table = _read_table(args)
     if args.time_period is not None:
         table = append_time_counter(table, args.time_period)
-    check_attribute_names(table.schema)  # before training, not at the save after it
+    check_attribute_names(table.names)  # before training, not at the save after it
     ntable = normalize(table)
 
     t0 = time.perf_counter()
@@ -234,12 +234,12 @@ def cmd_planes(args) -> None:
     _echo_config(args)
     model = load_model(args.model)
     outdir = Path(args.outdir)
-    for spec in model.schema:
-        plane = component_plane(model, spec.index)
+    for i, spec in enumerate(model.schema):
+        plane = component_plane(model, i)
         data = render_plane(plane, model.grid, format=args.format, cell_radius=args.radius)
         # Made once an image is drawn, so rejected render arguments leave nothing.
         outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"plane_{spec.index}_{_sanitize(spec.name)}.{args.format}"
+        path = outdir / f"plane_{i}_{_sanitize(spec.name)}.{args.format}"
         atomic_write_bytes(path, data)
     print(f"wrote {model.dim} plane images to {outdir}")
 

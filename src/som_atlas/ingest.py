@@ -1,10 +1,11 @@
 """Sensor-log ingestion: CSV parsing, min-max normalization, time counter.
 
-Attributes are normalized per column to [0, 1] with the observed min and max,
-so the lowest observed value maps to exactly 0.0 and the highest to exactly
-1.0. Columns whose raw range is below ``QUASI_CONSTANT_EPS`` carry no usable
-signal (measurement jitter would blow up to full scale); they are pinned to
-0.5 and flagged instead.
+A log parses to a ``DataTable`` of names and raw rows. ``normalize`` maps
+each column to [0, 1] with its observed min and max, kept as the table's
+``AttributeSpec`` schema, so the lowest value maps to exactly 0.0 and the
+highest to exactly 1.0. Columns whose raw range is below
+``QUASI_CONSTANT_EPS`` carry no usable signal (measurement jitter would blow
+up to full scale); they are pinned to 0.5 and flagged instead.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +30,15 @@ TIME_ATTRIBUTE = "Time"
 
 @dataclass(frozen=True)
 class AttributeSpec:
-    """One column of a sensor log: label plus its raw-unit value range."""
+    """One attribute of a schema, indexed by its position: label and raw-unit range."""
 
     name: str
-    index: int
     raw_min: float
     raw_max: float
-    quasi_constant: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("attribute name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"attribute name must be a non-empty string, got {self.name!r}")
         if not (math.isfinite(self.raw_min) and math.isfinite(self.raw_max)):
             raise ValueError(
                 f"attribute {self.name!r}: range [{self.raw_min}, {self.raw_max}] is not finite"
@@ -48,29 +47,31 @@ class AttributeSpec:
             raise ValueError(
                 f"attribute {self.name!r}: raw_min {self.raw_min} > raw_max {self.raw_max}"
             )
-        if self.quasi_constant != ((self.raw_max - self.raw_min) < QUASI_CONSTANT_EPS):
-            raise ValueError(
-                f"attribute {self.name!r}: quasi_constant flag inconsistent with "
-                f"range [{self.raw_min}, {self.raw_max}]"
-            )
+
+    @property
+    def quasi_constant(self) -> bool:
+        """Whether the range is too narrow to scale: such an attribute is pinned to 0.5."""
+        return (self.raw_max - self.raw_min) < QUASI_CONSTANT_EPS
 
 
 @dataclass(frozen=True)
 class DataTable:
-    """Rectangular numeric table in raw source units."""
+    """Rectangular numeric table in raw source units: one unique, non-empty name a column."""
 
-    schema: tuple[AttributeSpec, ...]
+    names: tuple[str, ...]
     rows: np.ndarray
     dropped_rows: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schema", tuple(self.schema))
-        rows = _row_matrix(self.rows, self.schema)
+        names = tuple(self.names)
+        for name in names:
+            if not (isinstance(name, str) and name):
+                raise ValueError(f"attribute name must be a non-empty string, got {name!r}")
+        require_unique_names(names)
+        rows = _row_matrix(self.rows, names)
         if not np.all(np.isfinite(rows)):
             raise ValueError("table contains non-finite values")
-        names = [a.name for a in self.schema]
-        if len(set(names)) != len(names):
-            raise ValueError("attribute names must be unique")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -80,10 +81,6 @@ class DataTable:
     @property
     def n_attrs(self) -> int:
         return self.rows.shape[1]
-
-    @property
-    def names(self) -> list[str]:
-        return [a.name for a in self.schema]
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,7 @@ class NormalizedTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schema", tuple(self.schema))
+        require_unique_names([a.name for a in self.schema])
         rows = _row_matrix(self.rows, self.schema)
         # Written so that NaN, which fails every comparison, is rejected too.
         if rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
@@ -110,25 +108,23 @@ class NormalizedTable:
         return self.rows.shape[1]
 
 
-def _row_matrix(rows, schema) -> np.ndarray:
+def require_unique_names(names) -> None:
+    """Raise ``ValueError`` if an attribute name occurs twice in ``names``."""
+    if len(set(names)) != len(names):
+        raise ValueError("attribute names must be unique")
+
+
+def _row_matrix(rows, attributes) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-D matrix")
-    if rows.shape[1] != len(schema):
-        raise ValueError(f"{rows.shape[1]} columns but schema has {len(schema)} attributes")
+    if rows.shape[1] != len(attributes):
+        raise ValueError(f"{rows.shape[1]} columns but {len(attributes)} attributes")
     return rows
 
 
-def _observed_spec(name: str, index: int, column: np.ndarray) -> AttributeSpec:
-    vmin = float(column.min())
-    vmax = float(column.max())
-    return AttributeSpec(
-        name=name,
-        index=index,
-        raw_min=vmin,
-        raw_max=vmax,
-        quasi_constant=(vmax - vmin) < QUASI_CONSTANT_EPS,
-    )
+def _observed_spec(name: str, column: np.ndarray) -> AttributeSpec:
+    return AttributeSpec(name, float(column.min()), float(column.max()))
 
 
 def parse_csv(
@@ -190,8 +186,7 @@ def parse_csv(
     if not values:
         raise CsvFormatError("no data rows")
     rows = np.frombuffer(values, dtype=np.float64).reshape(-1, len(names))
-    schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
-    return DataTable(schema=schema, rows=rows, dropped_rows=tuple(dropped))
+    return DataTable(names=names, rows=rows, dropped_rows=tuple(dropped))
 
 
 def _records(reader):
@@ -232,9 +227,7 @@ def normalize(table: DataTable) -> NormalizedTable:
     """
     if table.n_rows == 0:
         raise ValueError("cannot normalize an empty table")
-    schema = tuple(
-        _observed_spec(spec.name, i, table.rows[:, i]) for i, spec in enumerate(table.schema)
-    )
+    schema = tuple(_observed_spec(name, col) for name, col in zip(table.names, table.rows.T))
     for spec in schema:
         if not math.isfinite(spec.raw_max - spec.raw_min):
             raise RangeOverflowError(
@@ -300,6 +293,6 @@ def append_time_counter(table: DataTable, period: float) -> DataTable:
         raise ValueError(f"table already has a {TIME_ATTRIBUTE!r} attribute")
     time_col = np.arange(table.n_rows, dtype=np.float64) * period
     rows = np.column_stack([time_col, table.rows])
-    schema = [_observed_spec(TIME_ATTRIBUTE, 0, time_col)]
-    schema += [replace(spec, index=i + 1) for i, spec in enumerate(table.schema)]
-    return DataTable(schema=tuple(schema), rows=rows, dropped_rows=table.dropped_rows)
+    return DataTable(
+        names=(TIME_ATTRIBUTE, *table.names), rows=rows, dropped_rows=table.dropped_rows
+    )

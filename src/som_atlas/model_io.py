@@ -10,10 +10,12 @@ shortest decimal that round-trips):
     attr <index> <name> <raw_min> <raw_max> <quasi_constant 0|1>   (n lines)
     w <idx> <v0> ... <v n-1>                                       (one per neuron)
 
-Loading a file this module wrote and saving it again reproduces the bytes
-exactly. Attribute names may contain single spaces; the loader re-joins the
-middle tokens, so ``check_attribute_names`` rejects any other whitespace,
-which could not survive that round trip.
+``<index>`` is the attribute's position and names are unique; the loader
+checks ``<quasi_constant>`` against the range. Loading a file this module
+wrote and saving it again reproduces the bytes exactly. Attribute names may
+contain single spaces; the loader re-joins the middle tokens, so
+``check_attribute_names`` rejects any other whitespace, which could not
+survive that round trip.
 """
 
 from __future__ import annotations
@@ -46,12 +48,10 @@ def dumps_model(model: SomModel) -> str:
         f"epochs={sched.epochs} alpha0={_fmt(sched.alpha0)} alpha_end={_fmt(sched.alpha_end)} "
         f"sigma0={_fmt(sched.sigma0)} shuffle={1 if sched.shuffle else 0} seed={sched.seed}",
     ]
-    check_attribute_names(model.schema)
-    for spec in model.schema:
+    check_attribute_names([spec.name for spec in model.schema])
+    for i, spec in enumerate(model.schema):
         qc = 1 if spec.quasi_constant else 0
-        lines.append(
-            f"attr {spec.index} {spec.name} {_fmt(spec.raw_min)} {_fmt(spec.raw_max)} {qc}"
-        )
+        lines.append(f"attr {i} {spec.name} {_fmt(spec.raw_min)} {_fmt(spec.raw_max)} {qc}")
     # ``_fmt``'s ``repr`` of Python floats, without a numpy scalar per value;
     # one row at a time, so no Python copy of the whole codebook is held.
     for idx, row in enumerate(model.weights):
@@ -59,12 +59,12 @@ def dumps_model(model: SomModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_attribute_names(schema) -> None:
+def check_attribute_names(names) -> None:
     """Raise ``ValueError`` for the first attribute name that cannot round-trip."""
-    for spec in schema:
-        if spec.name != " ".join(spec.name.split()):
+    for name in names:
+        if name != " ".join(name.split()):
             raise ValueError(
-                f"attribute name {spec.name!r} cannot round-trip through the model file "
+                f"attribute name {name!r} cannot round-trip through the model file "
                 "(runs of whitespace are not representable)"
             )
 
@@ -109,19 +109,17 @@ def loads_model(text: str) -> SomModel:
         raise ModelFormatError(f"line {cursor.lineno}: dim must be >= 1")
 
     schedule = _parse_schedule(cursor)
-    schema = [_parse_attr(cursor, expected_index=i) for i in range(dim)]
+    schema: dict[str, AttributeSpec] = {}
+    for i in range(dim):
+        spec = _parse_attr(cursor, expected_index=i)
+        if spec.name in schema:
+            raise ModelFormatError(f"line {cursor.lineno}: attribute name {spec.name!r} repeats")
+        schema[spec.name] = spec
     weights = [_parse_weights(cursor, expected_index=i, dim=dim) for i in range(grid.n_nodes)]
     if cursor.peek() is not None:
         raise ModelFormatError(f"line {cursor.lineno + 1}: unexpected trailing content")
 
-    return SomModel(
-        grid=grid,
-        dim=dim,
-        weights=weights,
-        schema=tuple(schema),
-        schedule=schedule,
-        epochs_run=schedule.epochs,
-    )
+    return SomModel(grid=grid, weights=weights, schema=tuple(schema.values()), schedule=schedule)
 
 
 class _Cursor:
@@ -202,11 +200,15 @@ def _parse_attr(cursor: _Cursor, expected_index: int) -> AttributeSpec:
     raw_max = _float(parts[-2], cursor)
     quasi = _parse_flag(parts[-1], cursor)
     try:
-        return AttributeSpec(
-            name=name, index=index, raw_min=raw_min, raw_max=raw_max, quasi_constant=quasi
-        )
+        spec = AttributeSpec(name, raw_min, raw_max)
     except ValueError as exc:
         raise ModelFormatError(f"line {cursor.lineno}: {exc}") from None
+    if quasi != spec.quasi_constant:
+        raise ModelFormatError(
+            f"line {cursor.lineno}: attribute {name!r}: quasi_constant flag inconsistent with "
+            f"range [{raw_min}, {raw_max}]"
+        )
+    return spec
 
 
 def _parse_weights(cursor: _Cursor, expected_index: int, dim: int) -> list[float]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .hexgrid import HexGrid
-from .ingest import AttributeSpec, NormalizedTable
+from .ingest import AttributeSpec, NormalizedTable, require_unique_names
 
 DEFAULT_EPOCHS = 200
 DEFAULT_SEED = 42
@@ -67,27 +67,30 @@ class SomModel:
     """A trained (or freshly initialized) codebook plus its provenance."""
 
     grid: HexGrid
-    dim: int
     weights: np.ndarray
     schema: tuple[AttributeSpec, ...] | None = None
     schedule: TrainingSchedule | None = None
-    epochs_run: int = 0
 
     def __post_init__(self) -> None:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if w.shape != (self.grid.n_nodes, self.dim):
+        if w.ndim != 2 or w.shape[0] != self.grid.n_nodes:
             raise ValueError(
-                f"weights shape {w.shape} does not match "
-                f"{self.grid.n_nodes} neurons x {self.dim} attributes"
+                f"weights shape {w.shape} is not {self.grid.n_nodes} neurons x attributes"
             )
         # Written so that NaN, which fails every comparison, is rejected too.
         if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
             raise ValueError("codebook weights must be finite and lie in [0, 1]")
         if self.schema is not None:
             self.schema = tuple(self.schema)
-            if len(self.schema) != self.dim:
-                raise ValueError("schema length does not match dim")
+            if len(self.schema) != w.shape[1]:
+                raise ValueError(f"schema has {len(self.schema)} attributes, weights {w.shape[1]}")
+            require_unique_names([a.name for a in self.schema])
         self.weights = w
+
+    @property
+    def dim(self) -> int:
+        """Attributes per neuron: the codebook's column count."""
+        return self.weights.shape[1]
 
     @property
     def n_neurons(self) -> int:
@@ -104,7 +107,7 @@ def init_codebook(grid: HexGrid, dim: int, seed: int) -> SomModel:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     weights = rng.random((grid.n_nodes, dim))
-    return SomModel(grid=grid, dim=dim, weights=weights)
+    return SomModel(grid=grid, weights=weights)
 
 
 def learning_rate(s: int, schedule: TrainingSchedule, n_rows: int) -> float:
@@ -178,9 +181,9 @@ def train(
     if initial_weights is None:
         weights = init_codebook(grid, dim, schedule.seed).weights
     else:
-        # Copied, because the kernel mutates it, then checked as a codebook.
+        # Copied, because the kernel mutates it, then checked as a codebook of the table.
         weights = np.array(initial_weights, dtype=np.float64)
-        weights = SomModel(grid=grid, dim=dim, weights=weights).weights
+        weights = SomModel(grid=grid, weights=weights, schema=table.schema).weights
 
     # Spawn key 1 keeps the shuffle stream independent of the codebook stream.
     rng = np.random.default_rng(np.random.SeedSequence(schedule.seed, spawn_key=(1,)))
@@ -189,14 +192,7 @@ def train(
         alphas, sigmas, cooperative = _rates(schedule, n_rows, start, start + n_rows)
         kernels.train_loop(weights, table.rows, order.astype(np.int64, copy=False), grid,
                            alphas, sigmas, cooperative)
-    return SomModel(
-        grid=grid,
-        dim=dim,
-        weights=weights,
-        schema=table.schema,
-        schedule=schedule,
-        epochs_run=schedule.epochs,
-    )
+    return SomModel(grid=grid, weights=weights, schema=table.schema, schedule=schedule)
 
 
 def quantization_error(model: SomModel, table: NormalizedTable) -> float:

@@ -8,16 +8,22 @@ import numpy as np
 import pytest
 
 from som_atlas import kernels
-from som_atlas.ingest import DataTable, _observed_spec
+from som_atlas.ingest import DataTable, NormalizedTable, _observed_spec
 
 
 def make_table(rows, names=None) -> DataTable:
-    """DataTable from a plain matrix, with observed per-column ranges."""
+    """DataTable from a plain matrix, its columns named a0, a1, ... unless ``names``."""
     rows = np.asarray(rows, dtype=np.float64)
     if names is None:
         names = [f"a{i}" for i in range(rows.shape[1])]
-    schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
-    return DataTable(schema=schema, rows=rows)
+    return DataTable(names=names, rows=rows)
+
+
+def unit_table(rows) -> NormalizedTable:
+    """NormalizedTable of rows already in [0, 1], as they are, with the observed schema."""
+    rows = np.asarray(rows, dtype=np.float64)
+    schema = [_observed_spec(f"a{i}", col) for i, col in enumerate(rows.T)]
+    return NormalizedTable(schema=schema, rows=rows)
 
 
 def bmu_row(weights, x) -> tuple[int, float]:

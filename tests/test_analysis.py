@@ -38,11 +38,8 @@ def model_with(weights, names=None, ranges=None) -> SomModel:
     n, dim = weights.shape
     names = names or [f"a{i}" for i in range(dim)]
     ranges = ranges or [(0.0, 1.0)] * dim
-    schema = tuple(
-        AttributeSpec(name=names[i], index=i, raw_min=ranges[i][0], raw_max=ranges[i][1])
-        for i in range(dim)
-    )
-    return SomModel(grid=HexGrid(n, 1), dim=dim, weights=weights, schema=schema)
+    schema = tuple(AttributeSpec(name, lo, hi) for name, (lo, hi) in zip(names, ranges))
+    return SomModel(grid=HexGrid(n, 1), weights=weights, schema=schema)
 
 
 def brute_force_two_means(points):
@@ -154,7 +151,7 @@ class TestAssignmentsCsv:
 
     def test_bytes_with_clusters(self):
         labels = np.array([1, 0, 1])
-        cm = ClusterModel(k=2, centroids=np.zeros((2, 2)), neuron_labels=labels, inertia=0.0)
+        cm = ClusterModel(centroids=np.zeros((2, 2)), neuron_labels=labels, inertia=0.0)
         assert assignments_to_csv(self.classified(), cm) == (
             "row,neuron,cluster,distance,clamped\n"
             "0,0,1,0.223606797749979,0\n"
@@ -172,7 +169,7 @@ class TestComponentPlane:
 
     def test_planes_decompose_weights(self, rng):
         weights = rng.random((12, 4))
-        m = SomModel(grid=HexGrid(4, 3), dim=4, weights=weights)
+        m = SomModel(grid=HexGrid(4, 3), weights=weights)
         planes = [component_plane(m, i) for i in range(4)]
         for v in range(12):
             row, col = divmod(v, 4)
@@ -181,7 +178,7 @@ class TestComponentPlane:
 
     def test_27_planes(self, rng):
         weights = rng.random((6, 27))
-        m = SomModel(grid=HexGrid(3, 2), dim=27, weights=weights)
+        m = SomModel(grid=HexGrid(3, 2), weights=weights)
         planes = [component_plane(m, i) for i in range(27)]
         assert len(planes) == 27
         with pytest.raises(ValueError):
@@ -516,7 +513,7 @@ def test_cluster_stats_match_per_column_reference(n_rows):
     # Neurons 0-1 are cluster 0, neuron 2 cluster 1, neurons 3-4 cluster 3;
     # neuron 5 is cluster 2, which no row reaches.
     clusters = ClusterModel(
-        k=4, centroids=np.zeros((4, 5)), neuron_labels=np.array([0, 0, 1, 3, 3, 2]), inertia=0.0
+        centroids=np.zeros((4, 5)), neuron_labels=np.array([0, 0, 1, 3, 3, 2]), inertia=0.0
     )
     model = model_with(rng.random((6, 5)))
     scales = np.array([1e-3, 1.0, 37.5, 1e6, 0.0])  # attribute 4 is constant
@@ -586,6 +583,17 @@ class TestPredict:
         pred = predict_forward(m, cm, {"c": 0.4, "a": 0.25}, target="b")
         assert pred.neuron == 1
         assert pred.distance.hex() == bmu_row(m.weights[:, [0, 2]], [0.25, 0.4])[1].hex()
+
+    def test_columns_and_target_are_found_by_schema_position(self):
+        # Column 0 is z and column 1 is a: a search or a target looked up by
+        # name order would read the other column.
+        weights = [[0.0, 1.0], [1.0, 0.0]]
+        m = model_with(weights, names=["z", "a"])
+        table = make_table(weights, names=["z", "a"])
+        cm = cluster_stats(kmeans_codebook(m, 2, kmeans_seed=0), classify(m, table), table, m)
+        pred = predict_forward(m, cm, {"a": 1.0}, target="z")
+        assert (pred.neuron, pred.distance) == (0, 0.0)
+        assert pred.stats.mean == 0.0
 
     def test_unknown_names_rejected(self, rng):
         table, model, cm = self.fit(rng)

@@ -17,8 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from som_atlas import cli, kernels
+from som_atlas.analysis import component_plane
+from som_atlas.hexgrid import HexGrid
+from som_atlas.ingest import AttributeSpec
 from som_atlas.kernels import pure
-from som_atlas.model_io import load_model
+from som_atlas.model_io import load_model, save_model
+from som_atlas.render import render_plane
+from som_atlas.som import SomModel, TrainingSchedule
 
 from conftest import mutate
 
@@ -258,6 +263,20 @@ def test_radius_too_large_to_draw_exits_1(log_csv, tmp_path, capsys, command, fm
     err = capsys.readouterr().err
     assert err.startswith("som-atlas: error: cell_radius") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_planes_are_numbered_and_drawn_by_schema_position(tmp_path):
+    schema = (AttributeSpec("z", 0.0, 1.0), AttributeSpec("a b", 0.0, 2.0))
+    weights = np.random.default_rng(9).random((6, 2))
+    model = SomModel(HexGrid(3, 2), weights, schema=schema, schedule=TrainingSchedule(sigma0=1.0))
+    save_model(model, tmp_path / "m.model")
+    out = tmp_path / "out"
+    argv = ["planes", "--model", str(tmp_path / "m.model"), "--outdir", str(out), "--format", "ppm"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["plane_0_z.ppm", "plane_1_a_b.ppm"]
+    for i, path in enumerate(sorted(out.iterdir())):
+        image = render_plane(component_plane(model, i), model.grid, format="ppm", cell_radius=12.0)
+        assert path.read_bytes() == image
 
 
 def test_cluster_with_mismatched_input_exits_2_and_writes_nothing(log_csv, tmp_path):

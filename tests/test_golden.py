@@ -14,11 +14,10 @@ import pytest
 
 from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid
-from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
 from som_atlas.som import TrainingSchedule, train
 
-from conftest import make_table
+from conftest import unit_table
 
 # name: (grid, dim, n_rows, schedule overrides, sha256 of the trained weights)
 CASES = {
@@ -64,6 +63,6 @@ def backend(request, monkeypatch):
 def test_trained_weights_match_recorded_digest(name, backend):
     (width, height), dim, n_rows, overrides, digest = CASES[name]
     rows = np.random.default_rng(7).random((n_rows, dim))
-    table = NormalizedTable(schema=make_table(rows).schema, rows=rows)
+    table = unit_table(rows)
     model = train(table, HexGrid(width, height), TrainingSchedule(seed=11, **overrides))
     assert hashlib.sha256(model.weights.tobytes()).hexdigest() == digest

@@ -16,7 +16,6 @@ from som_atlas.ingest import (
     AttributeSpec,
     DataTable,
     NormalizedTable,
-    _observed_spec,
     append_time_counter,
     apply_schema,
     denormalize,
@@ -62,7 +61,7 @@ def test_parse_well_formed():
     table = parse_csv(io.StringIO("a,b,c\n1,2,3\n4,5,6\n"))
     assert table.n_rows == 2
     assert table.n_attrs == 3
-    assert table.names == ["a", "b", "c"]
+    assert table.names == ("a", "b", "c")
     assert np.array_equal(table.rows, [[1, 2, 3], [4, 5, 6]])
 
 
@@ -178,8 +177,7 @@ def _reference_parse_csv(source, header=True, drop_bad_rows=False) -> DataTable:
     if not data:
         raise CsvFormatError("no data rows")
     rows = np.asarray(data, dtype=np.float64)
-    schema = tuple(_observed_spec(n, i, rows[:, i]) for i, n in enumerate(names))
-    return DataTable(schema=schema, rows=rows, dropped_rows=tuple(dropped))
+    return DataTable(names=names, rows=rows, dropped_rows=tuple(dropped))
 
 
 # The valid log of the CLI's mutation test, plus a row of finite values whose sum overflows.
@@ -188,14 +186,14 @@ LOG = ("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in _LOG_ROWS)
 
 
 def _parsed(parse, data: bytes, header, drop_bad_rows):
-    """A table as (row bytes, schema, dropped rows), or the text of its CsvFormatError."""
+    """A table as (row bytes, names, dropped rows), or the text of its CsvFormatError."""
     # Decoded and split into lines as a path is, so the reader sees any '\r'.
     source = io.StringIO(data.decode("utf-8", "replace"), newline="")
     try:
         table = parse(source, header=header, drop_bad_rows=drop_bad_rows)
     except CsvFormatError as exc:
         return str(exc)
-    return table.rows.tobytes(), table.schema, table.dropped_rows
+    return table.rows.tobytes(), table.names, table.dropped_rows
 
 
 @pytest.mark.parametrize("drop_bad_rows", [False, True])
@@ -233,7 +231,7 @@ def test_long_log_memory_grows_by_the_values_alone():
 
 def test_parse_headerless_generates_names():
     table = parse_csv(io.StringIO("1,2\n3,4\n"), header=False)
-    assert table.names == ["col1", "col2"]
+    assert table.names == ("col1", "col2")
     assert table.n_rows == 2
 
 
@@ -246,7 +244,7 @@ def test_parse_path_drops_a_utf8_bom(tmp_path):
     plain.write_bytes(text.encode())
     marked.write_bytes(BOM + text.encode())
     table = parse_csv(marked)
-    assert table.names == parse_csv(plain).names == ["Temp", "Pressure"]
+    assert table.names == parse_csv(plain).names == ("Temp", "Pressure")
     assert np.array_equal(table.rows, parse_csv(plain).rows)
 
 
@@ -254,7 +252,7 @@ def test_parse_path_drops_a_utf8_bom_without_header(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(BOM + b"0.5,2\n1.5,3\n")
     table = parse_csv(path, header=False)
-    assert table.names == ["col1", "col2"]
+    assert table.names == ("col1", "col2")
     assert np.array_equal(table.rows, [[0.5, 2], [1.5, 3]])
 
 
@@ -265,7 +263,7 @@ def test_parse_duplicate_header_rejected():
 
 def test_parse_semicolon_delimiter():
     table = parse_csv(io.StringIO("a;b\n1;2\n"), delimiter=";")
-    assert table.names == ["a", "b"]
+    assert table.names == ("a", "b")
 
 
 def test_parse_empty_and_no_data():
@@ -280,8 +278,7 @@ def test_parse_sensor_log_schema():
     body = ",".join(str(i) for i in range(27))
     table = parse_csv(io.StringIO(f"{header}\n{body}\n{body}\n"))
     assert table.n_attrs == 27
-    assert table.names == SENSOR_LOG_LABELS
-    assert [a.index for a in table.schema] == list(range(27))
+    assert table.names == tuple(SENSOR_LOG_LABELS)
 
 
 def test_normalize_pressure_range_endpoints():
@@ -340,10 +337,10 @@ def _normalize_value(spec, v):
 
 def test_apply_schema_matches_per_value_reference():
     schema = (
-        AttributeSpec("a", 0, 1.0, 12.0),
-        AttributeSpec("b", 1, 5.0, 5.0, quasi_constant=True),
-        AttributeSpec("c", 2, -1e308, 1e308),  # range overflows: t is 0 or NaN
-        AttributeSpec("d", 3, 0.0, 3e-9),
+        AttributeSpec("a", 1.0, 12.0),
+        AttributeSpec("b", 5.0, 5.0),  # quasi-constant
+        AttributeSpec("c", -1e308, 1e308),  # range overflows: t is 0 or NaN
+        AttributeSpec("d", 0.0, 3e-9),
     )
     rng = np.random.default_rng(4)
     rows = np.column_stack([
@@ -364,15 +361,13 @@ def test_apply_schema_matches_per_value_reference():
 
 
 def test_normalize_empty_rejected():
-    from som_atlas.ingest import DataTable
-
-    table = DataTable(schema=(AttributeSpec("a", 0, 0.0, 1.0),), rows=np.empty((0, 1)))
+    table = DataTable(names=["a"], rows=np.empty((0, 1)))
     with pytest.raises(ValueError):
         normalize(table)
 
 
-_UNIT = AttributeSpec("a", 0, 0.0, 1.0)
-_UNIT_B = AttributeSpec("b", 1, 0.0, 1.0)
+_UNIT = AttributeSpec("a", 0.0, 1.0)
+_UNIT_B = AttributeSpec("b", 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -390,16 +385,38 @@ def test_normalized_table_rejects_bad_rows(schema, rows):
         NormalizedTable(schema=schema, rows=np.array(rows))
 
 
+def test_normalized_table_rejects_repeated_names():
+    # Rejected here, so ``train`` cannot run on a table whose model it could not build.
+    with pytest.raises(ValueError, match="unique"):
+        NormalizedTable(schema=(_UNIT, AttributeSpec("a", 0.0, 2.0)), rows=[[0.5, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "names,match",
+    [
+        (["a", ""], "non-empty string, got ''"),
+        (["a", 1], "non-empty string, got 1"),
+        ([b"a", "b"], "non-empty string, got b'a'"),
+        (["a", "a"], "unique"),
+        (["a"], "2 columns but 1 attributes"),
+    ],
+    ids=["empty", "int", "bytes", "repeated", "too-few"],
+)
+def test_data_table_rejects_bad_names(names, match):
+    with pytest.raises(ValueError, match=match):
+        DataTable(names=names, rows=[[1.0, 2.0]])
+
+
 def test_denormalize_endpoints_and_midpoint():
-    spec = AttributeSpec(name="p", index=0, raw_min=1.0, raw_max=12.0)
+    spec = AttributeSpec(name="p", raw_min=1.0, raw_max=12.0)
     assert denormalize(0.0, spec) == 1.0
     assert denormalize(1.0, spec) == 12.0
-    mid = AttributeSpec(name="q", index=0, raw_min=10.0, raw_max=20.0)
+    mid = AttributeSpec(name="q", raw_min=10.0, raw_max=20.0)
     assert denormalize(0.5, mid) == 15.0
 
 
 def test_denormalize_quasi_constant_rejected():
-    spec = AttributeSpec(name="c", index=0, raw_min=5.0, raw_max=5.0, quasi_constant=True)
+    spec = AttributeSpec(name="c", raw_min=5.0, raw_max=5.0)
     with pytest.raises(ValueError, match="quasi-constant"):
         denormalize(0.5, spec)
 
@@ -433,15 +450,15 @@ def test_normalize_denormalize_round_trip(values):
 def test_time_counter_basic():
     table = make_table([[1.0], [2.0], [3.0]], names=["x"])
     out = append_time_counter(table, 0.5)
-    assert out.names == ["Time", "x"]
+    assert out.names == ("Time", "x")
     assert np.array_equal(out.rows[:, 0], [0.0, 0.5, 1.0])
-    assert [a.index for a in out.schema] == [0, 1]
 
 
 def test_time_counter_single_row():
     out = append_time_counter(make_table([[7.0]]), 2.0)
     assert np.array_equal(out.rows[:, 0], [0.0])
-    assert out.schema[0].quasi_constant  # zero range on one sample
+    with pytest.warns(UserWarning, match="quasi-constant"):
+        assert normalize(out).schema[0].quasi_constant  # zero range on one sample
 
 
 def test_time_counter_monotone_affine():
@@ -468,8 +485,13 @@ def test_time_counter_validation():
         append_time_counter(timed, 1.0)
 
 
+@pytest.mark.parametrize("name", ["", 5, None, b"a"])
+def test_attribute_spec_rejects_names_that_are_not_strings(name):
+    # A name that is not text could not be written to or read back from a model file.
+    with pytest.raises(ValueError, match="non-empty string"):
+        AttributeSpec(name, 0.0, 1.0)
+
+
 def test_quasi_constant_flag_matches_range():
-    spec = AttributeSpec(name="x", index=0, raw_min=0.0, raw_max=QUASI_CONSTANT_EPS / 2, quasi_constant=True)
-    assert spec.quasi_constant
-    with pytest.raises(ValueError, match="inconsistent"):
-        AttributeSpec(name="x", index=0, raw_min=0.0, raw_max=1.0, quasi_constant=True)
+    assert AttributeSpec(name="x", raw_min=0.0, raw_max=QUASI_CONSTANT_EPS / 2).quasi_constant
+    assert not AttributeSpec(name="x", raw_min=0.0, raw_max=QUASI_CONSTANT_EPS).quasi_constant

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid, hop_row, hop_table
-from som_atlas.ingest import NormalizedTable
 from som_atlas.kernels import pure
 from som_atlas.som import (
     SomModel,
@@ -36,7 +35,7 @@ from som_atlas.som import (
     update_step,
 )
 
-from conftest import PLAIN_LOOP, bmu_row, make_table
+from conftest import PLAIN_LOOP, bmu_row, unit_table
 
 ARGS = ("weights", "data", "order", "grid", "alphas", "sigmas", "competitive_start")
 
@@ -424,7 +423,7 @@ def test_sigma_underflow_gives_finite_identical_weights(native_train_loop, monke
     # 2 * (1e-170)**2 underflows to 0: theta must become the Kronecker delta
     # in both backends, not a division by zero or NaN rows.
     rows = np.random.default_rng(5).random((6, 2))
-    table = NormalizedTable(schema=make_table(rows).schema, rows=rows)
+    table = unit_table(rows)
     sched = TrainingSchedule(epochs=3, sigma0=1e-170, seed=2)
     assert 2.0 * sched.sigma0 * sched.sigma0 == 0.0
     models = []
@@ -811,7 +810,7 @@ def test_quantization_error_is_the_sequential_row_sum():
     rng = np.random.default_rng(11)
     grid = HexGrid(7, 5)
     rows = rng.random((333, 3))
-    table = NormalizedTable(schema=make_table(rows).schema, rows=rows)
+    table = unit_table(rows)
     model = init_codebook(grid, 3, seed=1)
     total = 0.0
     for x in rows:
@@ -851,6 +850,6 @@ def test_neighborhood_is_the_training_theta_table(sigma0, native_train_loop, mon
         for s in range(sched.epochs * n_rows):  # the last epoch is competitive
             weights = np.zeros((grid.n_nodes, 1))
             weights[u] = 1.0
-            model = update_step(SomModel(grid=grid, dim=1, weights=weights), [1.0], s, sched, n_rows)
+            model = update_step(SomModel(grid=grid, weights=weights), [1.0], s, sched, n_rows)
             expected = [neighborhood(grid, u, v, s, sched, n_rows) for v in range(grid.n_nodes)]
             assert model.weights[:, 0].tobytes() == np.array(expected).tobytes()

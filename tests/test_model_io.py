@@ -7,9 +7,9 @@ import pytest
 
 from som_atlas.errors import ModelFormatError
 from som_atlas.hexgrid import HexGrid
-from som_atlas.ingest import normalize
+from som_atlas.ingest import AttributeSpec, normalize
 from som_atlas.model_io import dumps_model, load_model, loads_model, save_model
-from som_atlas.som import TrainingSchedule, train
+from som_atlas.som import SomModel, TrainingSchedule, train
 
 from conftest import make_table
 
@@ -45,6 +45,23 @@ def test_text_round_trip_is_exact(trained_model):
     assert clone.grid == trained_model.grid
 
 
+def test_model_built_in_python_round_trips_with_attributes_numbered_by_position():
+    schema = (AttributeSpec("b", 1.0, 2.0), AttributeSpec("a", 5.0, 5.0), AttributeSpec("c", -1.0, 0.0))
+    model = SomModel(
+        HexGrid(2, 1), [[0.1, 0.5, 0.9], [0.3, 0.5, 0.7]], schema=schema,
+        schedule=TrainingSchedule(epochs=2, sigma0=1.0),
+    )  # fmt: skip
+    text = dumps_model(model)
+    assert [ln for ln in text.splitlines() if ln.startswith("attr ")] == [
+        "attr 0 b 1.0 2.0 0",
+        "attr 1 a 5.0 5.0 1",
+        "attr 2 c -1.0 0.0 0",
+    ]
+    clone = loads_model(text)
+    assert clone.schema == schema
+    assert dumps_model(clone) == text
+
+
 def test_file_round_trip_is_byte_exact(trained_model, tmp_path):
     path = tmp_path / "m.som"
     save_model(trained_model, path)
@@ -70,22 +87,9 @@ def test_unrepresentable_name_rejected(trained_model):
 
     bad_schema = list(trained_model.schema)
     bad_schema[0] = replace(bad_schema[0], name="two  spaces")
-    broken = replace_model_schema(trained_model, tuple(bad_schema))
+    broken = replace(trained_model, schema=tuple(bad_schema))
     with pytest.raises(ValueError, match="round-trip"):
         dumps_model(broken)
-
-
-def replace_model_schema(model, schema):
-    from som_atlas.som import SomModel
-
-    return SomModel(
-        grid=model.grid,
-        dim=model.dim,
-        weights=model.weights.copy(),
-        schema=schema,
-        schedule=model.schedule,
-        epochs_run=model.epochs_run,
-    )
 
 
 @pytest.mark.parametrize(
@@ -129,6 +133,12 @@ def test_weight_out_of_range_rejected(trained_model):
     lines[-1] = " ".join(parts)
     with pytest.raises(ModelFormatError, match=r"\[0, 1\]"):
         loads_model("\n".join(lines) + "\n")
+
+
+def test_repeated_attribute_name_names_the_second_line(trained_model):
+    text = dumps_model(trained_model).replace("\nattr 2 power ", "\nattr 2 flow ")
+    with pytest.raises(ModelFormatError, match=r"^line 7: attribute name 'flow' repeats$"):
+        loads_model(text)
 
 
 def test_quasi_flag_consistency_checked(trained_model):

@@ -1,6 +1,7 @@
 """The lazy public API: ``som_atlas`` loads a submodule only when one of its names is used."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import som_atlas
 
 SRC = Path(som_atlas.__file__).parents[1]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_is_its_defining_submodules_object():
@@ -81,3 +83,48 @@ def test_prediction_loads_no_numpy_ma():
     """), ("numpy", "numpy.ma"))
     assert "som_atlas.analysis" in loaded
     assert "numpy.ma" not in loaded
+
+
+def test_every_test_module_imports():
+    # A module that fails to import is a collection error, which a run that
+    # continues past collection errors would report next to its passes. One
+    # interpreter a directory, which is first on its path as under pytest.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    failed = []
+    for directory in (ROOT / "tests", ROOT / "benchmarks"):
+        names = sorted(path.stem for path in directory.glob("test_*.py"))
+        assert names, directory
+        code = textwrap.dedent(f"""
+            import importlib, sys
+            failed = []
+            for name in {names!r}:
+                try:
+                    importlib.import_module(name)
+                except Exception as exc:
+                    failed.append(f"{{name}}: {{exc!r}}")
+            sys.exit("\\n".join(failed) or None)
+        """)
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=directory, env=env, capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+        if run.returncode:
+            failed.append(run.stderr)
+    assert not failed
+
+
+def test_data_model_constructors_take_only_independent_values():
+    from som_atlas.analysis import ClusterModel
+    from som_atlas.ingest import AttributeSpec, DataTable
+    from som_atlas.som import SomModel
+
+    classes = (AttributeSpec, DataTable, SomModel, ClusterModel)
+    assert {cls.__name__: list(inspect.signature(cls).parameters) for cls in classes} == {
+        "AttributeSpec": ["name", "raw_min", "raw_max"],
+        "DataTable": ["names", "rows", "dropped_rows"],
+        "SomModel": ["grid", "weights", "schema", "schedule"],
+        "ClusterModel": ["centroids", "neuron_labels", "inertia", "stats"],
+    }
+    for cls, name in [(AttributeSpec, "quasi_constant"), (SomModel, "dim"), (ClusterModel, "k")]:
+        derived = inspect.getattr_static(cls, name)
+        assert isinstance(derived, property) and derived.fset is None, name

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from som_atlas.hexgrid import HexGrid
-from som_atlas.ingest import NormalizedTable, normalize
+from som_atlas.ingest import AttributeSpec, NormalizedTable, normalize
 from som_atlas.som import (
     SomModel,
     TrainingSchedule,
@@ -21,31 +21,44 @@ from som_atlas.som import (
     update_step,
 )
 
-from conftest import bmu_row, make_table
-
-
-def norm_table(rows) -> NormalizedTable:
-    rows = np.asarray(rows, dtype=np.float64)
-    table = make_table(rows)
-    return NormalizedTable(schema=table.schema, rows=rows)
+from conftest import bmu_row, unit_table
 
 
 def small_model(width=2, height=2, dim=2, weights=None) -> SomModel:
     grid = HexGrid(width, height)
     if weights is None:
         return init_codebook(grid, dim, seed=0)
-    return SomModel(grid=grid, dim=dim, weights=np.asarray(weights, dtype=np.float64))
+    return SomModel(grid=grid, weights=np.asarray(weights, dtype=np.float64))
 
 
 class TestSomModel:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
     def test_rejects_weights_outside_unit_box(self, bad):
         with pytest.raises(ValueError):
-            SomModel(HexGrid(2, 1), 1, [[bad], [0.5]])
+            SomModel(HexGrid(2, 1), [[bad], [0.5]])
 
     def test_accepts_box_edges(self):
-        m = SomModel(HexGrid(2, 1), 1, [[0.0], [1.0]])
+        m = SomModel(HexGrid(2, 1), [[0.0], [1.0]])
         assert m.weights.tolist() == [[0.0], [1.0]]
+
+    def test_dim_is_the_column_count(self):
+        assert SomModel(HexGrid(2, 1), [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]).dim == 3
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, 0.5], [[0.5], [0.5], [0.5]], [[0.5]]], ids=["1-d", "3-rows", "1-row"]
+    )
+    def test_rejects_weights_that_are_not_a_row_per_neuron(self, weights):
+        with pytest.raises(ValueError, match="is not 2 neurons x attributes"):
+            SomModel(HexGrid(2, 1), weights)
+
+    def test_rejects_a_schema_of_another_width(self):
+        with pytest.raises(ValueError, match="schema has 1 attributes, weights 2"):
+            SomModel(HexGrid(2, 1), [[0.5, 0.5]] * 2, schema=[AttributeSpec("a", 0.0, 1.0)])
+
+    def test_rejects_repeated_attribute_names(self):
+        schema = [AttributeSpec("a", 0.0, 1.0), AttributeSpec("a", 0.0, 2.0)]
+        with pytest.raises(ValueError, match="unique"):
+            SomModel(HexGrid(2, 1), [[0.5, 0.5]] * 2, schema=schema)
 
 
 class TestInitCodebook:
@@ -223,13 +236,13 @@ class TestUpdateStep:
         with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
             update_step(m, [bad, 0.5], s=0, schedule=sched, n_rows=1)
         assert m.weights.tobytes() == before.tobytes()
-        SomModel(m.grid, m.dim, m.weights)
+        SomModel(m.grid, m.weights)
 
 
 class TestTrain:
     def test_single_neuron_tracks_last_row(self):
         rows = np.array([[0.1, 0.9], [0.8, 0.2], [0.4, 0.6]])
-        table = norm_table(rows)
+        table = unit_table(rows)
         sched = TrainingSchedule(epochs=3, alpha0=1.0, alpha_end=1.0, sigma0=1.0, shuffle=False)
         m = train(table, HexGrid(1, 1), sched)
         assert np.array_equal(m.weights[0], rows[-1])
@@ -238,7 +251,7 @@ class TestTrain:
         rng = np.random.default_rng(5)
         base = rng.random((40, 1))
         rows = np.hstack([base, base, rng.random((40, 1))])
-        table = norm_table(rows)
+        table = unit_table(rows)
         grid = HexGrid(4, 4)
         sched = TrainingSchedule(epochs=5, seed=11).resolved(grid)
         init = init_codebook(grid, 3, sched.seed).weights
@@ -248,7 +261,7 @@ class TestTrain:
 
     def test_quantization_error_improves(self):
         rows = np.array([[0.0, 0.0], [1.0, 1.0]])
-        table = norm_table(rows)
+        table = unit_table(rows)
         grid = HexGrid(2, 1)
         sched = TrainingSchedule(epochs=20, seed=3).resolved(grid)
         start = init_codebook(grid, 2, sched.seed)
@@ -259,7 +272,7 @@ class TestTrain:
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(9)
-        table = norm_table(rng.random((30, 4)))
+        table = unit_table(rng.random((30, 4)))
         grid = HexGrid(4, 3)
         sched = TrainingSchedule(epochs=7, seed=123)
         a = train(table, grid, sched)
@@ -269,21 +282,21 @@ class TestTrain:
 
     def test_shuffle_order_depends_on_seed(self):
         rng = np.random.default_rng(10)
-        table = norm_table(rng.random((25, 3)))
+        table = unit_table(rng.random((25, 3)))
         grid = HexGrid(3, 3)
         a = train(table, grid, TrainingSchedule(epochs=4, seed=1))
         b = train(table, grid, TrainingSchedule(epochs=4, seed=2))
         assert not np.array_equal(a.weights, b.weights)
 
     def test_nan_initial_weights_rejected(self):
-        table = norm_table([[0.5, 0.5]])
+        table = unit_table([[0.5, 0.5]])
         init = np.full((4, 2), 0.5)
         init[2, 1] = math.nan
         with pytest.raises(ValueError):
             train(table, HexGrid(2, 2), TrainingSchedule(epochs=1), initial_weights=init)
 
     def test_initial_weights_are_checked_and_copied(self):
-        table = norm_table([[0.5, 0.5], [0.1, 0.9]])
+        table = unit_table([[0.5, 0.5], [0.1, 0.9]])
         sched = TrainingSchedule(epochs=2)
         with pytest.raises(ValueError, match="shape"):
             train(table, HexGrid(2, 2), sched, initial_weights=np.full((3, 2), 0.5))
@@ -295,7 +308,7 @@ class TestTrain:
         assert np.array_equal(init, np.full((4, 2), 0.5))
 
     def test_empty_table_rejected(self):
-        table = NormalizedTable(schema=norm_table([[0.5]]).schema, rows=np.empty((0, 1)))
+        table = NormalizedTable(schema=unit_table([[0.5]]).schema, rows=np.empty((0, 1)))
         with pytest.raises(ValueError):
             train(table, HexGrid(2, 2), TrainingSchedule(epochs=1))
 
@@ -305,8 +318,8 @@ class TestTrain:
         grid = HexGrid(4, 3)
         sched = TrainingSchedule(epochs=3, alpha0=0.8, alpha_end=0.02, shuffle=False, seed=5)
         init = init_codebook(grid, 3, sched.seed).weights
-        trained = train(norm_table(rows), grid, sched, initial_weights=init)
-        m = SomModel(grid=grid, dim=3, weights=init.copy())
+        trained = train(unit_table(rows), grid, sched, initial_weights=init)
+        m = SomModel(grid=grid, weights=init.copy())
         for s in range(sched.epochs * len(rows)):
             update_step(m, rows[s % len(rows)], s=s, schedule=sched, n_rows=len(rows))
         assert m.weights.tobytes() == trained.weights.tobytes()
@@ -314,7 +327,7 @@ class TestTrain:
     def test_large_map_memory_is_linear_in_neurons(self):
         # A 100x100 map: an all-pairs distance matrix alone would be 400 MB of
         # int32 and its int64 temporaries several GB.
-        table = norm_table(np.random.default_rng(13).random((3, 2)))
+        table = unit_table(np.random.default_rng(13).random((3, 2)))
         grid = HexGrid(100, 100)
         sched = TrainingSchedule(epochs=2, seed=1)
         tracemalloc.start()
@@ -329,7 +342,7 @@ class TestTrain:
         rng = np.random.default_rng(7)
         base = rng.random((60, 1))
         rows = np.hstack([base, 1.0 - base])
-        table = norm_table(rows)
+        table = unit_table(rows)
         grid = HexGrid(4, 4)
         sched = TrainingSchedule(epochs=10, seed=21).resolved(grid)
         init = init_codebook(grid, 2, sched.seed).weights
@@ -342,19 +355,19 @@ class TestQuantizationError:
     def test_zero_when_codebook_contains_rows(self):
         rows = np.array([[0.2, 0.4], [0.6, 0.8]])
         m = small_model(2, 1, 2, weights=rows)
-        assert quantization_error(m, norm_table(rows)) == 0.0
+        assert quantization_error(m, unit_table(rows)) == 0.0
 
     def test_hand_summed_mean(self):
         m = small_model(1, 1, 2, weights=[[0.5, 0.5]])
-        qe = quantization_error(m, norm_table([[0.0, 0.0], [1.0, 1.0]]))
+        qe = quantization_error(m, unit_table([[0.0, 0.0], [1.0, 1.0]]))
         assert qe == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_non_negative(self):
         m = small_model(3, 3, 2)
         rng = np.random.default_rng(4)
-        assert quantization_error(m, norm_table(rng.random((10, 2)))) >= 0.0
+        assert quantization_error(m, unit_table(rng.random((10, 2)))) >= 0.0
 
     def test_dim_mismatch(self):
         m = small_model(2, 2, 3)
         with pytest.raises(ValueError):
-            quantization_error(m, norm_table([[0.5]]))
+            quantization_error(m, unit_table([[0.5]]))
