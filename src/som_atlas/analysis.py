@@ -4,7 +4,9 @@ Classification scales raw rows with the stored training ranges
 (``ingest.apply_schema``, the one normalization path) and finds every row's
 best matching unit with the batched ``kernels.bmu``, a chunk of rows at a
 time, straight into one structured ``ASSIGNMENT`` record: only that record,
-17 bytes a row, grows with the log. Forward prediction uses the same two
+17 bytes a row, grows with the log. The ``*_rows`` functions yield the CSV
+tables one row at a time for ``fileio.atomic_write_csv``, so writing them
+out holds nothing more. Forward prediction uses the same two
 calls on one row of the given attributes and the codebook's columns of
 those attributes. Component planes slice one attribute out of the
 codebook for rendering; their pairwise Pearson coefficients quantify the
@@ -18,8 +20,6 @@ ranges that reach it).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -384,21 +384,16 @@ def predict_reverse(
     return out
 
 
-def correlation_to_csv(report: CorrelationReport) -> str:
-    """CSV matrix with attribute names on both axes; invalid cells left empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(report.names))
-    for i, name in enumerate(report.names):
-        row = [name]
-        for j in range(len(report.names)):
-            row.append(repr(float(report.matrix[i, j])) if report.valid[i, j] else "")
-        writer.writerow(row)
-    return buf.getvalue()
+def correlation_rows(report: CorrelationReport):
+    """CSV rows of the matrix with attribute names on both axes; invalid cells empty."""
+    # ``csv`` writes a Python float as its ``repr`` and None as an empty cell.
+    yield ["", *report.names]
+    for name, values, valid in zip(report.names, report.matrix.tolist(), report.valid):
+        yield [name, *(v if ok else None for v, ok in zip(values, valid))]
 
 
-def assignments_to_csv(assignments: np.ndarray, clusters: ClusterModel | None = None) -> str:
-    """Rows as CSV; with clusters given, include each row's cluster label."""
+def assignment_rows(assignments: np.ndarray, clusters: ClusterModel | None = None):
+    """CSV rows of the assignments; with clusters given, each row's cluster label too."""
     neurons = assignments["neuron"]
     header = ["row", "neuron", "distance", "clamped"]
     # ``csv`` writes each value's ``str``: Python floats keep the text to
@@ -414,29 +409,15 @@ def assignments_to_csv(assignments: np.ndarray, clusters: ClusterModel | None = 
     if clusters is not None:
         header.insert(2, "cluster")
         columns.insert(2, clusters.neuron_labels[neurons])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    return buf.getvalue()
+    yield header
+    yield from zip(*columns)
 
 
-def stats_to_csv(clusters: ClusterModel, names: Sequence[str]) -> str:
-    """Per-cluster attribute statistics as CSV (empty mean/std when absent)."""
+def stats_rows(clusters: ClusterModel, names: Sequence[str]):
+    """CSV rows of per-cluster attribute statistics (empty mean/std when absent)."""
     if clusters.stats is None:
         raise ValueError("cluster statistics not computed; run cluster_stats first")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cluster", "attribute", "count", "mean", "std"])
+    yield ["cluster", "attribute", "count", "mean", "std"]
     for c, per_attr in enumerate(clusters.stats):
         for name, st in zip(names, per_attr):
-            writer.writerow(
-                [
-                    c,
-                    name,
-                    st.count,
-                    "" if st.mean is None else repr(st.mean),
-                    "" if st.std is None else repr(st.std),
-                ]
-            )
-    return buf.getvalue()
+            yield [c, name, st.count, st.mean, st.std]  # ``csv`` writes None as an empty cell

@@ -24,7 +24,7 @@ from pathlib import Path
 # ``analysis``, ``render`` and ``pulse`` when they run.
 from . import __version__, kernels
 from .errors import SomAtlasError
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_csv
 from .hexgrid import HexGrid
 from .ingest import append_time_counter, normalize, parse_csv
 from .model_io import check_attribute_names, load_model, save_model
@@ -245,25 +245,19 @@ def cmd_planes(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    from .analysis import assignments_to_csv, classify
+    from .analysis import assignment_rows, classify
 
     _echo_config(args)
     model = load_model(args.model)
     table = _read_table(args)
     assignments = classify(model, table)
-    atomic_write_text(args.output, assignments_to_csv(assignments))
+    atomic_write_csv(args.output, assignment_rows(assignments))
     n_clamped = int(assignments["clamped"].sum())
     print(f"classified {len(assignments)} rows ({n_clamped} clamped) to {args.output}")
 
 
 def cmd_cluster(args) -> None:
-    from .analysis import (
-        assignments_to_csv,
-        classify,
-        cluster_stats,
-        kmeans_codebook,
-        stats_to_csv,
-    )
+    from .analysis import assignment_rows, classify, cluster_stats, kmeans_codebook, stats_rows
     from .render import render_cluster_map
 
     _echo_config(args)
@@ -281,25 +275,25 @@ def cmd_cluster(args) -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    lines = ["neuron,cluster"]
-    lines += [f"{i},{int(c)}" for i, c in enumerate(clusters.neuron_labels)]
-    atomic_write_text(outdir / "neuron_clusters.csv", "\n".join(lines) + "\n")
+    atomic_write_csv(
+        outdir / "neuron_clusters.csv", [("neuron", "cluster"), *enumerate(clusters.neuron_labels)]
+    )
     atomic_write_bytes(outdir / f"cluster_map.{args.format}", image)
 
     if table is not None:
-        atomic_write_text(outdir / "assignments.csv", assignments_to_csv(assignments, clusters))
-        atomic_write_text(outdir / "cluster_stats.csv", stats_to_csv(clusters, table.names))
+        atomic_write_csv(outdir / "assignments.csv", assignment_rows(assignments, clusters))
+        atomic_write_csv(outdir / "cluster_stats.csv", stats_rows(clusters, table.names))
 
     print(f"k={clusters.k} inertia={clusters.inertia:.6f} outputs in {outdir}")
 
 
 def cmd_correlate(args) -> None:
-    from .analysis import STRONG_CORRELATION, correlation_to_csv, plane_correlation
+    from .analysis import STRONG_CORRELATION, correlation_rows, plane_correlation
 
     _echo_config(args)
     model = load_model(args.model)
     report = plane_correlation(model)
-    atomic_write_text(args.output, correlation_to_csv(report))
+    atomic_write_csv(args.output, correlation_rows(report))
     strong = report.strong_pairs()
     print(f"correlation matrix ({model.dim}x{model.dim}) written to {args.output}")
     for i, j, r in strong:
@@ -314,11 +308,13 @@ def cmd_features(args) -> None:
     table = _read_table(args)
     curve = curve_from_table(table, args.t_open, args.t_close, args.regen_duration)
     feats = extract_pulse_features(curve)
-    text = (
-        "p_start,p_min,pulse_area,regen_area\n"
-        f"{feats.p_start!r},{feats.p_min!r},{feats.pulse_area!r},{feats.regen_area!r}\n"
+    atomic_write_csv(
+        args.output,
+        [
+            ("p_start", "p_min", "pulse_area", "regen_area"),
+            (feats.p_start, feats.p_min, feats.pulse_area, feats.regen_area),
+        ],
     )
-    atomic_write_text(args.output, text)
     print(
         f"features: p_start={feats.p_start:g} p_min={feats.p_min:g} "
         f"pulse_area={feats.pulse_area:g} regen_area={feats.regen_area:g}"

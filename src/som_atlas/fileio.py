@@ -1,9 +1,16 @@
-"""Atomic file writes: outputs appear complete or not at all."""
+"""Atomic file writes: outputs appear complete or not at all.
+
+``atomic_write_bytes`` writes bytes already held; ``atomic_write_csv`` sends
+rows through ``csv.writer`` as they come, so no text of the table is held.
+"""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -13,18 +20,20 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in its directory.
+@contextmanager
+def _replacing(path):
+    """A binary temporary file in ``path``'s directory, closed and renamed over it on success.
 
-    The file gets the mode a plain ``open()`` would create it with,
-    ``0o666`` less the umask, not the temporary file's private ``0o600``.
+    It gets the mode a plain ``open()`` would create it with, ``0o666`` less
+    the umask, not the temporary file's private ``0o600``. On any error it is
+    removed and an existing ``path`` keeps its bytes.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+        with open(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~_umask())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -34,5 +43,13 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically."""
+    with _replacing(path) as fh:
+        fh.write(data)
+
+
+def atomic_write_csv(path, rows) -> None:
+    """Write an iterable of rows to ``path`` atomically, as UTF-8 CSV lines ending in ``\\n``."""
+    with _replacing(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        csv.writer(text, lineterminator="\n").writerows(rows)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ModelFormatError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_bytes
 from .hexgrid import HexGrid
 from .ingest import AttributeSpec
 from .som import SomModel, TrainingSchedule
@@ -75,7 +75,7 @@ def _fmt(value) -> str:
 
 
 def save_model(model: SomModel, path) -> None:
-    atomic_write_text(path, dumps_model(model))
+    atomic_write_bytes(path, dumps_model(model).encode("utf-8"))
 
 
 def load_model(path) -> SomModel:

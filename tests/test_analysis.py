@@ -14,22 +14,29 @@ from som_atlas.analysis import (
     AttributeStats,
     ClusterModel,
     CorrelationReport,
-    assignments_to_csv,
+    assignment_rows,
     classify,
     cluster_stats,
     component_plane,
-    correlation_to_csv,
+    correlation_rows,
     kmeans_codebook,
     plane_correlation,
     predict_forward,
     predict_reverse,
-    stats_to_csv,
+    stats_rows,
 )
+from som_atlas.fileio import atomic_write_csv
 from som_atlas.hexgrid import HexGrid
 from som_atlas.ingest import AttributeSpec, apply_schema, denormalize, normalize
 from som_atlas.som import SomModel, TrainingSchedule, train
 
 from conftest import bmu_row, make_table
+
+
+def written(path, rows) -> str:
+    """The text ``atomic_write_csv`` writes to ``path`` for ``rows``."""
+    atomic_write_csv(path, rows)
+    return path.read_bytes().decode()
 
 
 def model_with(weights, names=None, ranges=None) -> SomModel:
@@ -141,18 +148,18 @@ class TestAssignmentsCsv:
         table = make_table([[0.1, 0.2], [0.9, 1.7], [0.6, 0.3]], names=["a0", "a1"])
         return classify(m, table)
 
-    def test_bytes_without_clusters(self):
-        assert assignments_to_csv(self.classified()) == (
+    def test_bytes_without_clusters(self, tmp_path):
+        assert written(tmp_path / "a.csv", assignment_rows(self.classified())) == (
             "row,neuron,distance,clamped\n"
             "0,0,0.223606797749979,0\n"
             "1,1,0.09999999999999998,1\n"
             "2,2,0.31622776601683794,0\n"
         )
 
-    def test_bytes_with_clusters(self):
+    def test_bytes_with_clusters(self, tmp_path):
         labels = np.array([1, 0, 1])
         cm = ClusterModel(centroids=np.zeros((2, 2)), neuron_labels=labels, inertia=0.0)
-        assert assignments_to_csv(self.classified(), cm) == (
+        assert written(tmp_path / "a.csv", assignment_rows(self.classified(), cm)) == (
             "row,neuron,cluster,distance,clamped\n"
             "0,0,1,0.223606797749979,0\n"
             "1,1,0,0.09999999999999998,1\n"
@@ -248,7 +255,7 @@ def _reference_correlation(model) -> CorrelationReport:
 
 
 @pytest.mark.parametrize("n_neurons", [2, 3, 17, 1600, 10000])
-def test_plane_correlation_matches_per_column_reference(n_neurons):
+def test_plane_correlation_matches_per_column_reference(tmp_path, n_neurons):
     rng = np.random.default_rng(n_neurons)
     # Plane spreads from 1e-9 to 1; plane 4 is constant, plane 5 copies
     # plane 2 and plane 6 mirrors plane 3.
@@ -258,8 +265,8 @@ def test_plane_correlation_matches_per_column_reference(n_neurons):
         weights[:, 5] = weights[:, 2]
         weights[:, 6] = 1.0 - weights[:, 3]
         model = model_with(weights)
-        assert correlation_to_csv(plane_correlation(model)) == correlation_to_csv(
-            _reference_correlation(model)
+        assert written(tmp_path / "a.csv", correlation_rows(plane_correlation(model))) == written(
+            tmp_path / "b.csv", correlation_rows(_reference_correlation(model))
         )
 
 
@@ -508,7 +515,7 @@ def _reference_cluster_stats(clusters, assignments, table) -> ClusterModel:
 
 
 @pytest.mark.parametrize("n_rows", [2, 9, 300, 20001])
-def test_cluster_stats_match_per_column_reference(n_rows):
+def test_cluster_stats_match_per_column_reference(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     # Neurons 0-1 are cluster 0, neuron 2 cluster 1, neurons 3-4 cluster 3;
     # neuron 5 is cluster 2, which no row reaches.
@@ -525,8 +532,10 @@ def test_cluster_stats_match_per_column_reference(n_rows):
         assignments["neuron"] = rng.choice([0, 1, 1, 3, 4], size=n_rows)
         assignments["neuron"][0] = 2
         table = make_table(rows)
-        assert stats_to_csv(cluster_stats(clusters, assignments, table, model), table.names) == (
-            stats_to_csv(_reference_cluster_stats(clusters, assignments, table), table.names)
+        fast = cluster_stats(clusters, assignments, table, model)
+        reference = _reference_cluster_stats(clusters, assignments, table)
+        assert written(tmp_path / "a.csv", stats_rows(fast, table.names)) == written(
+            tmp_path / "b.csv", stats_rows(reference, table.names)
         )
 
 

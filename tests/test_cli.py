@@ -279,6 +279,62 @@ def test_planes_are_numbered_and_drawn_by_schema_position(tmp_path):
         assert path.read_bytes() == image
 
 
+def test_every_csv_the_cli_writes_keeps_its_bytes(tmp_path):
+    # A quoted attribute name, a row outside the training range, distances
+    # and a std that need 17 digits, an empty cluster and a constant plane,
+    # whose absent statistics and correlations are empty cells.
+    schema = (AttributeSpec("a", 0.0, 10.0), AttributeSpec("b,x", 0.0, 2.0),
+              AttributeSpec("c", 0.0, 1.0))
+    weights = np.array([[0.0, 0.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.0, 0.5],
+                        [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.25, 0.75, 0.5]])
+    model = SomModel(HexGrid(3, 2), weights, schema=schema, schedule=TrainingSchedule(sigma0=1.0))
+    save_model(model, tmp_path / "m.model")
+    (tmp_path / "log.csv").write_text(
+        'a,"b,x",c\n1.0,0.4,0.5\n9.0,3.4,0.5\n6.0,0.6,0.5\n0.5,1.9,0.5\n'
+    )
+    (tmp_path / "curve.csv").write_text(
+        "t,p\n0.0,5.0\n0.5,4.0\n1.0,3.0\n1.5,3.5\n2.0,4.5\n2.5,5.0\n"
+    )
+    m, log = tmp_path / "m.model", tmp_path / "log.csv"
+    for argv in (
+        ["classify", "--model", m, "--input", log, "--output", tmp_path / "classify.csv"],
+        ["cluster", "--model", m, "--input", log, "--k", "4", "--outdir", tmp_path / "cluster"],
+        ["correlate", "--model", m, "--output", tmp_path / "correlation.csv"],
+        ["features", "--input", tmp_path / "curve.csv", "--t-open", "0.5", "--t-close", "1.5",
+         "--regen-duration", "1.0", "--output", tmp_path / "features.csv"],
+    ):
+        assert cli.main([str(arg) for arg in argv]) == cli.EXIT_OK
+    assignments = (
+        "0,0,{}0.223606797749979,0\n"
+        "1,1,{}0.09999999999999998,1\n"
+        "2,2,{}0.31622776601683794,0\n"
+        "3,3,{}0.07071067811865478,0\n"
+    )
+    expected = {
+        "classify.csv": "row,neuron,distance,clamped\n" + assignments.format("", "", "", ""),
+        "cluster/neuron_clusters.csv": "neuron,cluster\n0,1\n1,0\n2,1\n3,3\n4,2\n5,3\n",
+        "cluster/assignments.csv": (
+            "row,neuron,cluster,distance,clamped\n" + assignments.format("1,", "0,", "1,", "3,")
+        ),
+        "cluster/cluster_stats.csv": (
+            "cluster,attribute,count,mean,std\n"
+            '0,a,1,9.0,0.0\n0,"b,x",1,3.4,0.0\n0,c,1,0.5,0.0\n'
+            '1,a,2,3.5,3.5355339059327378\n1,"b,x",2,0.5,0.14142135623730948\n1,c,2,0.5,0.0\n'
+            '2,a,0,,\n2,"b,x",0,,\n2,c,0,,\n'
+            '3,a,1,0.5,0.0\n3,"b,x",1,1.9,0.0\n3,c,1,0.5,0.0\n'
+        ),
+        "correlation.csv": (
+            ',a,"b,x",c\n'
+            "a,1.0,-0.06229918232859782,\n"
+            '"b,x",-0.06229918232859782,1.0,\n'
+            "c,,,\n"
+        ),
+        "features.csv": "p_start,p_min,pulse_area,regen_area\n4.0,3.0,3.375,4.375\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
 def test_cluster_with_mismatched_input_exits_2_and_writes_nothing(log_csv, tmp_path):
     assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
     other = tmp_path / "other.csv"

@@ -2,10 +2,13 @@
 
 import os
 import stat
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from som_atlas.fileio import atomic_write_bytes, atomic_write_text
+from som_atlas.analysis import ASSIGNMENT, assignment_rows
+from som_atlas.fileio import atomic_write_bytes, atomic_write_csv
 
 
 @pytest.fixture
@@ -19,7 +22,7 @@ def umask_022():
 
 def test_written_file_gets_the_mode_open_would_give(tmp_path, umask_022):
     atomic_write_bytes(tmp_path / "a.bin", b"\x00\x01")
-    atomic_write_text(tmp_path / "b.csv", "x\n")
+    atomic_write_csv(tmp_path / "b.csv", [["x"]])
     with open(tmp_path / "c.txt", "w") as fh:
         fh.write("x\n")
     for name in ("a.bin", "b.csv", "c.txt"):
@@ -40,17 +43,50 @@ def test_mode_follows_the_current_umask(tmp_path):
 
 def test_replaces_an_existing_file(tmp_path, umask_022):
     (tmp_path / "a.csv").write_text("old\n")
-    atomic_write_text(tmp_path / "a.csv", "new\n")
+    atomic_write_csv(tmp_path / "a.csv", [["new"]])
     assert (tmp_path / "a.csv").read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
 
+def _rows_then_failure():
+    # Enough rows to pass the text layer's buffer, so part of the file is on disk.
+    for i in range(10_000):
+        yield [i, "row"]
+    raise RuntimeError("the source failed mid-stream")
+
+
 def test_failed_write_leaves_nothing(tmp_path, umask_022):
-    with pytest.raises(TypeError):
-        atomic_write_bytes(tmp_path / "a.bin", "not bytes")
-    assert not any(tmp_path.iterdir())
-    (tmp_path / "b.bin").write_bytes(b"kept")
-    with pytest.raises(TypeError):
-        atomic_write_bytes(tmp_path / "b.bin", None)
-    assert [p.name for p in tmp_path.iterdir()] == ["b.bin"]
-    assert (tmp_path / "b.bin").read_bytes() == b"kept"
+    failures = [
+        (TypeError, lambda path: atomic_write_bytes(path, "not bytes")),
+        (TypeError, lambda path: atomic_write_bytes(path, None)),
+        (RuntimeError, lambda path: atomic_write_csv(path, _rows_then_failure())),
+    ]
+    for exc, write in failures:
+        with pytest.raises(exc):
+            write(tmp_path / "a.out")
+        assert not any(tmp_path.iterdir())
+        (tmp_path / "b.out").write_bytes(b"kept")
+        with pytest.raises(exc):
+            write(tmp_path / "b.out")
+        assert [p.name for p in tmp_path.iterdir()] == ["b.out"]
+        assert (tmp_path / "b.out").read_bytes() == b"kept"
+        (tmp_path / "b.out").unlink()
+
+
+def test_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # The assignment table as ``classify`` writes it: rows are formatted
+    # and written as they come, so no text of the whole table is held.
+    assignments = np.zeros(100_000, dtype=ASSIGNMENT)
+    assignments["neuron"] = np.arange(100_000) % 1600
+    assignments["distance"] = np.random.default_rng(5).random(100_000)
+    assignments["clamped"][::7] = True
+
+    def peak(n_rows):
+        tracemalloc.start()
+        try:
+            atomic_write_csv(tmp_path / "a.csv", assignment_rows(assignments[:n_rows]))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(100_000) - peak(25_000)) / 75_000 <= 4
