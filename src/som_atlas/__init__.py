@@ -20,10 +20,9 @@ __version__ = "0.1.0"
 # Public names by the submodule that defines them.
 _EXPORTS = {
     "analysis": (
-        "AttributeRange", "AttributeStats", "ClusterModel", "ComponentPlane",
-        "CorrelationReport", "ForwardPrediction", "classify", "cluster_stats",
-        "component_plane", "kmeans_codebook", "plane_correlation", "predict_forward",
-        "predict_reverse",
+        "AttributeRange", "AttributeStats", "ClusterModel", "CorrelationReport",
+        "ForwardPrediction", "classify", "cluster_stats", "component_plane",
+        "kmeans_codebook", "plane_correlation", "predict_forward", "predict_reverse",
     ),
     "errors": (
         "CsvFormatError", "ModelFormatError", "RangeOverflowError", "SchemaMismatchError",

@@ -8,20 +8,21 @@ time, straight into one structured ``ASSIGNMENT`` record: only that record,
 tables one row at a time for ``fileio.atomic_write_csv``, so writing them
 out holds nothing more. Forward prediction uses the same two
 calls on one row of the given attributes and the codebook's columns of
-those attributes. Component planes slice one attribute out of the
-codebook for rendering; their pairwise Pearson coefficients quantify the
-"two planes look alike" judgement, including inverse relations at r close to
--1. K-means over the codebook groups neurons into operating regimes, on the
-squared sums of ``kernels.nearest``, the search under ``kernels.bmu``. The
-two prediction queries walk the pipeline forward (partial settings to the
-expected cluster and its statistics) and backward (cluster to the weight
-ranges that reach it).
+those attributes. A component plane is one attribute of the codebook as a
+``(height, width)`` array; the planes' pairwise Pearson coefficients (NaN
+for a constant plane) quantify the "two planes look alike" judgement,
+including inverse relations at r close to -1. K-means over the codebook
+groups neurons into operating regimes, on the squared sums of
+``kernels.nearest``, the search under ``kernels.bmu``; ``cluster_stats``
+returns the data's statistics per cluster. The two prediction queries walk
+the pipeline forward (partial settings to the expected cluster and its
+statistics) and backward (cluster to the weight ranges that reach it).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,28 +48,19 @@ KMEANS_RESTARTS = 10
 
 
 @dataclass(frozen=True)
-class ComponentPlane:
-    """One attribute's coordinate across the whole map, in grid shape."""
-
-    attribute: int
-    values: np.ndarray  # (height, width), values[row][col]
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
     """Neuron-wise Pearson coefficients between all component-plane pairs."""
 
     names: tuple[str, ...]
-    matrix: np.ndarray  # (n, n) floats in [-1, 1]; 0.0 where invalid
-    valid: np.ndarray  # (n, n) bools; False where a plane has zero variance
+    matrix: np.ndarray  # (n, n) floats in [-1, 1]; NaN where a plane has zero variance
 
     def strong_pairs(self) -> list[tuple[int, int, float]]:
-        """Attribute pairs (i < j) whose |r| is at least ``STRONG_CORRELATION``."""
+        """Attribute pairs (i < j) whose |r| is at least ``STRONG_CORRELATION`` (NaN never is)."""
         out = []
         n = len(self.names)
         for i in range(n):
             for j in range(i + 1, n):
-                if self.valid[i, j] and abs(self.matrix[i, j]) >= STRONG_CORRELATION:
+                if abs(self.matrix[i, j]) >= STRONG_CORRELATION:
                     out.append((i, j, float(self.matrix[i, j])))
         return out
 
@@ -85,12 +77,11 @@ class AttributeStats:
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """K-means partition of the codebook, optionally with data statistics."""
+    """K-means partition of the codebook."""
 
     centroids: np.ndarray  # (k, dim), normalized units
     neuron_labels: np.ndarray  # (n_neurons,) ints in [0, k)
     inertia: float
-    stats: tuple[tuple[AttributeStats, ...], ...] | None = None  # [cluster][attribute]
 
     @property
     def k(self) -> int:
@@ -119,11 +110,6 @@ class AttributeRange:
     quasi_constant: bool = False
 
 
-def _require_schema(model: SomModel) -> None:
-    if model.schema is None:
-        raise ValueError("model has no attribute schema; train or load one first")
-
-
 def classify(model: SomModel, table: DataTable) -> np.ndarray:
     """Assign every raw row to its best matching unit: one ``ASSIGNMENT`` per row.
 
@@ -131,7 +117,6 @@ def classify(model: SomModel, table: DataTable) -> np.ndarray:
     the training range are clamped to the range edge and flagged, never
     rejected: a slightly out-of-range reading is still worth mapping.
     """
-    _require_schema(model)
     model_names = [a.name for a in model.schema]
     table_names = table.names
     if len(table_names) != len(model_names):
@@ -151,21 +136,19 @@ def classify(model: SomModel, table: DataTable) -> np.ndarray:
     return out
 
 
-def component_plane(model: SomModel, attribute: int) -> ComponentPlane:
-    """Extract one weight coordinate across all neurons, reshaped to the grid."""
+def component_plane(model: SomModel, attribute: int) -> np.ndarray:
+    """One weight coordinate across all neurons, as a ``(height, width)`` copy."""
     if not (0 <= attribute < model.dim):
         raise ValueError(f"attribute index {attribute} out of range for dim {model.dim}")
-    values = model.weights[:, attribute].reshape(model.grid.height, model.grid.width).copy()
-    return ComponentPlane(attribute=attribute, values=values)
+    return model.weights[:, attribute].reshape(model.grid.height, model.grid.width).copy()
 
 
 def plane_correlation(model: SomModel) -> CorrelationReport:
     """Pearson coefficients between every pair of component planes.
 
-    A plane with zero variance has no defined correlation; its entries are
-    flagged invalid (value 0.0) instead of propagating NaN.
+    A plane with zero variance has no defined correlation: its row and
+    column of the matrix are NaN.
     """
-    _require_schema(model)
     n = model.dim
     if n < 2:
         raise ValueError("plane correlation needs at least two attributes")
@@ -177,8 +160,7 @@ def plane_correlation(model: SomModel) -> CorrelationReport:
     centered -= centered.mean(axis=1, keepdims=True)
     var_sums = [float(np.dot(dx, dx)) for dx in centered]
 
-    matrix = np.zeros((n, n))
-    valid = np.zeros((n, n), dtype=bool)
+    matrix = np.full((n, n), math.nan)
     for i in range(n):
         for j in range(i, n):
             if var_sums[i] == 0.0 or var_sums[j] == 0.0:
@@ -187,10 +169,8 @@ def plane_correlation(model: SomModel) -> CorrelationReport:
             r = num / math.sqrt(var_sums[i] * var_sums[j])
             r = min(1.0, max(-1.0, r))
             matrix[i, j] = matrix[j, i] = r
-            valid[i, j] = valid[j, i] = True
 
-    names = tuple(a.name for a in model.schema)
-    return CorrelationReport(names=names, matrix=matrix, valid=valid)
+    return CorrelationReport(names=tuple(a.name for a in model.schema), matrix=matrix)
 
 
 def kmeans_codebook(
@@ -269,18 +249,15 @@ def _update_centroids(
 
 
 def cluster_stats(
-    clusters: ClusterModel,
-    assignments: np.ndarray,
-    table: DataTable,
-    model: SomModel,
-) -> ClusterModel:
+    clusters: ClusterModel, assignments: np.ndarray, table: DataTable
+) -> tuple[tuple[AttributeStats, ...], ...]:
     """Fold classified data rows into per-cluster, per-attribute statistics.
 
-    Each row inherits its neuron's cluster label. Means and sample standard
-    deviations are over raw units; a single-member cluster reports std 0 with
-    a flag, an empty one reports absent stats.
+    Returns ``stats[cluster][attribute]``. Each row inherits its neuron's
+    cluster label. Means and sample standard deviations are over raw units; a
+    single-member cluster reports std 0 with a flag, an empty one reports
+    absent stats.
     """
-    _require_schema(model)
     if len(assignments) != table.n_rows:
         raise ValueError(
             f"{len(assignments)} assignments for {table.n_rows} rows; "
@@ -303,12 +280,13 @@ def cluster_stats(
             means, stds = members.mean(axis=1).tolist(), members.std(axis=1, ddof=1).tolist()
             per_attr = [AttributeStats(count, m, d) for m, d in zip(means, stds)]
         stats.append(tuple(per_attr))
-    return replace(clusters, stats=tuple(stats))
+    return tuple(stats)
 
 
 def predict_forward(
     model: SomModel,
     clusters: ClusterModel,
+    stats: Sequence[Sequence[AttributeStats]],
     values: Mapping[str, float],
     target: str,
 ) -> ForwardPrediction:
@@ -316,11 +294,9 @@ def predict_forward(
 
     ``values`` names any non-empty subset of schema attributes; the best
     matching unit is found over those dimensions only, and the winning
-    neuron's cluster supplies the reported statistics for ``target``.
+    neuron's cluster supplies the reported ``stats`` (as ``cluster_stats``
+    returns them) for ``target``.
     """
-    _require_schema(model)
-    if clusters.stats is None:
-        raise ValueError("cluster statistics not computed; run cluster_stats first")
     if not values:
         raise ValueError("at least one attribute value is required")
     index_of = {a.name: i for i, a in enumerate(model.schema)}
@@ -343,7 +319,7 @@ def predict_forward(
         distance=float(dist[0]),
         cluster=cluster,
         target=target,
-        stats=clusters.stats[cluster][index_of[target]],
+        stats=stats[cluster][index_of[target]],
         clamped=bool(clamped[0]),
     )
 
@@ -357,7 +333,6 @@ def predict_reverse(
     the neurons labeled ``target_cluster``: the settings region the map
     associates with that cluster.
     """
-    _require_schema(model)
     if not (0 <= target_cluster < clusters.k):
         raise ValueError(f"cluster id {target_cluster} out of range for k={clusters.k}")
     members = model.weights[clusters.neuron_labels == target_cluster]
@@ -385,11 +360,11 @@ def predict_reverse(
 
 
 def correlation_rows(report: CorrelationReport):
-    """CSV rows of the matrix with attribute names on both axes; invalid cells empty."""
+    """CSV rows of the matrix with attribute names on both axes; undefined cells empty."""
     # ``csv`` writes a Python float as its ``repr`` and None as an empty cell.
     yield ["", *report.names]
-    for name, values, valid in zip(report.names, report.matrix.tolist(), report.valid):
-        yield [name, *(v if ok else None for v, ok in zip(values, valid))]
+    for name, values in zip(report.names, report.matrix.tolist()):
+        yield [name, *(None if math.isnan(v) else v for v in values)]
 
 
 def assignment_rows(assignments: np.ndarray, clusters: ClusterModel | None = None):
@@ -413,11 +388,9 @@ def assignment_rows(assignments: np.ndarray, clusters: ClusterModel | None = Non
     yield from zip(*columns)
 
 
-def stats_rows(clusters: ClusterModel, names: Sequence[str]):
-    """CSV rows of per-cluster attribute statistics (empty mean/std when absent)."""
-    if clusters.stats is None:
-        raise ValueError("cluster statistics not computed; run cluster_stats first")
+def stats_rows(stats: Sequence[Sequence[AttributeStats]], names: Sequence[str]):
+    """CSV rows of ``cluster_stats``' statistics (empty mean/std when absent)."""
     yield ["cluster", "attribute", "count", "mean", "std"]
-    for c, per_attr in enumerate(clusters.stats):
+    for c, per_attr in enumerate(stats):
         for name, st in zip(names, per_attr):
             yield [c, name, st.count, st.mean, st.std]  # ``csv`` writes None as an empty cell

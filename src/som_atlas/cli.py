@@ -18,6 +18,7 @@ import gc
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 # Only what parsing and ``train`` need loads here; the other commands import
@@ -31,6 +32,7 @@ from .model_io import check_attribute_names, load_model, save_model
 from .som import (
     DEFAULT_EPOCHS,
     DEFAULT_SEED,
+    SomModel,
     TrainingSchedule,
     init_codebook,
     quantization_error,
@@ -145,7 +147,12 @@ def main(argv=None) -> int:
         "features": cmd_features,
     }[args.command]
     try:
-        handler(args)
+        with warnings.catch_warnings():
+            # One line per warning, without the source location and line.
+            warnings.showwarning = lambda message, *_: print(
+                f"som-atlas: warning: {message}", file=sys.stderr
+            )
+            handler(args)
     except SomAtlasError as exc:
         print(f"som-atlas: error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -210,8 +217,8 @@ def cmd_train(args) -> None:
 
     t0 = time.perf_counter()
     codebook = init_codebook(grid, ntable.n_attrs, schedule.seed)
-    qe_initial = quantization_error(codebook, ntable)
-    model = train(ntable, grid, schedule, initial_weights=codebook.weights)
+    qe_initial = quantization_error(SomModel(grid, codebook, ntable.schema, schedule), ntable)
+    model = train(ntable, grid, schedule, initial_weights=codebook)
     qe_final = quantization_error(model, ntable)
     elapsed = time.perf_counter() - t0
 
@@ -235,8 +242,8 @@ def cmd_planes(args) -> None:
     model = load_model(args.model)
     outdir = Path(args.outdir)
     for i, spec in enumerate(model.schema):
-        plane = component_plane(model, i)
-        data = render_plane(plane, model.grid, format=args.format, cell_radius=args.radius)
+        values = component_plane(model, i)
+        data = render_plane(values, model.grid, format=args.format, cell_radius=args.radius)
         # Made once an image is drawn, so rejected render arguments leave nothing.
         outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / f"plane_{i}_{_sanitize(spec.name)}.{args.format}"
@@ -271,7 +278,7 @@ def cmd_cluster(args) -> None:
     )
     if table is not None:
         assignments = classify(model, table)
-        clusters = cluster_stats(clusters, assignments, table, model)
+        stats = cluster_stats(clusters, assignments, table)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -282,7 +289,7 @@ def cmd_cluster(args) -> None:
 
     if table is not None:
         atomic_write_csv(outdir / "assignments.csv", assignment_rows(assignments, clusters))
-        atomic_write_csv(outdir / "cluster_stats.csv", stats_rows(clusters, table.names))
+        atomic_write_csv(outdir / "cluster_stats.csv", stats_rows(stats, table.names))
 
     print(f"k={clusters.k} inertia={clusters.inertia:.6f} outputs in {outdir}")
 

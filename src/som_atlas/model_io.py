@@ -32,14 +32,7 @@ MAGIC = "som-atlas-model v1"
 
 
 def dumps_model(model: SomModel) -> str:
-    if model.schema is None:
-        raise ValueError("cannot save a codebook without an attribute schema")
-    if model.schedule is None:
-        raise ValueError("cannot save a codebook without its training schedule")
     sched = model.schedule
-    if sched.sigma0 is None:
-        raise ValueError("schedule sigma0 must be resolved before saving")
-
     lines = [
         MAGIC,
         f"grid {model.grid.width} {model.grid.height} odd-r",

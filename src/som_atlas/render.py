@@ -4,10 +4,14 @@ Values map through a black -> red -> yellow ramp: black at 0, pure red at
 0.5, yellow at 1, with the blue channel fixed at zero. Maps are drawn as
 pointy-top hexagons in odd-r offset layout. All output is byte-deterministic:
 fixed element order, fixed 6-digit decimal formatting, no timestamps.
+
+The geometry (PPM owner raster, SVG polygon text) is drawn once per grid
+and cell radius and cached read-only, so each image only colours it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Sequence
@@ -61,9 +65,9 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def render_plane(plane, grid: HexGrid, format: str = "svg", cell_radius: float = 12.0) -> bytes:
-    """Render one component plane as a hex heatmap; returns image bytes."""
-    values = np.asarray(plane.values, dtype=np.float64)
+def render_plane(values, grid: HexGrid, format: str = "svg", cell_radius: float = 12.0) -> bytes:
+    """Render one ``(height, width)`` component plane as a hex heatmap; returns image bytes."""
+    values = np.asarray(values, dtype=np.float64)
     if values.shape != (grid.height, grid.width):
         raise ValueError(
             f"plane shape {values.shape} does not match grid "
@@ -96,7 +100,7 @@ def _render(fills, grid, format, cell_radius, caption):
     if format == "svg":
         return _render_svg(fills, grid, cell_radius, caption)
     if format == "ppm":
-        return _render_ppm(fills, grid, cell_radius)
+        return _render_ppm(fills, _ppm_owner(grid, cell_radius))
     raise ValueError(f"unknown format {format!r}; expected 'svg' or 'ppm'")
 
 
@@ -119,25 +123,43 @@ def _render_svg(fills, grid, r, caption) -> bytes:
     ]
     if caption is not None:
         lines.append(f"<!-- {caption} -->")
+    heads = _svg_polygons(grid, r)
+    lines += [f'{head}{red},{green},{blue})"/>' for head, (red, green, blue) in zip(heads, fills)]
+    lines.append("</svg>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Each cache keeps four (grid, radius) pairs; a 100x100 raster at r = 12 is 25 MB.
+@functools.lru_cache(maxsize=4)
+def _svg_polygons(grid: HexGrid, r: float) -> tuple[str, ...]:
+    """Each hexagon's ``<polygon`` element up to its fill colour, in index order."""
     # Corner i is the centre plus (r cos a, r sin a) for a = -30 + 60i degrees.
     angles = [math.radians(60.0 * i - 30.0) for i in range(6)]
     offsets = np.array([(r * math.cos(a), r * math.sin(a)) for a in angles])
     rows, cols = np.divmod(np.arange(grid.n_nodes), grid.width)
     corners = np.stack(_hex_center(rows, cols, r), axis=1)[:, None, :] + offsets
-    polygon = '<polygon points="' + " ".join(["%.6f,%.6f"] * 6) + '" fill="rgb(%d,%d,%d)"/>'
-    lines += [polygon % (*xy, *fill) for xy, fill in zip(corners.reshape(-1, 12).tolist(), fills)]
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    head = '<polygon points="' + " ".join(["%.6f,%.6f"] * 6) + '" fill="rgb('
+    return tuple(head % tuple(xy) for xy in corners.reshape(-1, 12).tolist())
 
 
-def _render_ppm(fills, grid, r) -> bytes:
-    """P3 raster; a pixel is painted when its centre lies in a hexagon.
+def _render_ppm(fills, owner: np.ndarray) -> bytes:
+    """P3 raster of ``owner``, each pixel in its hexagon's fill, white where none."""
+    ph, pw = owner.shape
+    # One line per fill and white last, so an unowned pixel's -1 picks white.
+    table = np.array([f"{red} {green} {blue}" for red, green, blue in fills] + ["255 255 255"],
+                     dtype=object)
+    lines = ["P3", f"{pw} {ph}", "255", *table[owner.ravel()], ""]
+    return "\n".join(lines).encode("ascii")
+
+
+@functools.lru_cache(maxsize=4)
+def _ppm_owner(grid: HexGrid, r: float) -> np.ndarray:
+    """Read-only pixel raster of the hexagon whose cell holds each pixel centre; -1 if none.
 
     Hexagons are tested with the point-in-hexagon expressions below, each
     over its bounding box, a batch of hexagons at a time. Neighbours share
     edges, so a pixel centre on an edge can pass two tests: the highest hex
-    index owns it, as if the hexagons were painted in index order. Pixels no
-    hexagon owns stay white.
+    index owns it, as if the hexagons were painted in index order.
     """
     w, h = _canvas_size(grid, r)
     pw, ph = math.ceil(w), math.ceil(h)
@@ -168,9 +190,5 @@ def _render_ppm(fills, grid, r) -> bytes:
         )
         k, a, b = np.nonzero(inside)
         np.maximum.at(owner, (py[k, a], px[k, b]), k + start)
-
-    # One line per fill and white last, so an unowned pixel's -1 picks white.
-    table = np.array([f"{red} {green} {blue}" for red, green, blue in fills] + ["255 255 255"],
-                     dtype=object)
-    lines = ["P3", f"{pw} {ph}", "255", *table[owner.ravel()], ""]
-    return "\n".join(lines).encode("ascii")
+    owner.setflags(write=False)
+    return owner

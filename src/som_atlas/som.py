@@ -7,6 +7,8 @@ a Gaussian over hex-lattice distance whose radius shrinks linearly to zero
 across the epochs before the last one. The final epoch is purely competitive:
 only the winning neuron moves. Given the same table, grid and schedule the
 result is bit-identical between runs and between kernel backends.
+
+A ``SomModel`` is whole, as a model file stores it; a bare codebook is an array.
 """
 
 from __future__ import annotations
@@ -64,12 +66,13 @@ class TrainingSchedule:
 
 @dataclass
 class SomModel:
-    """A trained (or freshly initialized) codebook plus its provenance."""
+    """A codebook with its attribute schema and resolved training schedule:
+    exactly what a model file holds."""
 
     grid: HexGrid
     weights: np.ndarray
-    schema: tuple[AttributeSpec, ...] | None = None
-    schedule: TrainingSchedule | None = None
+    schema: tuple[AttributeSpec, ...]
+    schedule: TrainingSchedule
 
     def __post_init__(self) -> None:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -80,11 +83,14 @@ class SomModel:
         # Written so that NaN, which fails every comparison, is rejected too.
         if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
             raise ValueError("codebook weights must be finite and lie in [0, 1]")
-        if self.schema is not None:
-            self.schema = tuple(self.schema)
-            if len(self.schema) != w.shape[1]:
-                raise ValueError(f"schema has {len(self.schema)} attributes, weights {w.shape[1]}")
-            require_unique_names([a.name for a in self.schema])
+        self.schema = tuple(self.schema)
+        if len(self.schema) != w.shape[1]:
+            raise ValueError(f"schema has {len(self.schema)} attributes, weights {w.shape[1]}")
+        require_unique_names([a.name for a in self.schema])
+        if not isinstance(self.schedule, TrainingSchedule):
+            raise TypeError(f"schedule must be a TrainingSchedule, got {self.schedule!r}")
+        if self.schedule.sigma0 is None:
+            raise ValueError("schedule sigma0 must be resolved against the grid")
         self.weights = w
 
     @property
@@ -97,8 +103,8 @@ class SomModel:
         return self.grid.n_nodes
 
 
-def init_codebook(grid: HexGrid, dim: int, seed: int) -> SomModel:
-    """Random codebook, every weight i.i.d. uniform on [0, 1).
+def init_codebook(grid: HexGrid, dim: int, seed: int) -> np.ndarray:
+    """Random ``(n_neurons, dim)`` codebook, every weight i.i.d. uniform on [0, 1).
 
     The generator is numpy's PCG64 so identical (grid, dim, seed) give a
     bit-identical codebook on any platform.
@@ -106,8 +112,7 @@ def init_codebook(grid: HexGrid, dim: int, seed: int) -> SomModel:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    weights = rng.random((grid.n_nodes, dim))
-    return SomModel(grid=grid, weights=weights)
+    return rng.random((grid.n_nodes, dim))
 
 
 def learning_rate(s: int, schedule: TrainingSchedule, n_rows: int) -> float:
@@ -175,15 +180,14 @@ def train(
     if table.n_rows == 0:
         raise ValueError("cannot train on an empty table")
     schedule = schedule.resolved(grid)
-    dim = table.n_attrs
     n_rows = table.n_rows
 
     if initial_weights is None:
-        weights = init_codebook(grid, dim, schedule.seed).weights
+        weights = init_codebook(grid, table.n_attrs, schedule.seed)
     else:
         # Copied, because the kernel mutates it, then checked as a codebook of the table.
         weights = np.array(initial_weights, dtype=np.float64)
-        weights = SomModel(grid=grid, weights=weights, schema=table.schema).weights
+        weights = SomModel(grid, weights, table.schema, schedule).weights
 
     # Spawn key 1 keeps the shuffle stream independent of the codebook stream.
     rng = np.random.default_rng(np.random.SeedSequence(schedule.seed, spawn_key=(1,)))
@@ -192,7 +196,7 @@ def train(
         alphas, sigmas, cooperative = _rates(schedule, n_rows, start, start + n_rows)
         kernels.train_loop(weights, table.rows, order.astype(np.int64, copy=False), grid,
                            alphas, sigmas, cooperative)
-    return SomModel(grid=grid, weights=weights, schema=table.schema, schedule=schedule)
+    return SomModel(grid, weights, table.schema, schedule)
 
 
 def quantization_error(model: SomModel, table: NormalizedTable) -> float:

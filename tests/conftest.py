@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from som_atlas import kernels
-from som_atlas.ingest import DataTable, NormalizedTable, _observed_spec
+from som_atlas.ingest import AttributeSpec, DataTable, NormalizedTable, _observed_spec
+from som_atlas.som import SomModel, TrainingSchedule
 
 
 def make_table(rows, names=None) -> DataTable:
@@ -24,6 +25,14 @@ def unit_table(rows) -> NormalizedTable:
     rows = np.asarray(rows, dtype=np.float64)
     schema = [_observed_spec(f"a{i}", col) for i, col in enumerate(rows.T)]
     return NormalizedTable(schema=schema, rows=rows)
+
+
+def make_model(grid, weights) -> SomModel:
+    """Whole ``SomModel`` of ``weights`` on ``grid``: attributes a0, a1, ... over
+    [0, 1] and the default schedule, resolved."""
+    weights = np.asarray(weights, dtype=np.float64)
+    schema = [AttributeSpec(f"a{i}", 0.0, 1.0) for i in range(weights.shape[-1])]
+    return SomModel(grid, weights, schema, TrainingSchedule().resolved(grid))
 
 
 def bmu_row(weights, x) -> tuple[int, float]:

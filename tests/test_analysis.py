@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from som_atlas.hexgrid import HexGrid
 from som_atlas.ingest import AttributeSpec, apply_schema, denormalize, normalize
 from som_atlas.som import SomModel, TrainingSchedule, train
 
-from conftest import bmu_row, make_table
+from conftest import bmu_row, make_model, make_table
 
 
 def written(path, rows) -> str:
@@ -46,7 +45,7 @@ def model_with(weights, names=None, ranges=None) -> SomModel:
     names = names or [f"a{i}" for i in range(dim)]
     ranges = ranges or [(0.0, 1.0)] * dim
     schema = tuple(AttributeSpec(name, lo, hi) for name, (lo, hi) in zip(names, ranges))
-    return SomModel(grid=HexGrid(n, 1), weights=weights, schema=schema)
+    return SomModel(HexGrid(n, 1), weights, schema, TrainingSchedule(sigma0=1.0))
 
 
 def brute_force_two_means(points):
@@ -171,21 +170,21 @@ class TestComponentPlane:
     def test_dim_one_plane_is_whole_codebook(self):
         m = model_with([[0.1], [0.2], [0.3]])
         plane = component_plane(m, 0)
-        assert plane.values.shape == (1, 3)
-        assert np.array_equal(plane.values.ravel(), m.weights[:, 0])
+        assert plane.shape == (1, 3)
+        assert np.array_equal(plane.ravel(), m.weights[:, 0])
 
     def test_planes_decompose_weights(self, rng):
         weights = rng.random((12, 4))
-        m = SomModel(grid=HexGrid(4, 3), weights=weights)
+        m = make_model(HexGrid(4, 3), weights)
         planes = [component_plane(m, i) for i in range(4)]
         for v in range(12):
             row, col = divmod(v, 4)
-            total = sum(p.values[row, col] for p in planes)
+            total = sum(p[row, col] for p in planes)
             assert total == pytest.approx(weights[v].sum(), abs=1e-12)
 
     def test_27_planes(self, rng):
         weights = rng.random((6, 27))
-        m = SomModel(grid=HexGrid(3, 2), weights=weights)
+        m = make_model(HexGrid(3, 2), weights)
         planes = [component_plane(m, i) for i in range(27)]
         assert len(planes) == 27
         with pytest.raises(ValueError):
@@ -216,9 +215,8 @@ class TestPlaneCorrelation:
     def test_zero_variance_flagged_invalid(self):
         m = model_with(np.array([[0.5, 0.1], [0.5, 0.9]]))
         report = plane_correlation(m)
-        assert not report.valid[0, 0]
-        assert not report.valid[0, 1]
-        assert report.valid[1, 1]
+        assert np.isnan(report.matrix[0, 0])
+        assert np.isnan(report.matrix[0, 1]) and np.isnan(report.matrix[1, 0])
         assert report.matrix[1, 1] == 1.0
 
     def test_matrix_is_symmetric_and_bounded(self, rng):
@@ -242,16 +240,14 @@ def _reference_correlation(model) -> CorrelationReport:
     n = model.dim
     centered = [model.weights[:, i] - model.weights[:, i].mean() for i in range(n)]
     var_sums = [float(np.dot(dx, dx)) for dx in centered]
-    matrix = np.zeros((n, n))
-    valid = np.zeros((n, n), dtype=bool)
+    matrix = np.full((n, n), math.nan)
     for i in range(n):
         for j in range(i, n):
             if var_sums[i] == 0.0 or var_sums[j] == 0.0:
                 continue
             r = float(np.dot(centered[i], centered[j])) / math.sqrt(var_sums[i] * var_sums[j])
             matrix[i, j] = matrix[j, i] = min(1.0, max(-1.0, r))
-            valid[i, j] = valid[j, i] = True
-    return CorrelationReport(names=tuple(a.name for a in model.schema), matrix=matrix, valid=valid)
+    return CorrelationReport(names=tuple(a.name for a in model.schema), matrix=matrix)
 
 
 @pytest.mark.parametrize("n_neurons", [2, 3, 17, 1600, 10000])
@@ -437,20 +433,20 @@ class TestClusterStats:
         model = train(normalize(table), HexGrid(3, 2), TrainingSchedule(epochs=3, seed=1))
         cm = kmeans_codebook(model, k, kmeans_seed=2)
         assignments = classify(model, table)
-        return table, model, cluster_stats(cm, assignments, table, model)
+        return table, model, cluster_stats(cm, assignments, table)
 
     def test_two_rows_textbook_stats(self):
         with pytest.warns(UserWarning, match="'c' is quasi-constant"):  # normalize pins c
-            table, model, cm = self.setup_clustered([[2.0, 5.0], [4.0, 5.0]], ["m", "c"])
-        st = cm.stats[0][0]
+            table, model, stats = self.setup_clustered([[2.0, 5.0], [4.0, 5.0]], ["m", "c"])
+        st = stats[0][0]
         assert st.count == 2
         assert st.mean == pytest.approx(3.0, abs=1e-12)
         assert st.std == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:attribute")  # 1-row table: all quasi-constant
     def test_single_row_flagged(self):
-        table, model, cm = self.setup_clustered([[7.5, 1.0]], ["m", "c"])
-        st = cm.stats[0][0]
+        table, model, stats = self.setup_clustered([[7.5, 1.0]], ["m", "c"])
+        st = stats[0][0]
         assert st.count == 1
         assert st.std == 0.0
         assert st.single_sample
@@ -463,10 +459,10 @@ class TestClusterStats:
         # classify only rows landing in one cluster: others stay empty
         one_row = make_table(rows[:1], names=table.names)
         assignments = classify(model, one_row)
-        cm = cluster_stats(cm, assignments, one_row, model)
+        stats = cluster_stats(cm, assignments, one_row)
         hit = int(cm.neuron_labels[assignments[0]["neuron"]])
         for c in range(cm.k):
-            st = cm.stats[c][0]
+            st = stats[c][0]
             if c == hit:
                 assert st.count == 1
             else:
@@ -478,9 +474,9 @@ class TestClusterStats:
         model = train(normalize(table), HexGrid(3, 3), TrainingSchedule(epochs=4, seed=6))
         cm = kmeans_codebook(model, 3, kmeans_seed=1)
         assignments = classify(model, table)
-        cm = cluster_stats(cm, assignments, table, model)
+        stats = cluster_stats(cm, assignments, table)
         for attr in range(table.n_attrs):
-            assert sum(cm.stats[c][attr].count for c in range(cm.k)) == 30
+            assert sum(stats[c][attr].count for c in range(cm.k)) == 30
 
     def test_length_mismatch(self, rng):
         rows = rng.random((5, 2))
@@ -489,10 +485,10 @@ class TestClusterStats:
         cm = kmeans_codebook(model, 2, kmeans_seed=0)
         assignments = classify(model, table)[:-1]
         with pytest.raises(ValueError, match="assignments"):
-            cluster_stats(cm, assignments, table, model)
+            cluster_stats(cm, assignments, table)
 
 
-def _reference_cluster_stats(clusters, assignments, table) -> ClusterModel:
+def _reference_cluster_stats(clusters, assignments, table) -> tuple:
     """Per-cluster statistics read one attribute column at a time."""
     row_labels = clusters.neuron_labels[assignments["neuron"]]
     stats = []
@@ -511,7 +507,7 @@ def _reference_cluster_stats(clusters, assignments, table) -> ClusterModel:
                 mean, std = float(col.mean()), float(col.std(ddof=1))
                 per_attr.append(AttributeStats(count=col.size, mean=mean, std=std))
         stats.append(tuple(per_attr))
-    return replace(clusters, stats=tuple(stats))
+    return tuple(stats)
 
 
 @pytest.mark.parametrize("n_rows", [2, 9, 300, 20001])
@@ -522,7 +518,6 @@ def test_cluster_stats_match_per_column_reference(tmp_path, n_rows):
     clusters = ClusterModel(
         centroids=np.zeros((4, 5)), neuron_labels=np.array([0, 0, 1, 3, 3, 2]), inertia=0.0
     )
-    model = model_with(rng.random((6, 5)))
     scales = np.array([1e-3, 1.0, 37.5, 1e6, 0.0])  # attribute 4 is constant
     for _ in range(10):
         rows = rng.normal(size=(n_rows, 5)) * scales + rng.normal(size=5) * 10.0 * scales
@@ -532,7 +527,7 @@ def test_cluster_stats_match_per_column_reference(tmp_path, n_rows):
         assignments["neuron"] = rng.choice([0, 1, 1, 3, 4], size=n_rows)
         assignments["neuron"][0] = 2
         table = make_table(rows)
-        fast = cluster_stats(clusters, assignments, table, model)
+        fast = cluster_stats(clusters, assignments, table)
         reference = _reference_cluster_stats(clusters, assignments, table)
         assert written(tmp_path / "a.csv", stats_rows(fast, table.names)) == written(
             tmp_path / "b.csv", stats_rows(reference, table.names)
@@ -547,37 +542,36 @@ class TestPredict:
         table = make_table(rows, names=["opening", "duration", "mass"])
         model = train(normalize(table), HexGrid(4, 3), TrainingSchedule(epochs=5, seed=8))
         cm = kmeans_codebook(model, 3, kmeans_seed=4)
-        cm = cluster_stats(cm, classify(model, table), table, model)
-        return table, model, cm
+        return table, model, cm, cluster_stats(cm, classify(model, table), table)
 
     def test_full_input_reproduces_classify(self, rng):
-        table, model, cm = self.fit(rng)
+        table, model, cm, stats = self.fit(rng)
         row = table.rows[7]
         expected = classify(model, make_table([row], names=table.names))[0]
         pred = predict_forward(
-            model, cm, dict(zip(table.names, row)), target="mass"
+            model, cm, stats, dict(zip(table.names, row)), target="mass"
         )
         assert pred.neuron == expected["neuron"]
         assert pred.distance == expected["distance"]
         assert pred.cluster == int(cm.neuron_labels[expected["neuron"]])
 
     def test_single_attribute_mask_matches_linear_scan(self, rng):
-        table, model, cm = self.fit(rng)
+        table, model, cm, stats = self.fit(rng)
         spec = model.schema[0]
         raw = 3.7
         t = (raw - spec.raw_min) / (spec.raw_max - spec.raw_min)
         scan = int(np.argmin(np.abs(model.weights[:, 0] - t)))
-        pred = predict_forward(model, cm, {"opening": raw}, target="mass")
+        pred = predict_forward(model, cm, stats, {"opening": raw}, target="mass")
         assert pred.neuron == scan
 
     def test_partial_input_scans_only_the_named_columns(self, rng):
-        table, model, cm = self.fit(rng)
+        table, model, cm, stats = self.fit(rng)
         raw = {"mass": 42.0, "opening": 3.7}
         specs = [model.schema[0], model.schema[2]]
         t = [(raw[s.name] - s.raw_min) / (s.raw_max - s.raw_min) for s in specs]
         assert all(0.0 < v < 1.0 for v in t)
         neuron, distance = bmu_row(model.weights[:, [0, 2]], t)
-        pred = predict_forward(model, cm, raw, target="duration")
+        pred = predict_forward(model, cm, stats, raw, target="duration")
         assert (pred.neuron, pred.distance.hex()) == (neuron, distance.hex())
         assert pred.cluster == int(cm.neuron_labels[neuron])
         assert not pred.clamped
@@ -588,8 +582,9 @@ class TestPredict:
         weights = [[0.8, 0.5, 0.9], [0.2, 0.9, 0.4], [0.9, 0.2, 0.1], [0.2, 0.1, 0.4]]
         m = model_with(weights, names=["a", "b", "c"])
         table = make_table(weights, names=["a", "b", "c"])
-        cm = cluster_stats(kmeans_codebook(m, 2, kmeans_seed=0), classify(m, table), table, m)
-        pred = predict_forward(m, cm, {"c": 0.4, "a": 0.25}, target="b")
+        cm = kmeans_codebook(m, 2, kmeans_seed=0)
+        stats = cluster_stats(cm, classify(m, table), table)
+        pred = predict_forward(m, cm, stats, {"c": 0.4, "a": 0.25}, target="b")
         assert pred.neuron == 1
         assert pred.distance.hex() == bmu_row(m.weights[:, [0, 2]], [0.25, 0.4])[1].hex()
 
@@ -599,31 +594,32 @@ class TestPredict:
         weights = [[0.0, 1.0], [1.0, 0.0]]
         m = model_with(weights, names=["z", "a"])
         table = make_table(weights, names=["z", "a"])
-        cm = cluster_stats(kmeans_codebook(m, 2, kmeans_seed=0), classify(m, table), table, m)
-        pred = predict_forward(m, cm, {"a": 1.0}, target="z")
+        cm = kmeans_codebook(m, 2, kmeans_seed=0)
+        stats = cluster_stats(cm, classify(m, table), table)
+        pred = predict_forward(m, cm, stats, {"a": 1.0}, target="z")
         assert (pred.neuron, pred.distance) == (0, 0.0)
         assert pred.stats.mean == 0.0
 
     def test_unknown_names_rejected(self, rng):
-        table, model, cm = self.fit(rng)
+        table, model, cm, stats = self.fit(rng)
         with pytest.raises(ValueError, match="valve"):
-            predict_forward(model, cm, {"valve": 1.0}, target="mass")
+            predict_forward(model, cm, stats, {"valve": 1.0}, target="mass")
         with pytest.raises(ValueError, match="banana"):
-            predict_forward(model, cm, {"opening": 1.0}, target="banana")
+            predict_forward(model, cm, stats, {"opening": 1.0}, target="banana")
         with pytest.raises(ValueError):
-            predict_forward(model, cm, {}, target="mass")
+            predict_forward(model, cm, stats, {}, target="mass")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, rng, value):
         # A NaN would otherwise normalize to 0 and land on a neuron unflagged.
-        table, model, cm = self.fit(rng)
+        table, model, cm, stats = self.fit(rng)
         with pytest.raises(ValueError, match="'duration'"):
-            predict_forward(model, cm, {"opening": 5.0, "duration": value}, target="mass")
+            predict_forward(model, cm, stats, {"opening": 5.0, "duration": value}, target="mass")
 
     def test_forward_reports_target_stats(self, rng):
-        table, model, cm = self.fit(rng)
-        pred = predict_forward(model, cm, {"opening": 5.0, "duration": 1.0}, target="mass")
-        st = cm.stats[pred.cluster][2]
+        table, model, cm, stats = self.fit(rng)
+        pred = predict_forward(model, cm, stats, {"opening": 5.0, "duration": 1.0}, target="mass")
+        st = stats[pred.cluster][2]
         assert pred.stats == st
         assert pred.target == "mass"
 
@@ -669,7 +665,7 @@ def test_duplicated_planes_correlate_exactly_after_training(rng):
     sched = TrainingSchedule(epochs=6, seed=3).resolved(grid)
     from som_atlas.som import init_codebook
 
-    init = init_codebook(grid, 2, sched.seed).weights
+    init = init_codebook(grid, 2, sched.seed)
     init[:, 1] = init[:, 0]
     model = train(ntable, grid, sched, initial_weights=init)
     report = plane_correlation(model)

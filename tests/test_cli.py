@@ -58,6 +58,16 @@ def test_train_echoes_the_selected_backend(log_csv, tmp_path, capsys):
     assert pairs.get("kernel_library") == library
 
 
+def test_warnings_print_one_line_each(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("a,b,c\n0.1,5.0,7.0\n0.9,5.0,7.0\n0.4,5.0,7.0\n")
+    assert train(log, tmp_path / "m.model") == cli.EXIT_OK
+    assert capsys.readouterr().err == (
+        "som-atlas: warning: attribute 'b' is quasi-constant (range 0); pinned to 0.5\n"
+        "som-atlas: warning: attribute 'c' is quasi-constant (range 0); pinned to 0.5\n"
+    )
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--no-such-flag"], ["--epochs", "0"], ["--seed", "-1"], ["--sigma0", "inf"]],

@@ -25,7 +25,6 @@ from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid, hop_row, hop_table
 from som_atlas.kernels import pure
 from som_atlas.som import (
-    SomModel,
     TrainingSchedule,
     _rates,
     init_codebook,
@@ -35,7 +34,7 @@ from som_atlas.som import (
     update_step,
 )
 
-from conftest import PLAIN_LOOP, bmu_row, unit_table
+from conftest import PLAIN_LOOP, bmu_row, make_model, unit_table
 
 ARGS = ("weights", "data", "order", "grid", "alphas", "sigmas", "competitive_start")
 
@@ -811,7 +810,7 @@ def test_quantization_error_is_the_sequential_row_sum():
     grid = HexGrid(7, 5)
     rows = rng.random((333, 3))
     table = unit_table(rows)
-    model = init_codebook(grid, 3, seed=1)
+    model = make_model(grid, init_codebook(grid, 3, seed=1))
     total = 0.0
     for x in rows:
         total += bmu_row(model.weights, x)[1]
@@ -850,6 +849,6 @@ def test_neighborhood_is_the_training_theta_table(sigma0, native_train_loop, mon
         for s in range(sched.epochs * n_rows):  # the last epoch is competitive
             weights = np.zeros((grid.n_nodes, 1))
             weights[u] = 1.0
-            model = update_step(SomModel(grid=grid, weights=weights), [1.0], s, sched, n_rows)
+            model = update_step(make_model(grid, weights), [1.0], s, sched, n_rows)
             expected = [neighborhood(grid, u, v, s, sched, n_rows) for v in range(grid.n_nodes)]
             assert model.weights[:, 0].tobytes() == np.array(expected).tobytes()

@@ -76,10 +76,12 @@ def test_spaced_names_survive(trained_model):
 
 
 def test_untrained_model_rejected():
+    # A bare codebook becomes a model, which ``dumps_model`` takes, only
+    # with the schema and resolved schedule a model file records.
     from som_atlas.som import init_codebook
 
-    with pytest.raises(ValueError, match="schema"):
-        dumps_model(init_codebook(HexGrid(2, 2), 2, seed=1))
+    with pytest.raises(TypeError, match="schema"):
+        SomModel(HexGrid(2, 2), init_codebook(HexGrid(2, 2), 2, seed=1))
 
 
 def test_unrepresentable_name_rejected(trained_model):

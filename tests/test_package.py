@@ -78,8 +78,8 @@ def test_prediction_loads_no_numpy_ma():
         table = parse_csv(io.StringIO("a,b,c\n" + "\n".join(f"{a},{b},{c}" for a, b, c in rows)))
         model = train(normalize(table), HexGrid(4, 3), TrainingSchedule(epochs=3, seed=1))
         clusters = kmeans_codebook(model, 2, kmeans_seed=0)
-        clusters = cluster_stats(clusters, classify(model, table), table, model)
-        predict_forward(model, clusters, {"a": 0.5, "c": 0.2}, target="b")
+        stats = cluster_stats(clusters, classify(model, table), table)
+        predict_forward(model, clusters, stats, {"a": 0.5, "c": 0.2}, target="b")
     """), ("numpy", "numpy.ma"))
     assert "som_atlas.analysis" in loaded
     assert "numpy.ma" not in loaded
@@ -123,8 +123,12 @@ def test_data_model_constructors_take_only_independent_values():
         "AttributeSpec": ["name", "raw_min", "raw_max"],
         "DataTable": ["names", "rows", "dropped_rows"],
         "SomModel": ["grid", "weights", "schema", "schedule"],
-        "ClusterModel": ["centroids", "neuron_labels", "inertia", "stats"],
+        "ClusterModel": ["centroids", "neuron_labels", "inertia"],
     }
+    # Built whole: no field of a model may be left out.
+    for cls in (SomModel, ClusterModel):
+        params = inspect.signature(cls).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), cls.__name__
     for cls, name in [(AttributeSpec, "quasi_constant"), (SomModel, "dim"), (ClusterModel, "k")]:
         derived = inspect.getattr_static(cls, name)
         assert isinstance(derived, property) and derived.fset is None, name

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from som_atlas.analysis import ComponentPlane
+from som_atlas import render
 from som_atlas.hexgrid import HexGrid
 from som_atlas.render import (
     _SQRT3,
@@ -19,7 +19,7 @@ from som_atlas.render import (
 )
 
 GRID = HexGrid(3, 2)
-PLANE = ComponentPlane(attribute=0, values=np.array([[0.0, 0.25, 0.5], [0.75, 1.0, 0.1]]))
+PLANE = np.array([[0.0, 0.25, 0.5], [0.75, 1.0, 0.1]])
 LABELS = [0, 1, 2, 0, 1, 13]  # 13 wraps around the 12-colour palette
 
 # sha256 of the image bytes at the default cell radius.
@@ -96,8 +96,8 @@ def test_ppm_matches_per_pixel_reference(radius):
     for width in range(1, 9):
         for height in range(1, 8):
             grid = HexGrid(width, height)
-            plane = ComponentPlane(attribute=0, values=rng.random((height, width)))
-            fills = [colormap(float(v)) for v in plane.values.reshape(-1)]
+            plane = rng.random((height, width))
+            fills = [colormap(float(v)) for v in plane.reshape(-1)]
             assert render_plane(plane, grid, format="ppm", cell_radius=radius) == _reference_ppm(
                 fills, grid, radius
             ), (width, height)
@@ -138,8 +138,8 @@ def test_svg_matches_per_polygon_reference(radius):
     for width in range(1, 9):
         for height in range(1, 8):
             grid = HexGrid(width, height)
-            plane = ComponentPlane(attribute=0, values=rng.random((height, width)))
-            flat = plane.values.reshape(-1)
+            plane = rng.random((height, width))
+            flat = plane.reshape(-1)
             fills = [colormap(float(v)) for v in flat]
             caption = f"values min={flat.min():.6f} max={flat.max():.6f}"
             assert render_plane(plane, grid, format="svg", cell_radius=radius) == _reference_svg(
@@ -150,3 +150,32 @@ def test_svg_matches_per_polygon_reference(radius):
             assert render_cluster_map(
                 labels, grid, format="svg", cell_radius=radius
             ) == _reference_svg(fills, grid, radius, None), (width, height)
+
+
+def test_cached_geometry_gives_cold_cache_bytes():
+    rng = np.random.default_rng(5)
+    cases = [
+        (fmt, HexGrid(w, h), r, rng.random((h, w)))
+        for fmt in ("ppm", "svg") for w, h in ((3, 2), (5, 4)) for r in (2.5, 6.0)
+    ]  # fmt: skip
+
+    def draw(fmt, grid, r, plane):
+        return render_plane(plane, grid, format=fmt, cell_radius=r)
+
+    cold = []
+    for case in cases:
+        render._ppm_owner.cache_clear()
+        render._svg_polygons.cache_clear()
+        cold.append(draw(*case))
+    # Interleaved: between two renders of one size the others are drawn, and
+    # the second pass finds every size's geometry cached.
+    for _ in range(2):
+        assert [draw(*case) for case in cases] == cold
+
+
+def test_cached_owner_raster_is_read_only():
+    render_plane(PLANE, GRID, format="ppm")
+    owner = render._ppm_owner(GRID, 12.0)
+    assert render._ppm_owner(GRID, 12.0) is owner
+    with pytest.raises(ValueError, match="read-only"):
+        owner[0, 0] = 0

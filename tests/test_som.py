@@ -21,61 +21,81 @@ from som_atlas.som import (
     update_step,
 )
 
-from conftest import bmu_row, unit_table
+from conftest import bmu_row, make_model, unit_table
 
 
 def small_model(width=2, height=2, dim=2, weights=None) -> SomModel:
     grid = HexGrid(width, height)
     if weights is None:
-        return init_codebook(grid, dim, seed=0)
-    return SomModel(grid=grid, weights=np.asarray(weights, dtype=np.float64))
+        weights = init_codebook(grid, dim, seed=0)
+    return make_model(grid, weights)
+
+
+SCHEMA_1 = (AttributeSpec("a", 0.0, 1.0),)
+SCHEDULE = TrainingSchedule(sigma0=1.0)
 
 
 class TestSomModel:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
     def test_rejects_weights_outside_unit_box(self, bad):
         with pytest.raises(ValueError):
-            SomModel(HexGrid(2, 1), [[bad], [0.5]])
+            SomModel(HexGrid(2, 1), [[bad], [0.5]], SCHEMA_1, SCHEDULE)
 
     def test_accepts_box_edges(self):
-        m = SomModel(HexGrid(2, 1), [[0.0], [1.0]])
+        m = SomModel(HexGrid(2, 1), [[0.0], [1.0]], SCHEMA_1, SCHEDULE)
         assert m.weights.tolist() == [[0.0], [1.0]]
 
     def test_dim_is_the_column_count(self):
-        assert SomModel(HexGrid(2, 1), [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]).dim == 3
+        assert make_model(HexGrid(2, 1), [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]).dim == 3
 
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5], [[0.5], [0.5], [0.5]], [[0.5]]], ids=["1-d", "3-rows", "1-row"]
     )
     def test_rejects_weights_that_are_not_a_row_per_neuron(self, weights):
         with pytest.raises(ValueError, match="is not 2 neurons x attributes"):
-            SomModel(HexGrid(2, 1), weights)
+            SomModel(HexGrid(2, 1), weights, SCHEMA_1, SCHEDULE)
 
     def test_rejects_a_schema_of_another_width(self):
         with pytest.raises(ValueError, match="schema has 1 attributes, weights 2"):
-            SomModel(HexGrid(2, 1), [[0.5, 0.5]] * 2, schema=[AttributeSpec("a", 0.0, 1.0)])
+            SomModel(HexGrid(2, 1), [[0.5, 0.5]] * 2, SCHEMA_1, SCHEDULE)
 
     def test_rejects_repeated_attribute_names(self):
         schema = [AttributeSpec("a", 0.0, 1.0), AttributeSpec("a", 0.0, 2.0)]
         with pytest.raises(ValueError, match="unique"):
-            SomModel(HexGrid(2, 1), [[0.5, 0.5]] * 2, schema=schema)
+            SomModel(HexGrid(2, 1), [[0.5, 0.5]] * 2, schema, SCHEDULE)
+
+    def test_rejects_a_missing_schema(self):
+        with pytest.raises(TypeError, match="schema"):
+            SomModel(HexGrid(2, 1), [[0.5], [0.5]])
+        with pytest.raises(TypeError):
+            SomModel(HexGrid(2, 1), [[0.5], [0.5]], None, SCHEDULE)
+
+    def test_rejects_a_missing_schedule(self):
+        with pytest.raises(TypeError, match="schedule"):
+            SomModel(HexGrid(2, 1), [[0.5], [0.5]], SCHEMA_1)
+        with pytest.raises(TypeError, match="schedule must be a TrainingSchedule"):
+            SomModel(HexGrid(2, 1), [[0.5], [0.5]], SCHEMA_1, None)
+
+    def test_rejects_an_unresolved_sigma0(self):
+        with pytest.raises(ValueError, match="sigma0 must be resolved"):
+            SomModel(HexGrid(2, 1), [[0.5], [0.5]], SCHEMA_1, TrainingSchedule())
 
 
 class TestInitCodebook:
     def test_same_seed_identical(self):
         a = init_codebook(HexGrid(4, 3), 5, seed=99)
         b = init_codebook(HexGrid(4, 3), 5, seed=99)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = init_codebook(HexGrid(4, 3), 5, seed=1)
         b = init_codebook(HexGrid(4, 3), 5, seed=2)
-        assert not np.array_equal(a.weights, b.weights)
+        assert not np.array_equal(a, b)
 
     def test_range_and_shape(self):
-        m = init_codebook(HexGrid(6, 5), 7, seed=3)
-        assert m.weights.shape == (30, 7)
-        assert m.weights.min() >= 0.0 and m.weights.max() <= 1.0
+        w = init_codebook(HexGrid(6, 5), 7, seed=3)
+        assert w.shape == (30, 7)
+        assert w.min() >= 0.0 and w.max() <= 1.0
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
@@ -236,7 +256,7 @@ class TestUpdateStep:
         with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
             update_step(m, [bad, 0.5], s=0, schedule=sched, n_rows=1)
         assert m.weights.tobytes() == before.tobytes()
-        SomModel(m.grid, m.weights)
+        SomModel(m.grid, m.weights, m.schema, m.schedule)
 
 
 class TestTrain:
@@ -254,7 +274,7 @@ class TestTrain:
         table = unit_table(rows)
         grid = HexGrid(4, 4)
         sched = TrainingSchedule(epochs=5, seed=11).resolved(grid)
-        init = init_codebook(grid, 3, sched.seed).weights
+        init = init_codebook(grid, 3, sched.seed)
         init[:, 1] = init[:, 0]
         m = train(table, grid, sched, initial_weights=init)
         assert np.array_equal(m.weights[:, 0], m.weights[:, 1])
@@ -265,8 +285,8 @@ class TestTrain:
         grid = HexGrid(2, 1)
         sched = TrainingSchedule(epochs=20, seed=3).resolved(grid)
         start = init_codebook(grid, 2, sched.seed)
-        qe_before = quantization_error(start, table)
-        m = train(table, grid, sched, initial_weights=start.weights)
+        qe_before = quantization_error(make_model(grid, start), table)
+        m = train(table, grid, sched, initial_weights=start)
         qe_after = quantization_error(m, table)
         assert qe_after <= qe_before
 
@@ -317,9 +337,9 @@ class TestTrain:
         rows = rng.random((7, 3))
         grid = HexGrid(4, 3)
         sched = TrainingSchedule(epochs=3, alpha0=0.8, alpha_end=0.02, shuffle=False, seed=5)
-        init = init_codebook(grid, 3, sched.seed).weights
+        init = init_codebook(grid, 3, sched.seed)
         trained = train(unit_table(rows), grid, sched, initial_weights=init)
-        m = SomModel(grid=grid, weights=init.copy())
+        m = make_model(grid, init.copy())
         for s in range(sched.epochs * len(rows)):
             update_step(m, rows[s % len(rows)], s=s, schedule=sched, n_rows=len(rows))
         assert m.weights.tobytes() == trained.weights.tobytes()
@@ -345,7 +365,7 @@ class TestTrain:
         table = unit_table(rows)
         grid = HexGrid(4, 4)
         sched = TrainingSchedule(epochs=10, seed=21).resolved(grid)
-        init = init_codebook(grid, 2, sched.seed).weights
+        init = init_codebook(grid, 2, sched.seed)
         init[:, 1] = 1.0 - init[:, 0]
         m = train(table, grid, sched, initial_weights=init)
         assert np.max(np.abs((1.0 - m.weights[:, 1]) - m.weights[:, 0])) < 1e-12
