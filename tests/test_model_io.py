@@ -153,6 +153,68 @@ def test_quasi_flag_consistency_checked(trained_model):
         loads_model("\n".join(lines) + "\n")
 
 
+def _small_model_text():
+    # 2x2 neurons, 2 attributes: lines 1-4 head, 5-6 attributes, 7-10 weights.
+    schema = (AttributeSpec("a", 0.0, 1.0), AttributeSpec("b", 0.0, 1.0))
+    sched = TrainingSchedule(epochs=2, sigma0=1.0)
+    return dumps_model(SomModel(HexGrid(2, 2), np.full((4, 2), 0.5), schema, sched))
+
+
+SCHEDULE_LINE = "schedule epochs=2 alpha0=0.5 alpha_end=0.01 sigma0=1.0 shuffle=1 seed=42"
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        (None, "line 1: unexpected end of file"),
+        ({3: "dim 0"}, "line 3: dim must be >= 1"),
+        (
+            {4: SCHEDULE_LINE.replace("alpha0=0.5", "epochs=2")},
+            "line 4: bad schedule field 'epochs=2'",
+        ),
+        ({4: SCHEDULE_LINE.replace("seed=42", "seed42")}, "line 4: bad schedule field 'seed42'"),
+        (
+            {4: SCHEDULE_LINE.replace("shuffle=1", "shuffle=2")},
+            "line 4: flag must be 0 or 1, got '2'",
+        ),
+        ({4: SCHEDULE_LINE.replace("epochs=2", "epochs=x")}, "line 4: not an integer: 'x'"),
+        ({5: "attr 0  0.0 1.0 0"}, "line 5: empty attribute name"),
+        ({7: "w 0 0.5"}, "line 7: expected 'w 0' followed by 2 values"),
+        ({7: "w 3 0.5 0.5"}, "line 7: neuron index 3, expected 0"),
+        ({7: "w 0 x 0.5"}, "line 7: not a number: 'x'"),
+        ({7: "w 0 nan 0.5"}, "line 7: weight outside [0, 1]"),
+        # Two bad lines: the earlier one is named, whatever the later one holds.
+        ({7: "w 0 nan 0.5", 8: "w 1 x 0.5"}, "line 7: weight outside [0, 1]"),
+        ({6: "attr 1 b 0.0 1.0 1", 7: "w 0 x"}, "line 6: attribute 'b': "
+         "quasi_constant flag inconsistent with range [0.0, 1.0]"),
+    ],
+    ids=lambda p: p if isinstance(p, str) else None,
+)  # fmt: skip
+def test_loader_messages(edits, message):
+    if edits is None:
+        text = ""
+    else:
+        lines = _small_model_text().splitlines()
+        for lineno, line in edits.items():
+            lines[lineno - 1] = line
+        text = "\n".join(lines) + "\n"
+    with pytest.raises(ModelFormatError) as excinfo:
+        loads_model(text)
+    assert str(excinfo.value) == message
+
+
+def test_integer_valued_floats_are_written_as_floats_and_round_trip():
+    model = SomModel(
+        HexGrid(2, 2), np.full((4, 1), 0.5), (AttributeSpec("a", 0, 1),),
+        TrainingSchedule(alpha0=1, alpha_end=1, sigma0=2),
+    )  # fmt: skip
+    text = dumps_model(model)
+    lines = text.splitlines()
+    assert lines[3] == "schedule epochs=200 alpha0=1.0 alpha_end=1.0 sigma0=2.0 shuffle=1 seed=42"
+    assert lines[4] == "attr 0 a 0.0 1.0 0"
+    assert dumps_model(loads_model(text)) == text
+
+
 @pytest.mark.parametrize("sigma0", ["inf", "nan"])
 def test_non_finite_sigma0_rejected(trained_model, sigma0):
     text = dumps_model(trained_model)
