@@ -29,15 +29,7 @@ from .fileio import atomic_write_bytes, atomic_write_csv
 from .hexgrid import HexGrid
 from .ingest import append_time_counter, normalize, parse_csv
 from .model_io import check_attribute_names, load_model, save_model
-from .som import (
-    DEFAULT_EPOCHS,
-    DEFAULT_SEED,
-    SomModel,
-    TrainingSchedule,
-    init_codebook,
-    quantization_error,
-    train,
-)
+from .som import SomModel, TrainingSchedule, init_codebook, quantization_error, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,13 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--width", type=int, default=20)
     p.add_argument("--height", type=int, default=20)
-    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
-    p.add_argument("--alpha0", type=float, default=0.5)
-    p.add_argument("--alpha-end", type=float, default=0.01)
+    p.add_argument("--epochs", type=int, default=TrainingSchedule.epochs)
+    p.add_argument("--alpha0", type=float, default=TrainingSchedule.alpha0)
+    p.add_argument("--alpha-end", type=float, default=TrainingSchedule.alpha_end)
     p.add_argument("--sigma0", type=float, default=None, help="default: max(width, height)/2")
     p.add_argument("--no-shuffle", action="store_true", help="present rows in file order")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument(
+    seed = p.add_mutually_exclusive_group()
+    # ``type`` converts a string default only when the flag is absent, so an
+    # explicit ``--seed 42`` is not taken for the default and conflicts too.
+    seed.add_argument("--seed", type=int, default=str(TrainingSchedule.seed))
+    seed.add_argument(
         "--random-seed",
         action="store_true",
         help="draw the seed from OS entropy instead of the fixed default",

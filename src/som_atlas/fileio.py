@@ -9,30 +9,23 @@ from __future__ import annotations
 import csv
 import io
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-
-
-def _umask() -> int:
-    mask = os.umask(0)  # the only way to read it is to set it
-    os.umask(mask)
-    return mask
 
 
 @contextmanager
 def _replacing(path):
     """A binary temporary file in ``path``'s directory, closed and renamed over it on success.
 
-    It gets the mode a plain ``open()`` would create it with, ``0o666`` less
-    the umask, not the temporary file's private ``0o600``. On any error it is
-    removed and an existing ``path`` keeps its bytes.
+    It is created new under a random name with mode ``0o666``, so the kernel
+    gives it the mode a plain ``open()`` would, ``0o666`` less the umask. On
+    any error it is removed and an existing ``path`` keeps its bytes.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
     try:
         with open(fd, "wb") as fh:
-            os.fchmod(fd, 0o666 & ~_umask())
             yield fh
         os.replace(tmp, path)
     except BaseException:

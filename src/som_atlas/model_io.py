@@ -6,7 +6,7 @@ shortest decimal that round-trips):
     som-atlas-model v1
     grid <width> <height> odd-r
     dim <n>
-    schedule epochs=<E> alpha0=<a> alpha_end=<b> sigma0=<s> shuffle=<0|1> seed=<u64>
+    schedule <key>=<value> ...       (each field of ``_SCHEDULE``, in its order)
     attr <index> <name> <raw_min> <raw_max> <quasi_constant 0|1>   (n lines)
     w <idx> <v0> ... <v n-1>                                       (one per neuron)
 
@@ -20,7 +20,10 @@ survive that round trip.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ModelFormatError
 from .fileio import atomic_write_bytes
@@ -30,20 +33,30 @@ from .som import SomModel, TrainingSchedule
 
 MAGIC = "som-atlas-model v1"
 
+# The schedule line's fields in file order, each with the type it is read as.
+_SCHEDULE = {
+    "epochs": int,
+    "alpha0": float,
+    "alpha_end": float,
+    "sigma0": float,
+    "shuffle": bool,
+    "seed": int,
+}
+
 
 def dumps_model(model: SomModel) -> str:
-    sched = model.schedule
+    fields = " ".join(
+        f"{key}={_fmt(getattr(model.schedule, key), kind)}" for key, kind in _SCHEDULE.items()
+    )
     lines = [
         MAGIC,
         f"grid {model.grid.width} {model.grid.height} odd-r",
         f"dim {model.dim}",
-        "schedule "
-        f"epochs={sched.epochs} alpha0={_fmt(sched.alpha0)} alpha_end={_fmt(sched.alpha_end)} "
-        f"sigma0={_fmt(sched.sigma0)} shuffle={1 if sched.shuffle else 0} seed={sched.seed}",
+        f"schedule {fields}",
     ]
     check_attribute_names([spec.name for spec in model.schema])
     for i, spec in enumerate(model.schema):
-        qc = 1 if spec.quasi_constant else 0
+        qc = _fmt(spec.quasi_constant, bool)
         lines.append(f"attr {i} {spec.name} {_fmt(spec.raw_min)} {_fmt(spec.raw_max)} {qc}")
     # ``_fmt``'s ``repr`` of Python floats, without a numpy scalar per value;
     # one row at a time, so no Python copy of the whole codebook is held.
@@ -62,9 +75,30 @@ def check_attribute_names(names) -> None:
             )
 
 
-def _fmt(value) -> str:
-    # Shortest decimal that parses back to the same double.
-    return repr(float(value))
+def _fmt(value, kind=float) -> str:
+    """A field of ``kind`` as the file writes it.
+
+    A float is the shortest decimal that parses back to the same double, so
+    an integer-valued one still reads ``1.0``; a flag is ``0`` or ``1``.
+    """
+    if kind is float:
+        return repr(float(value))
+    if kind is bool:
+        return "1" if value else "0"
+    return str(value)
+
+
+def _read(token: str, kind):
+    """The value of a ``kind`` field that ``_fmt`` wrote as ``token``."""
+    if kind is bool:
+        if token not in ("0", "1"):
+            raise ValueError(f"flag must be 0 or 1, got {token!r}")
+        return token == "1"
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"not {what}: {token!r}") from None
 
 
 def save_model(model: SomModel, path) -> None:
@@ -80,141 +114,81 @@ def load_model(path) -> SomModel:
 
 
 def loads_model(text: str) -> SomModel:
-    lines = text.splitlines()
-    cursor = _Cursor(lines)
-
-    if cursor.next() != MAGIC:
-        raise ModelFormatError(f"line 1: expected header {MAGIC!r}")
-
-    grid_parts = cursor.next().split(" ")
-    if len(grid_parts) != 4 or grid_parts[0] != "grid" or grid_parts[3] != "odd-r":
-        raise ModelFormatError(f"line {cursor.lineno}: expected 'grid <width> <height> odd-r'")
+    """Parse a model file in one pass; the error names the first bad line."""
+    lines = enumerate((line.split(" ") for line in text.splitlines()), start=1)
+    lineno = 0  # of the line last taken from ``lines``
     try:
-        grid = HexGrid(_int(grid_parts[1], cursor), _int(grid_parts[2], cursor))
+        lineno, parts = next(lines)
+        if parts != MAGIC.split(" "):
+            raise ValueError(f"expected header {MAGIC!r}")
+
+        lineno, parts = next(lines)
+        if len(parts) != 4 or parts[0] != "grid" or parts[3] != "odd-r":
+            raise ValueError("expected 'grid <width> <height> odd-r'")
+        grid = HexGrid(_read(parts[1], int), _read(parts[2], int))
+
+        lineno, parts = next(lines)
+        if len(parts) != 2 or parts[0] != "dim":
+            raise ValueError("expected 'dim <n>'")
+        dim = _read(parts[1], int)
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+
+        lineno, parts = next(lines)
+        if len(parts) != 1 + len(_SCHEDULE) or parts[0] != "schedule":
+            wanted = " ".join(key + "=.." for key in _SCHEDULE)
+            raise ValueError(f"expected 'schedule {wanted}'")
+        tokens = {}
+        for part in parts[1:]:
+            key, eq, token = part.partition("=")
+            if not eq or key not in _SCHEDULE or key in tokens:
+                raise ValueError(f"bad schedule field {part!r}")
+            tokens[key] = token
+        schedule = TrainingSchedule(
+            **{key: _read(tokens[key], kind) for key, kind in _SCHEDULE.items()}
+        )
+
+        schema: dict[str, AttributeSpec] = {}
+        for i in range(dim):
+            lineno, parts = next(lines)
+            if len(parts) < 6 or parts[0] != "attr":
+                raise ValueError("expected 'attr <index> <name> <raw_min> <raw_max> <0|1>'")
+            index = _read(parts[1], int)
+            if index != i:
+                raise ValueError(f"attribute index {index}, expected {i}")
+            name = " ".join(parts[2:-3])
+            if not name:
+                raise ValueError("empty attribute name")
+            raw_min, raw_max = _read(parts[-3], float), _read(parts[-2], float)
+            quasi = _read(parts[-1], bool)
+            spec = AttributeSpec(name, raw_min, raw_max)
+            if quasi != spec.quasi_constant:
+                raise ValueError(
+                    f"attribute {name!r}: quasi_constant flag inconsistent with "
+                    f"range [{raw_min}, {raw_max}]"
+                )
+            if name in schema:
+                raise ValueError(f"attribute name {name!r} repeats")
+            schema[name] = spec
+
+        values = array("d")
+        for i in range(grid.n_nodes):
+            lineno, parts = next(lines)
+            if len(parts) != 2 + dim or parts[0] != "w":
+                raise ValueError(f"expected 'w {i}' followed by {dim} values")
+            if _read(parts[1], int) != i:
+                raise ValueError(f"neuron index {parts[1]}, expected {i}")
+            row = [_read(token, float) for token in parts[2:]]
+            if not all(0.0 <= v <= 1.0 for v in row):
+                raise ValueError("weight outside [0, 1]")
+            values.extend(row)
+
+        for lineno, _ in lines:  # the first line after the last neuron, if any
+            raise ValueError("unexpected trailing content")
+    except StopIteration:
+        raise ModelFormatError(f"line {lineno + 1}: unexpected end of file") from None
     except ValueError as exc:
-        raise ModelFormatError(f"line {cursor.lineno}: {exc}") from None
+        raise ModelFormatError(f"line {lineno}: {exc}") from None
 
-    dim_parts = cursor.next().split(" ")
-    if len(dim_parts) != 2 or dim_parts[0] != "dim":
-        raise ModelFormatError(f"line {cursor.lineno}: expected 'dim <n>'")
-    dim = _int(dim_parts[1], cursor)
-    if dim < 1:
-        raise ModelFormatError(f"line {cursor.lineno}: dim must be >= 1")
-
-    schedule = _parse_schedule(cursor)
-    schema: dict[str, AttributeSpec] = {}
-    for i in range(dim):
-        spec = _parse_attr(cursor, expected_index=i)
-        if spec.name in schema:
-            raise ModelFormatError(f"line {cursor.lineno}: attribute name {spec.name!r} repeats")
-        schema[spec.name] = spec
-    weights = [_parse_weights(cursor, expected_index=i, dim=dim) for i in range(grid.n_nodes)]
-    if cursor.peek() is not None:
-        raise ModelFormatError(f"line {cursor.lineno + 1}: unexpected trailing content")
-
+    weights = np.frombuffer(values, dtype=np.float64).reshape(grid.n_nodes, dim)
     return SomModel(grid=grid, weights=weights, schema=tuple(schema.values()), schedule=schedule)
-
-
-class _Cursor:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.lineno = 0
-
-    def next(self) -> str:
-        if self.lineno >= len(self.lines):
-            raise ModelFormatError(f"line {self.lineno + 1}: unexpected end of file")
-        self.lineno += 1
-        return self.lines[self.lineno - 1]
-
-    def peek(self) -> str | None:
-        return self.lines[self.lineno] if self.lineno < len(self.lines) else None
-
-
-def _int(token: str, cursor: _Cursor) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ModelFormatError(f"line {cursor.lineno}: not an integer: {token!r}") from None
-
-
-def _float(token: str, cursor: _Cursor) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ModelFormatError(f"line {cursor.lineno}: not a number: {token!r}") from None
-
-
-def _parse_schedule(cursor: _Cursor) -> TrainingSchedule:
-    parts = cursor.next().split(" ")
-    keys = ("epochs", "alpha0", "alpha_end", "sigma0", "shuffle", "seed")
-    if len(parts) != 7 or parts[0] != "schedule":
-        wanted = " ".join(k + "=.." for k in keys)
-        raise ModelFormatError(f"line {cursor.lineno}: expected 'schedule {wanted}'")
-    kv = {}
-    for part in parts[1:]:
-        key, eq, value = part.partition("=")
-        if not eq or key not in keys or key in kv:
-            raise ModelFormatError(f"line {cursor.lineno}: bad schedule field {part!r}")
-        kv[key] = value
-    try:
-        return TrainingSchedule(
-            epochs=_int(kv["epochs"], cursor),
-            alpha0=_float(kv["alpha0"], cursor),
-            alpha_end=_float(kv["alpha_end"], cursor),
-            sigma0=_float(kv["sigma0"], cursor),
-            shuffle=_parse_flag(kv["shuffle"], cursor),
-            seed=_int(kv["seed"], cursor),
-        )
-    except ValueError as exc:
-        raise ModelFormatError(f"line {cursor.lineno}: {exc}") from None
-
-
-def _parse_flag(token: str, cursor: _Cursor) -> bool:
-    if token not in ("0", "1"):
-        raise ModelFormatError(f"line {cursor.lineno}: flag must be 0 or 1, got {token!r}")
-    return token == "1"
-
-
-def _parse_attr(cursor: _Cursor, expected_index: int) -> AttributeSpec:
-    parts = cursor.next().split(" ")
-    if len(parts) < 6 or parts[0] != "attr":
-        raise ModelFormatError(
-            f"line {cursor.lineno}: expected 'attr <index> <name> <raw_min> <raw_max> <0|1>'"
-        )
-    index = _int(parts[1], cursor)
-    if index != expected_index:
-        raise ModelFormatError(
-            f"line {cursor.lineno}: attribute index {index}, expected {expected_index}"
-        )
-    name = " ".join(parts[2:-3])
-    if not name:
-        raise ModelFormatError(f"line {cursor.lineno}: empty attribute name")
-    raw_min = _float(parts[-3], cursor)
-    raw_max = _float(parts[-2], cursor)
-    quasi = _parse_flag(parts[-1], cursor)
-    try:
-        spec = AttributeSpec(name, raw_min, raw_max)
-    except ValueError as exc:
-        raise ModelFormatError(f"line {cursor.lineno}: {exc}") from None
-    if quasi != spec.quasi_constant:
-        raise ModelFormatError(
-            f"line {cursor.lineno}: attribute {name!r}: quasi_constant flag inconsistent with "
-            f"range [{raw_min}, {raw_max}]"
-        )
-    return spec
-
-
-def _parse_weights(cursor: _Cursor, expected_index: int, dim: int) -> list[float]:
-    parts = cursor.next().split(" ")
-    if len(parts) != 2 + dim or parts[0] != "w":
-        raise ModelFormatError(
-            f"line {cursor.lineno}: expected 'w {expected_index}' followed by {dim} values"
-        )
-    if _int(parts[1], cursor) != expected_index:
-        raise ModelFormatError(
-            f"line {cursor.lineno}: neuron index {parts[1]}, expected {expected_index}"
-        )
-    values = [_float(tok, cursor) for tok in parts[2:]]
-    if any(not (0.0 <= v <= 1.0) for v in values):
-        raise ModelFormatError(f"line {cursor.lineno}: weight outside [0, 1]")
-    return values

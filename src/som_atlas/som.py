@@ -22,9 +22,6 @@ from . import kernels
 from .hexgrid import HexGrid
 from .ingest import AttributeSpec, NormalizedTable, require_unique_names
 
-DEFAULT_EPOCHS = 200
-DEFAULT_SEED = 42
-
 
 @dataclass(frozen=True)
 class TrainingSchedule:
@@ -36,12 +33,12 @@ class TrainingSchedule:
     presentation to ``alpha_end`` at the last.
     """
 
-    epochs: int = DEFAULT_EPOCHS
+    epochs: int = 200
     alpha0: float = 0.5
     alpha_end: float = 0.01
     sigma0: float | None = None
     shuffle: bool = True
-    seed: int = DEFAULT_SEED
+    seed: int = 42
 
     def __post_init__(self) -> None:
         if self.epochs < 1:

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from som_atlas import cli, kernels
+from som_atlas import cli, kernels, som
 from som_atlas.analysis import component_plane
 from som_atlas.hexgrid import HexGrid
-from som_atlas.ingest import AttributeSpec
+from som_atlas.ingest import AttributeSpec, normalize, parse_csv
 from som_atlas.kernels import pure
-from som_atlas.model_io import load_model, save_model
+from som_atlas.model_io import dumps_model, load_model, save_model
 from som_atlas.render import render_plane
 from som_atlas.som import SomModel, TrainingSchedule
 
@@ -49,13 +49,91 @@ def test_train_succeeds_and_is_byte_reproducible(log_csv, tmp_path):
     assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
 
 
+def _config(out):
+    """The ``config:`` echo in ``out`` as a dict of its pairs."""
+    line = next(ln for ln in out.splitlines() if ln.startswith("config: "))
+    return dict(pair.split("=", 1) for pair in line.removeprefix("config: ").split(" "))
+
+
 def test_train_echoes_the_selected_backend(log_csv, tmp_path, capsys):
     assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
-    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("config: "))
-    pairs = dict(pair.split("=", 1) for pair in line.removeprefix("config: ").split(" "))
+    pairs = _config(capsys.readouterr().out)
     assert pairs["kernel"] == kernels.BACKEND
     library = None if kernels.LIBRARY is None else str(kernels.LIBRARY)
     assert pairs.get("kernel_library") == library
+
+
+def test_train_echo_at_default_flags(log_csv, tmp_path, capsys):
+    model = tmp_path / "m.model"
+    assert cli.main(["train", "--input", str(log_csv), "--model", str(model)]) == cli.EXIT_OK
+    library = "" if kernels.LIBRARY is None else f" kernel_library={kernels.LIBRARY}"
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "config: command=train alpha0=0.5 alpha_end=0.01 delimiter=, drop_bad_rows=False "
+        f"epochs=200 height=20 input={log_csv} model={model} no_header=False no_shuffle=False "
+        f"random_seed=False seed=42 sigma0=10.0 time_period=None width=20 "
+        f"kernel={kernels.BACKEND}{library}"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "5", "--random-seed"], ["--seed", "42", "--random-seed"],
+     ["--random-seed", "--seed", "42"]],
+    ids=" ".join,
+)  # fmt: skip
+def test_seed_and_random_seed_together_exit_1(log_csv, tmp_path, capsys, flags):
+    # 42 is the default seed: given explicitly, it conflicts all the same.
+    assert train(log_csv, tmp_path / "m.model", *flags) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (
+        "som-atlas: error: argument --random-seed: not allowed with argument --seed\n"
+        if flags[0] == "--seed"
+        else "som-atlas: error: argument --seed: not allowed with argument --random-seed\n"
+    )
+    assert not (tmp_path / "m.model").exists()
+
+
+def test_random_seed_is_echoed_and_written_to_the_schedule(log_csv, tmp_path, capsys):
+    assert train(log_csv, tmp_path / "m.model", "--random-seed") == cli.EXIT_OK
+    seed = _config(capsys.readouterr().out)["seed"]
+    schedule_line = (tmp_path / "m.model").read_text().splitlines()[3]
+    assert schedule_line.endswith(f" shuffle=1 seed={seed}")
+    assert load_model(tmp_path / "m.model").schedule.seed == int(seed)
+
+
+def test_no_shuffle_writes_the_model_trained_in_file_order(log_csv, tmp_path):
+    assert train(log_csv, tmp_path / "m.model", "--no-shuffle") == cli.EXIT_OK
+    assert train(log_csv, tmp_path / "shuffled.model") == cli.EXIT_OK
+    table = normalize(parse_csv(log_csv))
+    model = som.train(table, HexGrid(3, 2), TrainingSchedule(epochs=3, shuffle=False))
+    assert (tmp_path / "m.model").read_bytes() == dumps_model(model).encode()
+    assert (tmp_path / "shuffled.model").read_bytes() != dumps_model(model).encode()
+
+
+def test_no_header_names_the_columns_by_position(log_csv, tmp_path):
+    bare = tmp_path / "bare.csv"
+    bare.write_text(log_csv.read_text().split("\n", 1)[1])
+    assert train(bare, tmp_path / "m.model", "--no-header") == cli.EXIT_OK
+    assert [a.name for a in load_model(tmp_path / "m.model").schema] == ["col1", "col2", "col3"]
+
+
+def test_time_period_puts_the_time_attribute_first(log_csv, tmp_path):
+    assert train(log_csv, tmp_path / "m.model", "--time-period", "0.5") == cli.EXIT_OK
+    text = (tmp_path / "m.model").read_text()
+    attrs = [line for line in text.splitlines() if line.startswith("attr ")]
+    # 12 rows counted 0, 0.5, ..., 5.5.
+    assert attrs[0] == "attr 0 Time 0.0 5.5 0"
+    assert [line.split(" ")[:3] for line in attrs[1:]] == [
+        ["attr", "1", "a"], ["attr", "2", "b"], ["attr", "3", "c"]
+    ]  # fmt: skip
+
+
+def test_cluster_with_one_iteration_exits_0(log_csv, tmp_path):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    argv = ["cluster", "--model", str(tmp_path / "m.model"), "--k", "2",
+            "--outdir", str(tmp_path / "out"), "--max-iters", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert (tmp_path / "out" / "neuron_clusters.csv").is_file()
 
 
 def test_warnings_print_one_line_each(tmp_path, capsys):

@@ -31,14 +31,22 @@ def test_written_file_gets_the_mode_open_would_give(tmp_path, umask_022):
     assert (tmp_path / "b.csv").read_text() == "x\n"
 
 
-def test_mode_follows_the_current_umask(tmp_path):
+def test_mode_follows_the_current_umask(tmp_path, monkeypatch):
+    # The kernel applies the umask; a write never sets it, not even to read it,
+    # so another thread creating a file meanwhile keeps its own mode.
+    def refuse(mask):
+        raise AssertionError("os.umask called during a write")
+
     old = os.umask(0o027)
     try:
-        atomic_write_bytes(tmp_path / "a.bin", b"x")
-        assert os.umask(0o027) == 0o027  # reading the umask left it as it was
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", refuse)
+            atomic_write_bytes(tmp_path / "a.bin", b"x")
+            atomic_write_csv(tmp_path / "b.csv", [["x"]])
     finally:
         os.umask(old)
-    assert stat.S_IMODE((tmp_path / "a.bin").stat().st_mode) == 0o640
+    for name in ("a.bin", "b.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
 
 
 def test_replaces_an_existing_file(tmp_path, umask_022):

@@ -188,7 +188,6 @@ SCHEDULE_LINE = "schedule epochs=2 alpha0=0.5 alpha_end=0.01 sigma0=1.0 shuffle=
         ({6: "attr 1 b 0.0 1.0 1", 7: "w 0 x"}, "line 6: attribute 'b': "
          "quasi_constant flag inconsistent with range [0.0, 1.0]"),
     ],
-    ids=lambda p: p if isinstance(p, str) else None,
 )  # fmt: skip
 def test_loader_messages(edits, message):
     if edits is None:
