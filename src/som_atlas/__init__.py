@@ -37,8 +37,7 @@ _EXPORTS = {
     "pulse": ("PulseCurve", "PulseFeatures", "curve_from_table", "extract_pulse_features"),
     "render": ("colormap", "render_cluster_map", "render_plane"),
     "som": (
-        "SomModel", "TrainingSchedule", "init_codebook", "learning_rate", "neighborhood",
-        "quantization_error", "train", "update_step",
+        "SomModel", "TrainingSchedule", "init_codebook", "quantization_error", "train",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

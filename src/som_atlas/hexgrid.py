@@ -4,11 +4,10 @@ The map is a ``height`` x ``width`` lattice of pointy-top hexagons in odd-r
 offset layout: odd rows are shifted half a cell to the right. A node is
 addressed either by (row, col) or by the linear index ``row * width + col``.
 
-Interior nodes have exactly six neighbors. ``hops`` is the one hop-distance
-formula, in closed form on offset differences: ``HexGrid.distance`` answers
-one query with it in O(1), ``HexGrid.neighbors`` keeps the nodes one hop
-away, and ``hop_table``, which both training kernels read, applies it to
-every offset a grid size allows.
+Interior nodes have exactly six neighbors, the nodes one hop away. ``hops``
+is the one hop-distance formula, in closed form on offset differences.
+``hop_table``, which both training kernels read, applies it to every offset
+a grid size allows, and ``hop_row`` cuts one node's distances from it.
 """
 
 from __future__ import annotations
@@ -45,34 +44,6 @@ class HexGrid:
     @property
     def n_nodes(self) -> int:
         return self.width * self.height
-
-    def to_rowcol(self, idx: int) -> tuple[int, int]:
-        self._check_index(idx)
-        return divmod(idx, self.width)
-
-    def to_index(self, row: int, col: int) -> int:
-        if not (0 <= row < self.height and 0 <= col < self.width):
-            raise ValueError(f"(row, col) = ({row}, {col}) outside {self.width}x{self.height} grid")
-        return row * self.width + col
-
-    def neighbors(self, idx: int) -> list[int]:
-        """In-bounds hex neighbors of ``idx``, sorted ascending by linear index."""
-        row, col = self.to_rowcol(idx)
-        # Every neighbor lies in the 3x3 offset window; row-major order is ascending.
-        rows = np.arange(max(row - 1, 0), min(row + 2, self.height))[:, None]
-        cols = np.arange(max(col - 1, 0), min(col + 2, self.width))
-        adjacent = hops(row & 1, rows - row, cols - col) == 1
-        return (rows * self.width + cols)[adjacent].tolist()
-
-    def distance(self, a: int, b: int) -> int:
-        """Minimum number of neighbor hops between nodes ``a`` and ``b``."""
-        ra, ca = self.to_rowcol(a)
-        rb, cb = self.to_rowcol(b)
-        return int(hops(ra & 1, rb - ra, cb - ca))
-
-    def _check_index(self, idx: int) -> None:
-        if not (0 <= idx < self.n_nodes):
-            raise ValueError(f"node index {idx} out of range for {self.width}x{self.height} grid")
 
 
 def hops(parity, dr, dc):

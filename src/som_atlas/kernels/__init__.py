@@ -15,12 +15,11 @@ command, so an edited ``_kernel.c`` is compiled anew, never bound stale.
 Nothing is printed either way. ``BACKEND`` names the choice, ``LIBRARY``
 the bound library's path (``None`` for ``pure``), and ``pure`` stays
 importable as the reference either way. ``nearest``, the batched
-nearest-neuron search on the training scan behind ``bmu`` and k-means, and
-``theta_table`` have one implementation, in ``pure``. ``nearest`` and
-``bmu`` take a codebook and rows of the same columns, nothing else; a search
-over some attributes passes both sliced to them. ``nearest`` screens rows
-with a matrix product first; the screen is a rounding bound, never a value
-it returns.
+nearest-neuron search on the training scan behind ``bmu`` and k-means, has
+one implementation, in ``pure``. ``nearest`` and ``bmu`` take a codebook
+and rows of the same columns, nothing else; a search over some attributes
+passes both sliced to them. ``nearest`` screens rows with a matrix product
+first; the screen is a rounding bound, never a value it returns.
 
 Both loops accept exactly the arguments ``pure.check_arguments`` accepts,
 and both read their hop distances from the one ``hexgrid.hop_table`` of
@@ -54,7 +53,7 @@ from numpy.ctypeslib import ndpointer
 
 from ..hexgrid import hop_table
 from . import pure
-from .pure import bmu, check_arguments, nearest, theta_table
+from .pure import bmu, check_arguments, nearest
 
 _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -182,4 +181,4 @@ def _select():
 train_loop, LIBRARY = _select()
 BACKEND = "python" if LIBRARY is None else "native"
 
-__all__ = ["BACKEND", "LIBRARY", "bmu", "build", "load", "nearest", "theta_table", "train_loop"]
+__all__ = ["BACKEND", "LIBRARY", "bmu", "build", "load", "nearest", "train_loop"]

@@ -6,8 +6,8 @@ Each formula is written once: ``_sq_distances``, the distance scan of both
 ``train_loop`` and ``nearest``, adds dimensions left to right (one strict
 chain per neuron); a step's winner is ``np.argmin``'s, the first NaN sum
 if any sum is NaN, else the lowest index of the smallest sum;
-``theta_table``, the neighborhood of both ``train_loop`` and
-``som.neighborhood``, is built with libm ``exp`` per hop distance; the
+``theta_table``, the Gaussian theta that ``train_loop`` scales by each
+step's alpha, is built with libm ``exp`` per hop distance; the
 update is three separately rounded elementwise steps. The C loop scans the
 same (dim, n) layout as ``_sq_distances``: it transposes the codebook once
 per call and adds each dimension's row to every neuron's sum in turn, over

@@ -1,4 +1,4 @@
-"""Kohonen map training: codebook, competition, neighborhood, epoch loop.
+"""Kohonen map training: codebook, competition, cooperation, epoch loop.
 
 Training presents every table row to the map once per epoch. Each
 presentation finds the best matching unit by Euclidean distance, then pulls
@@ -25,9 +25,9 @@ from .ingest import AttributeSpec, NormalizedTable, require_unique_names
 
 @dataclass(frozen=True)
 class TrainingSchedule:
-    """Epoch count, learning-rate ramp, neighborhood radius and RNG seed.
+    """Epoch count, learning-rate ramp, Gaussian radius and RNG seed.
 
-    ``sigma0`` is the starting neighborhood radius in lattice-hop units;
+    ``sigma0`` is the starting radius of theta in lattice-hop units;
     ``None`` means "half the larger grid side", resolved against the grid at
     training time. ``alpha`` decays linearly from ``alpha0`` at the first
     presentation to ``alpha_end`` at the last.
@@ -110,54 +110,6 @@ def init_codebook(grid: HexGrid, dim: int, seed: int) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     return rng.random((grid.n_nodes, dim))
-
-
-def learning_rate(s: int, schedule: TrainingSchedule, n_rows: int) -> float:
-    """Learning rate at presentation ``s``; linear from alpha0 to alpha_end."""
-    # alpha does not depend on the radius, which only a grid can resolve.
-    schedule = replace(schedule, sigma0=schedule.sigma0 or 1.0)
-    return float(_rates(schedule, n_rows, s, s + 1)[0][0])
-
-
-def neighborhood(
-    grid: HexGrid, u: int, v: int, s: int, schedule: TrainingSchedule, n_rows: int
-) -> float:
-    """Cooperation factor theta(u, v, s) in [0, 1].
-
-    Gaussian in hex distance with radius sigma(s) shrinking linearly to zero
-    at the start of the final epoch; within the final epoch, or when
-    ``2 * sigma**2`` underflows to zero, it degenerates to 1 for v == u and 0
-    otherwise, as in the training kernels.
-    """
-    sigma = float(_rates(schedule.resolved(grid), n_rows, s, s + 1)[1][0])
-    d = grid.distance(u, v)
-    return float(kernels.theta_table([sigma], d)[0, d])
-
-
-def update_step(
-    model: SomModel, x, s: int, schedule: TrainingSchedule, n_rows: int
-) -> SomModel:
-    """Apply one presentation of ``x`` at iteration ``s``, mutating the codebook.
-
-    Every neuron v moves by ``theta(u, v, s) * alpha(s) * (x - w_v)`` with u
-    the best matching unit and theta taken at their hop distance on the
-    model's grid, so the winner receives the largest pull and a unit
-    coefficient copies ``x`` exactly. ``x`` is a normalized row: a value that
-    is not finite or lies outside [0, 1] raises ``ValueError`` and leaves the
-    codebook as it was, so the model stays a valid ``SomModel``.
-    """
-    # Copy: the kernel mutates the codebook while reading x, so the two must
-    # never alias (e.g. when a caller passes a codebook row as the input).
-    x = np.array(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"input has shape {x.shape}, model expects ({model.dim},)")
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if not (x.min() >= 0.0 and x.max() <= 1.0):
-        raise ValueError("input must be finite and lie in [0, 1]")
-    alphas, sigmas, cooperative = _rates(schedule.resolved(model.grid), n_rows, s, s + 1)
-    kernels.train_loop(model.weights, x[None, :], np.zeros(1, dtype=np.int64), model.grid,
-                       alphas, sigmas, cooperative)
-    return model
 
 
 def train(

@@ -9,7 +9,7 @@ import pytest
 
 from som_atlas import kernels
 from som_atlas.ingest import AttributeSpec, DataTable, NormalizedTable, _observed_spec
-from som_atlas.som import SomModel, TrainingSchedule
+from som_atlas.som import SomModel, TrainingSchedule, _rates
 
 
 def make_table(rows, names=None) -> DataTable:
@@ -33,6 +33,18 @@ def make_model(grid, weights) -> SomModel:
     weights = np.asarray(weights, dtype=np.float64)
     schema = [AttributeSpec(f"a{i}", 0.0, 1.0) for i in range(weights.shape[-1])]
     return SomModel(grid, weights, schema, TrainingSchedule().resolved(grid))
+
+
+def train_step(weights, grid, x, s, schedule, n_rows):
+    """Present row ``x`` at global step ``s`` of ``schedule`` over ``n_rows`` rows.
+
+    One ``kernels.train_loop`` step at the rates ``train`` takes there;
+    ``weights`` is updated in place and returned.
+    """
+    alphas, sigmas, cooperative = _rates(schedule.resolved(grid), n_rows, s, s + 1)
+    order = np.zeros(1, dtype=np.int64)
+    return kernels.train_loop(weights, np.array([x], dtype=np.float64), order, grid,
+                              alphas, sigmas, cooperative)
 
 
 def bmu_row(weights, x) -> tuple[int, float]:

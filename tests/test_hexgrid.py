@@ -1,4 +1,4 @@
-"""Lattice geometry: adjacency, closed-form distance vs a BFS oracle, metric axioms."""
+"""Lattice geometry: hop distances vs a BFS oracle, adjacency as one hop, metric axioms."""
 
 from collections import deque
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from som_atlas.hexgrid import HexGrid, hop_table
+from som_atlas.hexgrid import HexGrid, hop_row, hop_table, hops
 
 # (row, col) steps to the six neighbors in odd-r layout, by row parity: odd
 # rows sit half a cell to the right. Written out here, apart from the module.
@@ -34,76 +34,102 @@ def bfs_distances(grid: HexGrid, start: int) -> list[int]:
     return dist
 
 
+def hop_matrix(grid: HexGrid) -> np.ndarray:
+    """Hops between every pair of nodes: row u is node u's ``hop_row``, raveled."""
+    table = hop_table(grid.width, grid.height)
+    return np.array([hop_row(table, *divmod(u, grid.width)).ravel() for u in range(grid.n_nodes)])
+
+
+def adjacent(grid: HexGrid, u: int) -> list[int]:
+    """The nodes one hop from ``u`` by its ``hop_row``, ascending."""
+    row = hop_row(hop_table(grid.width, grid.height), *divmod(u, grid.width))
+    return np.flatnonzero(row == 1).tolist()
+
+
+def bfs_neighbors(grid: HexGrid, u: int) -> list[int]:
+    return [v for v, d in enumerate(bfs_distances(grid, u)) if d == 1]
+
+
 def test_single_node_has_no_neighbors():
-    assert HexGrid(1, 1).neighbors(0) == []
+    assert adjacent(HexGrid(1, 1), 0) == []
 
 
 def test_interior_node_has_six_neighbors():
-    grid = HexGrid(3, 3)
-    assert grid.neighbors(4) == [1, 2, 3, 5, 7, 8]
+    assert adjacent(HexGrid(3, 3), 4) == [1, 2, 3, 5, 7, 8]
 
 
 def test_even_row_interior_node_has_six_neighbors():
     # Node 9 is (row 2, col 1): an even row, so its diagonal neighbors lean left.
-    assert HexGrid(4, 5).neighbors(9) == [4, 5, 8, 10, 12, 13]
+    assert adjacent(HexGrid(4, 5), 9) == [4, 5, 8, 10, 12, 13]
 
 
 def test_neighbor_counts_on_border():
     grid = HexGrid(3, 3)
     for idx in range(grid.n_nodes):
-        n = len(grid.neighbors(idx))
+        n = len(adjacent(grid, idx))
         assert n <= 6
         if idx != 4:
             assert n < 6
 
 
 def test_neighbors_sorted_and_in_bounds():
+    # A hop row covers exactly the grid, in linear index order, and is 0 only at its node.
     grid = HexGrid(7, 4)
+    table = hop_table(grid.width, grid.height)
     for idx in range(grid.n_nodes):
-        nbs = grid.neighbors(idx)
-        assert nbs == sorted(nbs)
-        assert all(0 <= n < grid.n_nodes for n in nbs)
-        assert idx not in nbs
+        row = hop_row(table, *divmod(idx, grid.width))
+        assert row.shape == (grid.height, grid.width)
+        assert np.flatnonzero(row == 0).tolist() == [idx]
 
 
 def test_neighbor_symmetry_sweep_10x10():
-    grid = HexGrid(10, 10)
-    for idx in range(grid.n_nodes):
-        for nb in grid.neighbors(idx):
-            assert idx in grid.neighbors(nb)
+    adjacency = hop_matrix(HexGrid(10, 10)) == 1
+    assert (adjacency == adjacency.T).all()
+    assert adjacency.sum(axis=1).max() == 6
 
 
 def test_distance_identity_and_adjacency():
     grid = HexGrid(5, 5)
+    matrix = hop_matrix(grid)
     for idx in range(grid.n_nodes):
-        assert grid.distance(idx, idx) == 0
-        for nb in grid.neighbors(idx):
-            assert grid.distance(idx, nb) == 1
+        assert matrix[idx, idx] == 0
+        assert (matrix[idx, bfs_neighbors(grid, idx)] == 1).all()
 
 
 @pytest.mark.parametrize("width,height", [(1, 1), (5, 1), (1, 5), (4, 6), (7, 3), (10, 10)])
 def test_distance_matches_bfs_oracle(width, height):
     grid = HexGrid(width, height)
+    row, col = np.divmod(np.arange(grid.n_nodes), width)
     for a in range(grid.n_nodes):
-        oracle = bfs_distances(grid, a)
-        for b in range(grid.n_nodes):
-            assert grid.distance(a, b) == oracle[b], (a, b)
+        assert hops(row[a] & 1, row - row[a], col - col[a]).tolist() == bfs_distances(grid, a), a
+
+
+@pytest.mark.parametrize("width,height", [(1, 1), (3, 3), (6, 5), (2, 7), (7, 2), (4, 6)])
+def test_hop_rows_are_lattice_distances(width, height):
+    grid = HexGrid(width, height)
+    table = hop_table(width, height)
+    widest = 0
+    for u in range(grid.n_nodes):
+        row = hop_row(table, *divmod(u, width))
+        assert row.shape == (height, width)
+        distances = bfs_distances(grid, u)
+        assert row.ravel().tolist() == distances
+        widest = max(widest, *distances)
+    assert table.max() == widest
 
 
 def test_one_query_builds_no_table():
-    grid = HexGrid(10**6, 10**6)
     tables = hop_table.cache_info().currsize
-    d = grid.distance(0, grid.n_nodes - 1)
-    assert d == 1499999 and type(d) is int
+    # From node (0, 0) to the far corner of a 10**6 x 10**6 grid, in closed form.
+    assert hops(0, 10**6 - 1, 10**6 - 1) == 1499999
     assert hop_table.cache_info().currsize == tables
 
 
 def test_distance_one_iff_neighbor():
+    # Adjacency as training's hop rows give it is exactly the BFS oracle's, in both row parities.
     grid = HexGrid(6, 5)
     for a in range(grid.n_nodes):
-        nbs = set(grid.neighbors(a))
-        for b in range(grid.n_nodes):
-            assert (grid.distance(a, b) == 1) == (b in nbs)
+        assert adjacent(grid, a) == bfs_neighbors(grid, a), a
 
 
 @settings(max_examples=200)
@@ -112,23 +138,14 @@ def test_metric_axioms(data):
     width = data.draw(st.integers(1, 10), label="width")
     height = data.draw(st.integers(1, 10), label="height")
     grid = HexGrid(width, height)
+    matrix = hop_matrix(grid)
     node = st.integers(0, grid.n_nodes - 1)
     a, b, c = data.draw(node), data.draw(node), data.draw(node)
-    assert grid.distance(a, a) == 0
-    assert grid.distance(a, b) == grid.distance(b, a)
-    assert grid.distance(a, c) <= grid.distance(a, b) + grid.distance(b, c)
+    assert matrix[a, a] == 0
+    assert matrix[a, b] == matrix[b, a]
+    assert matrix[a, c] <= matrix[a, b] + matrix[b, c]
     if a != b:
-        assert grid.distance(a, b) >= 1
-
-
-def test_index_out_of_range():
-    grid = HexGrid(3, 3)
-    with pytest.raises(ValueError):
-        grid.neighbors(9)
-    with pytest.raises(ValueError):
-        grid.neighbors(-1)
-    with pytest.raises(ValueError):
-        grid.distance(0, 9)
+        assert matrix[a, b] >= 1
 
 
 def test_bad_dimensions():
@@ -154,13 +171,3 @@ def test_numpy_integer_dimensions_are_stored_as_int():
     assert (grid.width, grid.height, grid.n_nodes) == (4, 3, 12)
     assert type(grid.width) is int and type(grid.height) is int
     assert grid == HexGrid(4, 3)
-
-
-def test_index_rowcol_bijection():
-    grid = HexGrid(5, 3)
-    seen = set()
-    for idx in range(grid.n_nodes):
-        row, col = grid.to_rowcol(idx)
-        assert grid.to_index(row, col) == idx
-        seen.add((row, col))
-    assert len(seen) == grid.n_nodes

@@ -24,15 +24,7 @@ from hypothesis import strategies as st
 from som_atlas import kernels
 from som_atlas.hexgrid import HexGrid, hop_row, hop_table
 from som_atlas.kernels import pure
-from som_atlas.som import (
-    TrainingSchedule,
-    _rates,
-    init_codebook,
-    neighborhood,
-    quantization_error,
-    train,
-    update_step,
-)
+from som_atlas.som import TrainingSchedule, _rates, init_codebook, quantization_error, train
 
 from conftest import PLAIN_LOOP, bmu_row, make_model, unit_table
 
@@ -337,20 +329,6 @@ def test_subnormal_and_zero_theta_denominators(sigma0, native_train_loop):
     wa, wb = _run_both(native_train_loop, epochs)
     assert np.isfinite(wa).all()
     assert wa.tobytes() == wb.tobytes()
-
-
-@pytest.mark.parametrize("width,height", [(1, 1), (3, 3), (6, 5), (2, 7), (7, 2), (4, 6)])
-def test_hop_rows_are_lattice_distances(width, height):
-    grid = HexGrid(width, height)
-    table = hop_table(width, height)
-    widest = 0
-    for u in range(grid.n_nodes):
-        row = hop_row(table, *grid.to_rowcol(u))
-        assert row.shape == (height, width)
-        distances = [grid.distance(u, v) for v in range(grid.n_nodes)]
-        assert row.ravel().tolist() == distances
-        widest = max(widest, *distances)
-    assert table.max() == widest
 
 
 def test_hop_table_is_cached_and_read_only():
@@ -832,23 +810,24 @@ def test_batched_bmu_memory_is_bounded():
 
 
 @pytest.mark.parametrize("sigma0", [None, 0.8, 1e-170])
-def test_neighborhood_is_the_training_theta_table(sigma0, native_train_loop, monkeypatch):
+def test_neighborhood_is_the_training_theta_table(sigma0, native_train_loop):
     # With the winner's weight at 1, every other weight at 0 and alpha 1, one
-    # step leaves neuron v at exactly 0 + theta * (1 - 0): the training theta
-    # row of the winner, which neighborhood must give bit for bit.
+    # step leaves neuron v at exactly 0 + theta * (1 - 0): the theta row of
+    # the step's sigma at the winner's hop distances, bit for bit. A
+    # competitive step's sigma is 0, whose row is the Kronecker delta.
     grid = HexGrid(7, 5)
     u = 13  # an edge neuron whose hop distances take every value up to the grid's largest
-    hops = {grid.distance(u, v) for v in range(grid.n_nodes)}
-    widest = max(grid.distance(a, b) for a in range(grid.n_nodes) for b in range(grid.n_nodes))
-    assert hops == set(range(widest + 1))
-    assert hop_table(grid.width, grid.height).max() == widest
+    hops = hop_table(grid.width, grid.height)
+    row = hop_row(hops, *divmod(u, grid.width))
+    assert set(row.ravel().tolist()) == set(range(int(hops.max()) + 1))
     sched = TrainingSchedule(epochs=3, alpha0=1.0, alpha_end=1.0, sigma0=sigma0)
     n_rows = 4
     for impl in (pure.train_loop, native_train_loop):
-        monkeypatch.setattr(kernels, "train_loop", impl)
         for s in range(sched.epochs * n_rows):  # the last epoch is competitive
+            alphas, sigmas, cooperative = _rates(sched.resolved(grid), n_rows, s, s + 1)
             weights = np.zeros((grid.n_nodes, 1))
             weights[u] = 1.0
-            model = update_step(make_model(grid, weights), [1.0], s, sched, n_rows)
-            expected = [neighborhood(grid, u, v, s, sched, n_rows) for v in range(grid.n_nodes)]
-            assert model.weights[:, 0].tobytes() == np.array(expected).tobytes()
+            impl(weights, np.ones((1, 1)), np.zeros(1, dtype=np.int64), grid,
+                 alphas, sigmas, cooperative)
+            expected = pure.theta_table(sigmas, int(hops.max()))[0][row]
+            assert weights[:, 0].tobytes() == expected.tobytes(), (impl, s)

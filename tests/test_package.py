@@ -39,6 +39,21 @@ def test_unknown_name_raises_attribute_error_and_submodules_import():
     assert kernels is sys.modules["som_atlas.kernels"]
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "neighborhood", "update_step"])
+def test_training_steps_are_taken_only_by_train(name):
+    from som_atlas import som
+
+    with pytest.raises(AttributeError, match=name):
+        getattr(som_atlas, name)
+    assert not hasattr(som, name)
+
+
+def test_grid_distances_come_only_from_the_hop_table():
+    from som_atlas.hexgrid import HexGrid
+
+    assert [q for q in ("distance", "neighbors", "to_rowcol", "to_index") if hasattr(HexGrid, q)] == []
+
+
 def _loaded_after(statement: str, names=("numpy",)) -> set[str]:
     """The modules in ``names`` or under ``som_atlas`` that a fresh interpreter holds
     after running ``statement`` (one or more lines)."""

@@ -8,20 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from som_atlas.hexgrid import HexGrid
+from som_atlas.hexgrid import HexGrid, hop_row, hop_table
 from som_atlas.ingest import AttributeSpec, NormalizedTable, normalize
+from som_atlas.kernels import pure
 from som_atlas.som import (
     SomModel,
     TrainingSchedule,
+    _rates,
     init_codebook,
-    learning_rate,
-    neighborhood,
     quantization_error,
     train,
-    update_step,
 )
 
-from conftest import bmu_row, make_model, unit_table
+from conftest import bmu_row, make_model, train_step, unit_table
 
 
 def small_model(width=2, height=2, dim=2, weights=None) -> SomModel:
@@ -102,27 +101,38 @@ class TestInitCodebook:
             init_codebook(HexGrid(2, 2), 0, seed=1)
 
 
+def thetas(grid, u, s, schedule, n_rows) -> np.ndarray:
+    """theta(u, v, s) for every neuron v, as a (height, width) array.
+
+    As training takes it: ``pure.theta_table`` at step ``s``'s sigma, read at
+    the hop distances of ``u``'s ``hop_row``.
+    """
+    _, sigmas, _ = _rates(schedule.resolved(grid), n_rows, s, s + 1)
+    hops = hop_table(grid.width, grid.height)
+    return pure.theta_table(sigmas, int(hops.max()))[0][hop_row(hops, *divmod(u, grid.width))]
+
+
 class TestLearningRate:
     def test_endpoints(self):
         sched = TrainingSchedule(epochs=4, alpha0=0.7, alpha_end=0.05, sigma0=1.0)
-        assert learning_rate(0, sched, n_rows=10) == 0.7
-        assert learning_rate(39, sched, n_rows=10) == 0.05
+        alphas = _rates(sched, 10, 0, 40)[0]
+        assert (alphas[0], alphas[-1]) == (0.7, 0.05)
 
     def test_affine_midpoint(self):
         # alpha0=0.5, alpha_end=0.1, five steps: s=2 sits at 0.3.
         sched = TrainingSchedule(epochs=5, alpha0=0.5, alpha_end=0.1, sigma0=1.0)
-        assert learning_rate(2, sched, n_rows=1) == pytest.approx(0.3, abs=1e-12)
+        assert _rates(sched, 1, 2, 3)[0][0] == pytest.approx(0.3, abs=1e-12)
 
     def test_single_step_schedule(self):
         sched = TrainingSchedule(epochs=1, alpha0=0.9, alpha_end=0.9, sigma0=1.0)
-        assert learning_rate(0, sched, n_rows=1) == 0.9
+        assert _rates(sched, 1, 0, 1)[0].tolist() == [0.9]
 
     def test_out_of_range(self):
         sched = TrainingSchedule(epochs=2, sigma0=1.0)
         with pytest.raises(ValueError):
-            learning_rate(-1, sched, n_rows=3)
+            _rates(sched, 3, -1, 0)
         with pytest.raises(ValueError):
-            learning_rate(6, sched, n_rows=3)
+            _rates(sched, 3, 6, 7)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -149,42 +159,43 @@ class TestNeighborhood:
         grid = HexGrid(3, 3)
         sched = TrainingSchedule(epochs=3, sigma0=2.0)
         for s in (0, 5, 8):
-            assert neighborhood(grid, 4, 4, s, sched, n_rows=3) == 1.0
+            assert thetas(grid, 4, s, sched, n_rows=3)[1, 1] == 1.0
 
     def test_final_epoch_is_competitive(self):
         grid = HexGrid(3, 3)
         sched = TrainingSchedule(epochs=3, sigma0=2.0)
-        # final epoch: s in [6, 9)
-        assert neighborhood(grid, 4, 5, 6, sched, n_rows=3) == 0.0
-        assert neighborhood(grid, 4, 4, 8, sched, n_rows=3) == 1.0
+        # final epoch: s in [6, 9), none of it cooperative
+        assert _rates(sched, 3, 6, 9)[2] == 0
+        for s in (6, 8):
+            assert thetas(grid, 4, s, sched, n_rows=3).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
 
     def test_distance_equal_sigma(self):
         # theta at d = sigma(s) is exp(-1/2) = 0.6065306597126334.
         grid = HexGrid(10, 1)
         sched = TrainingSchedule(epochs=2, sigma0=3.0)
-        theta = neighborhood(grid, 0, 3, 0, sched, n_rows=4)
+        theta = thetas(grid, 0, 0, sched, n_rows=4)[0, 3]
         assert theta == pytest.approx(0.6065306597126334, abs=1e-12)
 
     def test_monotone_in_distance(self):
         grid = HexGrid(8, 1)
         sched = TrainingSchedule(epochs=2, sigma0=2.5)
-        thetas = [neighborhood(grid, 0, v, 1, sched, n_rows=4) for v in range(8)]
-        assert all(a >= b for a, b in zip(thetas, thetas[1:]))
-        assert all(0.0 <= t <= 1.0 for t in thetas)
+        row = thetas(grid, 0, 1, sched, n_rows=4)[0].tolist()
+        assert all(a >= b for a, b in zip(row, row[1:]))
+        assert all(0.0 <= t <= 1.0 for t in row)
 
     def test_iteration_out_of_range(self):
         grid = HexGrid(2, 2)
         sched = TrainingSchedule(epochs=1, sigma0=1.0)
         with pytest.raises(ValueError):
-            neighborhood(grid, 0, 1, 4, sched, n_rows=2)
+            thetas(grid, 0, 4, sched, n_rows=2)
 
     def test_sigma_underflow_is_kronecker_delta(self):
-        # 2 * (1e-170)**2 underflows to 0 in a cooperative epoch; the kernels
-        # then use the Gaussian's limit, and so must this.
+        # 2 * (1e-170)**2 underflows to 0 in a cooperative epoch; theta is
+        # then the Gaussian's limit.
         grid = HexGrid(3, 3)
         sched = TrainingSchedule(epochs=3, sigma0=1e-170)
-        assert neighborhood(grid, 4, 4, 0, sched, n_rows=3) == 1.0
-        assert neighborhood(grid, 4, 5, 0, sched, n_rows=3) == 0.0
+        assert _rates(sched, 3, 0, 1)[1][0] > 0.0
+        assert thetas(grid, 4, 0, sched, n_rows=3).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
 
 
 class TestUpdateStep:
@@ -193,7 +204,7 @@ class TestUpdateStep:
         m = small_model(2, 2, 2)
         sched = TrainingSchedule(epochs=1, alpha0=1.0, alpha_end=1.0, sigma0=1.0)
         x = np.array([0.3, 0.9])
-        update_step(m, x, s=0, schedule=sched, n_rows=1)
+        train_step(m.weights, m.grid, x, 0, sched, n_rows=1)
         u, dist = bmu_row(m.weights, x)
         assert dist == 0.0
         assert np.array_equal(m.weights[u], x)
@@ -219,7 +230,7 @@ class TestUpdateStep:
     def test_midpoint_convex_combination(self):
         m = small_model(1, 1, 2, weights=[[0.0, 0.0]])
         sched = TrainingSchedule(epochs=2, alpha0=0.5, alpha_end=0.5, sigma0=1.0)
-        update_step(m, np.array([1.0, 1.0]), s=0, schedule=sched, n_rows=1)
+        train_step(m.weights, m.grid, [1.0, 1.0], 0, sched, n_rows=1)
         assert np.array_equal(m.weights[0], [0.5, 0.5])
 
     def test_bmu_receives_largest_coefficient(self):
@@ -228,7 +239,7 @@ class TestUpdateStep:
         x = np.array([1.0, 1.0])
         sched = TrainingSchedule(epochs=2, alpha0=0.5, alpha_end=0.1, sigma0=1.5)
         u_before, _ = bmu_row(m.weights, x)
-        update_step(m, x, s=0, schedule=sched, n_rows=5)
+        train_step(m.weights, m.grid, x, 0, sched, n_rows=5)
         # Per-neuron pull coefficient = |w' - w| / |x - w|; largest at the BMU.
         gaps = np.linalg.norm(x - before, axis=1)
         coefs = np.linalg.norm(m.weights - before, axis=1) / gaps
@@ -244,19 +255,8 @@ class TestUpdateStep:
         for _ in range(steps):
             x = rng.random(3)
             s = int(rng.integers(0, 2 * n_rows))
-            update_step(m, x, s=s, schedule=sched, n_rows=n_rows)
+            train_step(m.weights, m.grid, x, s, sched, n_rows)
         assert m.weights.min() >= 0.0 and m.weights.max() <= 1.0
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 5.0, -0.5])
-    def test_row_outside_unit_box_rejected_before_the_kernel(self, bad):
-        # Applied, such a row can move weights out of [0, 1], which SomModel rejects.
-        m = small_model(2, 2, 2)
-        before = m.weights.copy()
-        sched = TrainingSchedule(epochs=2, alpha0=0.9, alpha_end=0.1, sigma0=1.0)
-        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
-            update_step(m, [bad, 0.5], s=0, schedule=sched, n_rows=1)
-        assert m.weights.tobytes() == before.tobytes()
-        SomModel(m.grid, m.weights, m.schema, m.schedule)
 
 
 class TestTrain:
@@ -339,10 +339,10 @@ class TestTrain:
         sched = TrainingSchedule(epochs=3, alpha0=0.8, alpha_end=0.02, shuffle=False, seed=5)
         init = init_codebook(grid, 3, sched.seed)
         trained = train(unit_table(rows), grid, sched, initial_weights=init)
-        m = make_model(grid, init.copy())
+        weights = init.copy()
         for s in range(sched.epochs * len(rows)):
-            update_step(m, rows[s % len(rows)], s=s, schedule=sched, n_rows=len(rows))
-        assert m.weights.tobytes() == trained.weights.tobytes()
+            train_step(weights, grid, rows[s % len(rows)], s, sched, len(rows))
+        assert weights.tobytes() == trained.weights.tobytes()
 
     def test_large_map_memory_is_linear_in_neurons(self):
         # A 100x100 map: an all-pairs distance matrix alone would be 400 MB of
