@@ -72,7 +72,11 @@ class AttributeStats:
     count: int
     mean: float | None
     std: float | None
-    single_sample: bool = False
+
+    @property
+    def single_sample(self) -> bool:
+        """One member only: its std is 0 by definition, not by measurement."""
+        return self.count == 1
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,7 @@ def cluster_stats(
             per_attr = [AttributeStats(count=0, mean=None, std=None)] * table.n_attrs
         elif count == 1:  # the value itself, so -0.0 keeps its sign
             values = members[:, 0].tolist()
-            per_attr = [AttributeStats(1, v, 0.0, single_sample=True) for v in values]
+            per_attr = [AttributeStats(1, v, 0.0) for v in values]
         else:
             means, stds = members.mean(axis=1).tolist(), members.std(axis=1, ddof=1).tolist()
             per_attr = [AttributeStats(count, m, d) for m, d in zip(means, stds)]

@@ -211,9 +211,12 @@ def cmd_train(args) -> None:
     ntable = normalize(table)
 
     t0 = time.perf_counter()
-    codebook = init_codebook(grid, ntable.n_attrs, schedule.seed)
-    qe_initial = quantization_error(SomModel(grid, codebook, ntable.schema, schedule), ntable)
-    model = train(ntable, grid, schedule, initial_weights=codebook)
+    # The seeded codebook ``train`` starts from, drawn here only to score it
+    # and freed before ``train`` draws it again: one codebook is held at a time.
+    initial = init_codebook(grid, ntable.n_attrs, schedule.seed)
+    qe_initial = quantization_error(SomModel(grid, initial, ntable.schema, schedule), ntable)
+    del initial
+    model = train(ntable, grid, schedule)
     qe_final = quantization_error(model, ntable)
     elapsed = time.perf_counter() - t0
 

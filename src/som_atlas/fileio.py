@@ -1,7 +1,8 @@
 """Atomic file writes: outputs appear complete or not at all.
 
-``atomic_write_bytes`` writes bytes already held; ``atomic_write_csv`` sends
-rows through ``csv.writer`` as they come, so no text of the table is held.
+``atomic_write_bytes`` writes bytes already held; ``atomic_write_text``
+writes text chunks and ``atomic_write_csv`` sends rows through ``csv.writer``,
+both as they come, so no text of the whole file is held.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically."""
     with _replacing(path) as fh:
         fh.write(data)
+
+
+def atomic_write_text(path, chunks) -> None:
+    """Write an iterable of strings to ``path`` atomically, as UTF-8, one after another."""
+    with _replacing(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        text.writelines(chunks)
 
 
 def atomic_write_csv(path, rows) -> None:

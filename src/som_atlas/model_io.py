@@ -16,6 +16,11 @@ wrote and saving it again reproduces the bytes exactly. Attribute names may
 contain single spaces; the loader re-joins the middle tokens, so
 ``check_attribute_names`` rejects any other whitespace, which could not
 survive that round trip.
+
+``_chunks`` is the one description of the file: it yields the header lines,
+then the neuron lines ``ROW_BLOCK`` at a time. ``save_model`` writes that
+stream of lines as it comes, so the text of the whole codebook is never held;
+``dumps_model`` joins it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelFormatError
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_text
 from .hexgrid import HexGrid
 from .ingest import AttributeSpec
 from .som import SomModel, TrainingSchedule
@@ -44,7 +49,18 @@ _SCHEDULE = {
 }
 
 
-def dumps_model(model: SomModel) -> str:
+# Neuron lines per chunk ``save_model`` writes: the text of one block is the
+# most of the codebook's text held at once.
+ROW_BLOCK = 256
+
+
+def _chunks(model: SomModel):
+    """The model file as chunks of text: the header lines, then blocks of neuron lines.
+
+    Attribute names are checked before the first chunk, so no byte of a file
+    that could not round-trip is written.
+    """
+    check_attribute_names([spec.name for spec in model.schema])
     fields = " ".join(
         f"{key}={_fmt(getattr(model.schedule, key), kind)}" for key, kind in _SCHEDULE.items()
     )
@@ -54,15 +70,21 @@ def dumps_model(model: SomModel) -> str:
         f"dim {model.dim}",
         f"schedule {fields}",
     ]
-    check_attribute_names([spec.name for spec in model.schema])
     for i, spec in enumerate(model.schema):
         qc = _fmt(spec.quasi_constant, bool)
         lines.append(f"attr {i} {spec.name} {_fmt(spec.raw_min)} {_fmt(spec.raw_max)} {qc}")
+    yield "\n".join(lines) + "\n"
     # ``_fmt``'s ``repr`` of Python floats, without a numpy scalar per value;
-    # one row at a time, so no Python copy of the whole codebook is held.
-    for idx, row in enumerate(model.weights):
-        lines.append(f"w {idx} " + " ".join(map(repr, row.tolist())))
-    return "\n".join(lines) + "\n"
+    # one block at a time, so no Python copy of the whole codebook is held.
+    for start in range(0, model.n_neurons, ROW_BLOCK):
+        block = model.weights[start : start + ROW_BLOCK].tolist()
+        yield "".join(
+            f"w {idx} {' '.join(map(repr, row))}\n" for idx, row in enumerate(block, start)
+        )
+
+
+def dumps_model(model: SomModel) -> str:
+    return "".join(_chunks(model))
 
 
 def check_attribute_names(names) -> None:
@@ -102,7 +124,7 @@ def _read(token: str, kind):
 
 
 def save_model(model: SomModel, path) -> None:
-    atomic_write_bytes(path, dumps_model(model).encode("utf-8"))
+    atomic_write_text(path, _chunks(model))
 
 
 def load_model(path) -> SomModel:

@@ -122,9 +122,9 @@ def train(
 
     Rows are presented in a per-epoch shuffled order derived from the
     schedule seed (file order when ``shuffle`` is off), one
-    ``kernels.train_loop`` call per epoch on ``grid``. ``initial_weights``
-    overrides the seeded random codebook; tests use it to start from
-    prepared states.
+    ``kernels.train_loop`` call per epoch on ``grid``, starting from
+    ``init_codebook(grid, table.n_attrs, schedule.seed)``. ``initial_weights``,
+    copied and checked, replaces that codebook, to start from a prepared state.
     """
     if table.n_rows == 0:
         raise ValueError("cannot train on an empty table")

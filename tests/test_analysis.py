@@ -500,9 +500,7 @@ def _reference_cluster_stats(clusters, assignments, table) -> tuple:
             if col.size == 0:
                 per_attr.append(AttributeStats(count=0, mean=None, std=None))
             elif col.size == 1:
-                per_attr.append(
-                    AttributeStats(count=1, mean=float(col[0]), std=0.0, single_sample=True)
-                )
+                per_attr.append(AttributeStats(count=1, mean=float(col[0]), std=0.0))
             else:
                 mean, std = float(col.mean()), float(col.std(ddof=1))
                 per_attr.append(AttributeStats(count=col.size, mean=mean, std=std))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -47,6 +48,30 @@ def test_train_succeeds_and_is_byte_reproducible(log_csv, tmp_path):
     assert train(log_csv, tmp_path / "a.model") == cli.EXIT_OK
     assert train(log_csv, tmp_path / "b.model") == cli.EXIT_OK
     assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+
+def test_train_memory_grows_by_a_few_codebooks(tmp_path):
+    # The whole command: one codebook is held at a time and the model text is
+    # streamed out. Holding the initial codebook through training and building
+    # the text whole grew the peak by about 11 times the codebook's bytes.
+    rows = np.random.default_rng(4).random((50, 8))
+    log = tmp_path / "log.csv"
+    log.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+
+    def peak(side):
+        argv = ["train", "--input", str(log), "--model", str(tmp_path / "m"), "--no-header",
+                "--width", str(side), "--height", str(side), "--epochs", "1"]  # fmt: skip
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == cli.EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call costs
+    small, large = 50, 150
+    codebook_growth = 8 * rows.shape[1] * (large**2 - small**2)
+    assert (peak(large) - peak(small)) / codebook_growth <= 6
 
 
 def _config(out):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from som_atlas.analysis import ASSIGNMENT, assignment_rows
-from som_atlas.fileio import atomic_write_bytes, atomic_write_csv
+from som_atlas.fileio import atomic_write_bytes, atomic_write_csv, atomic_write_text
 
 
 @pytest.fixture
@@ -23,12 +23,14 @@ def umask_022():
 def test_written_file_gets_the_mode_open_would_give(tmp_path, umask_022):
     atomic_write_bytes(tmp_path / "a.bin", b"\x00\x01")
     atomic_write_csv(tmp_path / "b.csv", [["x"]])
+    atomic_write_text(tmp_path / "d.txt", ["x", "\n"])
     with open(tmp_path / "c.txt", "w") as fh:
         fh.write("x\n")
-    for name in ("a.bin", "b.csv", "c.txt"):
+    for name in ("a.bin", "b.csv", "c.txt", "d.txt"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
     assert (tmp_path / "a.bin").read_bytes() == b"\x00\x01"
     assert (tmp_path / "b.csv").read_text() == "x\n"
+    assert (tmp_path / "d.txt").read_text() == "x\n"
 
 
 def test_mode_follows_the_current_umask(tmp_path, monkeypatch):
@@ -63,11 +65,19 @@ def _rows_then_failure():
     raise RuntimeError("the source failed mid-stream")
 
 
+def _chunks_then_failure():
+    # Past the text layer's buffer too.
+    for i in range(1_000):
+        yield f"line {i} of a streamed text\n"
+    raise RuntimeError("the source failed mid-stream")
+
+
 def test_failed_write_leaves_nothing(tmp_path, umask_022):
     failures = [
         (TypeError, lambda path: atomic_write_bytes(path, "not bytes")),
         (TypeError, lambda path: atomic_write_bytes(path, None)),
         (RuntimeError, lambda path: atomic_write_csv(path, _rows_then_failure())),
+        (RuntimeError, lambda path: atomic_write_text(path, _chunks_then_failure())),
     ]
     for exc, write in failures:
         with pytest.raises(exc):

@@ -1,6 +1,8 @@
 """Model file format: byte round trips and corruption reporting."""
 
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ import pytest
 from som_atlas.errors import ModelFormatError
 from som_atlas.hexgrid import HexGrid
 from som_atlas.ingest import AttributeSpec, normalize
-from som_atlas.model_io import dumps_model, load_model, loads_model, save_model
+from som_atlas.model_io import ROW_BLOCK, dumps_model, load_model, loads_model, save_model
 from som_atlas.som import SomModel, TrainingSchedule, train
 
-from conftest import make_table
+from conftest import make_model, make_table
 
 
 @pytest.fixture
@@ -84,14 +86,54 @@ def test_untrained_model_rejected():
         SomModel(HexGrid(2, 2), init_codebook(HexGrid(2, 2), 2, seed=1))
 
 
-def test_unrepresentable_name_rejected(trained_model):
-    from dataclasses import replace
+def _unsavable(model):
+    schema = list(model.schema)
+    schema[0] = replace(schema[0], name="two  spaces")
+    return replace(model, schema=tuple(schema))
 
-    bad_schema = list(trained_model.schema)
-    bad_schema[0] = replace(bad_schema[0], name="two  spaces")
-    broken = replace(trained_model, schema=tuple(bad_schema))
+
+def test_unrepresentable_name_rejected(trained_model):
     with pytest.raises(ValueError, match="round-trip"):
-        dumps_model(broken)
+        dumps_model(_unsavable(trained_model))
+
+
+def test_unrepresentable_name_leaves_the_target_as_it_was(trained_model, tmp_path):
+    (tmp_path / "m.som").write_bytes(b"kept")
+    with pytest.raises(ValueError, match="round-trip"):
+        save_model(_unsavable(trained_model), tmp_path / "m.som")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.som"]
+    assert (tmp_path / "m.som").read_bytes() == b"kept"
+
+
+def test_saved_blocks_join_into_the_dumped_text(tmp_path):
+    # Neuron lines are written ROW_BLOCK at a time; the last block is partial.
+    grid = HexGrid(ROW_BLOCK + 1, 2)
+    model = make_model(grid, np.random.default_rng(8).random((grid.n_nodes, 3)))
+    save_model(model, tmp_path / "m.som")
+    text = dumps_model(model)
+    assert (tmp_path / "m.som").read_bytes() == text.encode("utf-8")
+    lines = text.splitlines()
+    assert lines[4 + model.dim :] == [
+        f"w {i} " + " ".join(map(repr, row)) for i, row in enumerate(model.weights.tolist())
+    ]
+    assert dumps_model(load_model(tmp_path / "m.som")) == text
+
+
+def test_save_memory_does_not_grow_with_the_neurons(tmp_path):
+    # The text of one block of neuron lines is the most held at once. Built
+    # whole, the text and its encoding took about 8 times the codebook's bytes.
+    def peak(blocks):
+        grid = HexGrid(ROW_BLOCK, blocks)
+        model = make_model(grid, np.random.default_rng(9).random((grid.n_nodes, 8)))
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m.som")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 14 more blocks add less than one block of the codebook's own bytes.
+    assert peak(16) - peak(2) < ROW_BLOCK * 8 * 8
 
 
 @pytest.mark.parametrize(

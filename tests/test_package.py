@@ -129,21 +129,28 @@ def test_every_test_module_imports():
 
 
 def test_data_model_constructors_take_only_independent_values():
-    from som_atlas.analysis import ClusterModel
+    from som_atlas.analysis import AttributeStats, ClusterModel
     from som_atlas.ingest import AttributeSpec, DataTable
     from som_atlas.som import SomModel
 
-    classes = (AttributeSpec, DataTable, SomModel, ClusterModel)
+    classes = (AttributeSpec, DataTable, SomModel, ClusterModel, AttributeStats)
     assert {cls.__name__: list(inspect.signature(cls).parameters) for cls in classes} == {
         "AttributeSpec": ["name", "raw_min", "raw_max"],
         "DataTable": ["names", "rows", "dropped_rows"],
         "SomModel": ["grid", "weights", "schema", "schedule"],
         "ClusterModel": ["centroids", "neuron_labels", "inertia"],
+        "AttributeStats": ["count", "mean", "std"],
     }
     # Built whole: no field of a model may be left out.
     for cls in (SomModel, ClusterModel):
         params = inspect.signature(cls).parameters.values()
         assert all(p.default is inspect.Parameter.empty for p in params), cls.__name__
-    for cls, name in [(AttributeSpec, "quasi_constant"), (SomModel, "dim"), (ClusterModel, "k")]:
-        derived = inspect.getattr_static(cls, name)
-        assert isinstance(derived, property) and derived.fset is None, name
+    derived = [
+        (AttributeSpec, "quasi_constant"),
+        (SomModel, "dim"),
+        (ClusterModel, "k"),
+        (AttributeStats, "single_sample"),
+    ]
+    for cls, name in derived:
+        attr = inspect.getattr_static(cls, name)
+        assert isinstance(attr, property) and attr.fset is None, name
