@@ -637,12 +637,25 @@ def test_scale_invariance_of_argmin(data):
     assert idx_base.tolist() == idx_scaled.tolist()
 
 
-# Rows per chunk on a 50-neuron map scanned over all 5 attributes; the longer
-# 1309 and 3937 rows also end off the chunk edges of both column subsets below.
+# Rows per chunk on a 50-neuron map scanned over all 5 attributes. The fixed
+# row counts end off the chunk edges of all three column sets below; the cases
+# placed by CHUNK_50 carry fixed ids, so a new BMU_SCRATCH keeps every name.
 CHUNK_50 = pure.BMU_SCRATCH // ((5 + 1) * 50)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, CHUNK_50 - 1, 3 * CHUNK_50 + 7, 1309, 3937])
+@pytest.mark.parametrize(
+    "n_rows",
+    [
+        0,
+        1,
+        435,
+        1309,
+        1315,
+        3937,
+        pytest.param(CHUNK_50 - 1, id="chunk-1"),
+        pytest.param(3 * CHUNK_50 + 7, id="3chunks+7"),
+    ],
+)
 def test_batched_bmu_matches_row_scan(n_rows):
     rng = np.random.default_rng(n_rows)
     weights = rng.random((50, 5))
