@@ -14,8 +14,11 @@ and uses a stable exit-code contract:
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import os
 import re
+import shlex
 import sys
 import time
 import warnings
@@ -164,13 +167,16 @@ def main(argv=None) -> int:
 
 
 def _echo_config(args, **extra) -> None:
-    """One reproducibility line: every effective value, defaults included."""
+    """One reproducibility line: every effective value, defaults included.
+
+    Each value is shell-quoted, so ``shlex.split`` gives back every pair.
+    """
     pairs = {"command": args.command}
     for key, value in sorted(vars(args).items()):
         if key != "command":
             pairs[key] = value
     pairs.update(extra)
-    print("config: " + " ".join(f"{k}={v}" for k, v in pairs.items()))
+    print("config: " + " ".join(f"{k}={shlex.quote(str(v))}" for k, v in pairs.items()))
 
 
 def _read_table(args):
@@ -203,6 +209,11 @@ def cmd_train(args) -> None:
     # The bound library in the cache names the build that trains.
     library = {} if kernels.LIBRARY is None else {"kernel_library": kernels.LIBRARY}
     _echo_config(args, seed=seed, sigma0=schedule.sigma0, kernel=kernels.BACKEND, **library)
+    # The save's own error, before reading or training rather than after.
+    directory = os.path.dirname(args.model) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.model)
 
     table = _read_table(args)
     if args.time_period is not None:

@@ -20,15 +20,22 @@ def _replacing(path):
 
     It is created new under a random name with mode ``0o666``, so the kernel
     gives it the mode a plain ``open()`` would, ``0o666`` less the umask. On
-    any error it is removed and an existing ``path`` keeps its bytes.
+    any error it is removed and an existing ``path`` keeps its bytes. An
+    ``OSError`` of creating or renaming it names ``path``, not the temporary.
     """
-    path = Path(path)
+    target, path = os.fspath(path), Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+    except OSError as err:
+        raise type(err)(err.errno, err.strerror, target) from None
     try:
         with open(fd, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise type(err)(err.errno, err.strerror, target) from None
     except BaseException:
         try:
             os.unlink(tmp)

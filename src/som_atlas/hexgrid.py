@@ -20,6 +20,9 @@ import numpy as np
 
 # ``hop_table`` keeps the tables of this many grid sizes.
 HOP_TABLES = 4
+# ``hop_table`` fills its rows in blocks of at most this many entries (but
+# always at least one row), so ``hops``' temporaries stay small.
+HOP_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,13 @@ def hop_table(width: int, height: int) -> np.ndarray:
     it; ``hop_row`` cuts one node's row from it. The table is read-only and
     cached: repeated calls return the same array.
     """
-    dr = np.arange(1 - height, height, dtype=np.int64)[None, :, None]
-    dc = np.arange(1 - width, width, dtype=np.int64)[None, None, :]
-    table = hops(np.arange(2)[:, None, None], dr, dc)
+    dr = np.arange(1 - height, height, dtype=np.int64)[:, None]
+    dc = np.arange(1 - width, width, dtype=np.int64)
+    table = np.empty((2, dr.size, dc.size), dtype=np.int64)
+    step = max(1, HOP_BLOCK // dc.size)
+    for parity in (0, 1):
+        for start in range(0, dr.size, step):
+            table[parity, start : start + step] = hops(parity, dr[start : start + step], dc)
     table.setflags(write=False)
     return table
 

@@ -21,9 +21,9 @@ and rows of the same columns, nothing else; a search over some attributes
 passes both sliced to them. ``nearest`` screens rows with a matrix product
 first; the screen is a rounding bound, never a value it returns.
 
-Both loops accept exactly the arguments ``pure.check_arguments`` accepts,
-and both read their hop distances from the one ``hexgrid.hop_table`` of
-the grid, cached per grid size: the winner's hop row is a slice of it.
+Both loops accept exactly the arguments ``pure.check_arguments`` accepts
+and read their hop distances from the one ``hexgrid.hop_table`` it returns,
+cached per grid size: the winner's hop row is a slice of it.
 Both work in the (dim, n) layout of ``pure._sq_distances`` and take
 ``np.argmin``'s winner: the first NaN sum if any sum is NaN, else the lowest
 index of the smallest sum. The C loop scans and updates whole blocks of
@@ -51,7 +51,6 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ..hexgrid import hop_table
 from . import pure
 from .pure import bmu, check_arguments, nearest
 
@@ -64,14 +63,6 @@ COMPILE_FLAGS = ("-O3", "-ffp-contract=off")
 # A compile that outlasts this many seconds fails the build.
 BUILD_TIMEOUT_S = 60
 
-# weights, data, order, alphas, sigmas: the C loop's array arguments.
-_ARRAYS = (
-    ndpointer(np.float64, 2, flags="C_CONTIGUOUS,WRITEABLE"),
-    ndpointer(np.float64, 2, flags="C_CONTIGUOUS"),
-    ndpointer(np.int64, 1, flags="C_CONTIGUOUS"),
-    ndpointer(np.float64, 1, flags="C_CONTIGUOUS"),
-    ndpointer(np.float64, 1, flags="C_CONTIGUOUS"),
-)
 # theta, wt, acc, coef: scratch the wrapper allocates for each call.
 _SCRATCH = ndpointer(np.float64, 1, flags="C_CONTIGUOUS,WRITEABLE")
 
@@ -85,19 +76,16 @@ def load(path):
     block = ctypes.c_int64.in_dll(library, "block_neurons").value
     c_loop = library.train_loop
     c_loop.restype = None
-    c_loop.argtypes = [*_ARRAYS, ndpointer(np.int64, 3, flags="C_CONTIGUOUS"),
+    c_loop.argtypes = [*pure.ARRAYS, ndpointer(np.int64, 3, flags="C_CONTIGUOUS"),
                        *[_SCRATCH] * 4, *[ctypes.c_int64] * 7]
 
     def train_loop(weights, data, order, grid, alphas, sigmas, competitive_start):
-        for kind, array in zip(_ARRAYS, (weights, data, order, alphas, sigmas)):
-            kind.from_param(array)  # dtype, ndim and layout, before shapes are read
-        # Clamped, because ctypes truncates integers to 64 bits silently.
-        competitive_start = check_arguments(
+        # Clamped, because ctypes truncates integers to 64 bits silently;
+        # max_dist bounds every hop the loop reads, so theta is never overrun.
+        competitive_start, hops, max_dist = check_arguments(
             weights, data, order, grid, alphas, sigmas, competitive_start
         )
         n, dim = weights.shape
-        hops = hop_table(grid.width, grid.height)
-        max_dist = int(hops.max())  # bounds every hop the loop reads, so theta is never overrun
         stride = -(-n // block) * block
         # On 64-byte lines (8 doubles), as are its rows of whole blocks: numpy
         # gave 0, 32 or 48 mod 64, and blocks at 32 ran 16% slower at 70x70.

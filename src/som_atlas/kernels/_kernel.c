@@ -8,9 +8,9 @@ exp() and is indexed by the hop distances of hexgrid.hop_table, and every
 update is w - c (w - x) in three separately rounded steps, as the numpy
 reference takes them (w + c (x - w) would differ in the sign of a zero
 when w and x are both -0). Build with -ffp-contract=off so that no
-multiply-add fuses. The Python wrapper checks dtypes, shapes and
-indices, and builds hops and allocates the scratch; nothing here validates
-its input or allocates.
+multiply-add fuses. pure.check_arguments checks dtypes, shapes and
+indices for both loops and gives hops, and the Python wrapper allocates the
+scratch; nothing here validates its input or allocates.
 
 w is (n, dim) with n = width * height, data is (n_rows, dim); order, alphas
 and sigmas have total entries. hops is hexgrid.hop_table(width, height), a

@@ -14,9 +14,9 @@ per call and adds each dimension's row to every neuron's sum in turn, over
 blocks of 32 neurons whose sums stay in registers, its rows padded to whole
 blocks with neurons that no result reads; its update runs over the same
 blocks. Change both files together or not at all; ``tests/test_kernels.py``
-pins bit-identical outputs. Both loops read their hop distances from
-``hexgrid.hop_table``, built once per grid size; a winner's hop row is a
-slice of it.
+pins bit-identical outputs. Both loops take their hop distances from
+``check_arguments``: ``hexgrid.hop_table``, built once per grid size; a
+winner's hop row is a slice of it.
 
 ``train_loop`` moves the work that does not depend on the step out of it,
 without changing a rounding:
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.ctypeslib import ndpointer
 
 from ..hexgrid import HexGrid, hop_row, hop_table
 
@@ -56,11 +57,12 @@ BMU_SCRATCH = 2**16
 # holding at most this many values (but always at least one step).
 THETA_BLOCK = 2**12
 
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u = 2**-53: bounds k roundings' relative error."""
-    u = 2.0**-53
-    return k * u / (1.0 - k * u)
+# weights, data, order, alphas, sigmas, as ctypes passes them to the C loop;
+# ``check_arguments`` holds both loops' arguments to them.
+_VECTOR = ndpointer(np.float64, 1, flags="C_CONTIGUOUS")
+ARRAYS = (ndpointer(np.float64, 2, flags="C_CONTIGUOUS,WRITEABLE"),
+          ndpointer(np.float64, 2, flags="C_CONTIGUOUS"),
+          ndpointer(np.int64, 1, flags="C_CONTIGUOUS"), _VECTOR, _VECTOR)
 
 
 def _sq_distances(w3, x3, buf, out, sq=None):
@@ -89,7 +91,8 @@ def _screen_margins(wt: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The screen matrix ``[-2 w^T; |w|^2]`` (dim + 1, n) and each row's margin.
 
     Screen value s_j = |w_j|^2 - 2 x.w_j is the exact chain's sum D_j minus
-    the row's constant |x|^2. With u = 2**-53, M = max |w_j|, R = M + |x|:
+    the row's constant |x|^2. With u = 2**-53, M = max |w_j|, R = M + |x|
+    and Higham's gamma(k) = k u / (1 - k u), which bounds k roundings:
     - s_j, a length-(dim + 1) product of rows holding the rounded |w_j|^2,
       is within gamma(2 dim + 1) R^2 of its exact value in any summation
       order, FMA or not (Higham, Accuracy and Stability, 3.1 and 3.5).
@@ -106,12 +109,14 @@ def _screen_margins(wt: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     any value here can; a NaN makes it NaN. A gap must exceed the margin, so
     a row with a tie, an overflow, an inf or a NaN is never decided.
     """
-    dim = wt.shape[0]
+    dim, n = wt.shape
+    ku = (2 * dim + 5) * 2.0**-53  # gamma(2 dim + 5) = ku / (1 - ku)
+    screen = np.empty((dim + 1, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.einsum("ij,ij->j", wt, wt)
-        screen = np.vstack([-2.0 * wt, norms])
+        np.multiply(wt, -2.0, out=screen[:dim])
+        norms = np.einsum("ij,ij->j", wt, wt, out=screen[dim])
         reach = np.sqrt(norms.max()) + np.sqrt(np.einsum("ij,ij->i", x, x))
-        margin = _gamma(2 * dim + 5) * np.square(2.0 * reach) + 8.0 * dim * 2.0**-1074
+        margin = ku / (1.0 - ku) * np.square(2.0 * reach) + 8.0 * dim * 2.0**-1074
     return screen, margin
 
 
@@ -129,13 +134,16 @@ def nearest(weights: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     through the full training scan, ``max(1, BMU_SCRATCH // ((dim + 1) * n))``
     rows at a time. Then the training scan of each row's winner alone gives
     its sum. The screen is a bound, never a value: every returned index and
-    sum is the full scan's, bit for bit. The search's scratch stays bounded
-    however many rows there are; the final scan of the winners holds two
-    arrays the size of ``X``.
+    sum is the full scan's, bit for bit. Both inputs are cast to float64 at
+    entry, the rounding the margin bounds. The passes read views of
+    ``weights``, and the full scan's buffer exists only once a row is
+    undecided; the final scan of the winners holds two arrays like ``X``.
     """
+    weights = np.asarray(weights, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     n, dim = weights.shape
     rows = X.shape[0]
-    wt = np.ascontiguousarray(weights.T)
+    wt = weights.T
     w3, x3 = wt[:, None, :], X.T[:, :, None]
     screen, margin = _screen_margins(wt, X)
     chunk = max(1, min(BMU_SCRATCH // (dim + 1 + n), rows))
@@ -144,7 +152,7 @@ def nearest(weights: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     xs[:, dim] = 1.0
     a = np.empty((chunk, n))
     lane = np.arange(chunk)
-    buf = np.empty((dim, min(scan, chunk), n))
+    buf = None
     idx = np.empty(rows, dtype=np.intp)
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
@@ -157,13 +165,14 @@ def nearest(weights: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             s[lane[:k], u] = np.inf
             undecided = np.flatnonzero(~(s.min(axis=1) - best > margin[start:stop]))
         for i in range(0, undecided.size, scan):
+            buf = np.empty((dim, min(scan, chunk), n)) if buf is None else buf
             sub = undecided[i : i + scan] + start
             full = _sq_distances(w3, x3[:, sub], buf[:, : sub.size], a[: sub.size])
             idx[sub] = full.argmin(axis=1)
     # Each row's sum, once: the training scan of its winner alone, the same
     # chain the full scan adds for that neuron.
     dist = np.empty(rows)
-    pair = wt[:, idx, None]
+    pair = weights[idx].T[:, :, None]
     _sq_distances(pair, x3, pair, dist[:, None])
     return idx, dist
 
@@ -174,14 +183,17 @@ def bmu(weights: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.sqrt(dist, out=dist)
 
 
-def check_arguments(weights, data, order, grid, alphas, sigmas, competitive_start) -> int:
-    """Check ``train_loop``'s arguments for both backends; ``competitive_start`` clamped.
+def check_arguments(weights, data, order, grid, alphas, sigmas, competitive_start):
+    """Check ``train_loop``'s arguments for both backends, before a weight is read.
 
-    ``grid`` must be the ``HexGrid`` with one node per row of ``weights``.
-    Raises ``ValueError`` when shapes or node counts disagree and
-    ``IndexError`` when ``order`` leaves the data. ``competitive_start`` is
-    clamped to [0, len(order)].
+    Returns ``competitive_start`` clamped to [0, len(order)], the grid's
+    ``hexgrid.hop_table`` and its largest entry. ``grid`` must have one node
+    per row of ``weights``. Raises ``TypeError`` (ctypes' message) for an
+    array ``ARRAYS`` refuses, ``ValueError`` when shapes or node counts
+    disagree and ``IndexError`` when ``order`` leaves the data.
     """
+    for kind, array in zip(ARRAYS, (weights, data, order, alphas, sigmas)):
+        kind.from_param(array)
     n_neurons, dim = weights.shape
     total = order.shape[0]
     if data.shape[1] != dim or alphas.shape != (total,) or sigmas.shape != (total,):
@@ -190,7 +202,8 @@ def check_arguments(weights, data, order, grid, alphas, sigmas, competitive_star
         raise ValueError(f"a {grid.width}x{grid.height} grid has no {n_neurons} neurons")
     if total and not (0 <= order.min() and order.max() < data.shape[0]):
         raise IndexError(f"order holds a row index outside [0, {data.shape[0]})")
-    return min(max(int(competitive_start), 0), total)
+    hops = hop_table(grid.width, grid.height)
+    return min(max(int(competitive_start), 0), total), hops, int(hops.max())
 
 
 def theta_table(sigmas: np.ndarray, max_dist: int) -> np.ndarray:
@@ -234,14 +247,12 @@ def train_loop(
     ``sigmas[s]`` is ignored. Overflow and invalid operations (squares of
     huge values, ``inf - inf``, ``0 * inf``) warn nowhere, as in the C loop.
     """
-    n_neurons, dim = weights.shape
-    competitive_start = check_arguments(
+    competitive_start, hops, max_dist = check_arguments(
         weights, data, order, grid, alphas, sigmas, competitive_start
     )
+    n_neurons, dim = weights.shape
     total = order.shape[0]
     width, height = grid.width, grid.height
-    hops = hop_table(width, height)
-    max_dist = int(hops.max())
     # Steps per theta block: bounds the table however long the log is.
     block = max(1, THETA_BLOCK // (max_dist + 1))
 

@@ -91,6 +91,20 @@ def test_failed_write_leaves_nothing(tmp_path, umask_022):
         (tmp_path / "b.out").unlink()
 
 
+def test_failed_create_or_rename_names_the_target(tmp_path):
+    # Not the hidden temporary, whose name changes on every run.
+    (tmp_path / "dir").mkdir()
+    for target, exc in ((tmp_path / "absent" / "a.out", FileNotFoundError),
+                        (tmp_path / "dir", IsADirectoryError)):
+        for write in (lambda p: atomic_write_bytes(p, b"x"), lambda p: atomic_write_csv(p, [])):
+            with pytest.raises(exc) as err:
+                write(target)
+            assert err.value.filename == str(target)
+            assert str(err.value) == f"[Errno {err.value.errno}] {err.value.strerror}: {str(target)!r}"
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
 def test_csv_memory_does_not_grow_with_the_rows(tmp_path):
     # The assignment table as ``classify`` writes it: rows are formatted
     # and written as they come, so no text of the whole table is held.

@@ -1,5 +1,6 @@
 """Lattice geometry: hop distances vs a BFS oracle, adjacency as one hop, metric axioms."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -116,6 +117,30 @@ def test_hop_rows_are_lattice_distances(width, height):
         assert row.ravel().tolist() == distances
         widest = max(widest, *distances)
     assert table.max() == widest
+
+
+@pytest.mark.parametrize("width,height", [(100, 50), (3, 3000), (9000, 2)])
+def test_hop_table_built_in_blocks_is_the_hops_formula(width, height):
+    # Filled a block of rows at a time; (100, 50) and (3, 3000) take several
+    # blocks, (9000, 2) one row per block.
+    dr = np.arange(1 - height, height)[None, :, None]
+    dc = np.arange(1 - width, width)[None, None, :]
+    whole = hops(np.arange(2)[:, None, None], dr, dc)
+    table = hop_table.__wrapped__(width, height)
+    assert table.dtype == np.int64
+    assert table.tobytes() == whole.tobytes()
+
+
+def test_hop_table_memory_is_the_table():
+    # Through hops' broadcast temporaries the whole table peaked at 4 tables.
+    hop_table.__wrapped__(20, 20)
+    tracemalloc.start()
+    try:
+        table = hop_table.__wrapped__(150, 150)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, peak / table.nbytes
 
 
 def test_one_query_builds_no_table():

@@ -358,23 +358,6 @@ def test_backends_reject_a_grid_of_another_size(native_train_loop):
     assert messages[:3] == messages[3:]
 
 
-def test_numpy_loop_rejects_what_the_wrapper_rejects():
-    kw = _workload(1, width=3, height=2, dim=2, n_rows=4, epochs=2)[0]
-
-    def call(**change):
-        args = {**kw, "weights": kw["weights"].copy(), **change}
-        pure.train_loop(*(args[a] for a in ARGS))
-
-    call()
-    for bad, index in ((3, 4), (0, -1)):
-        with pytest.raises(IndexError):
-            call(order=np.where(kw["order"] == bad, index, kw["order"]))
-    for change in (dict(data=kw["data"][:, :1]), dict(alphas=kw["alphas"][:-1]),
-                   dict(sigmas=kw["sigmas"][:-1]), dict(grid=HexGrid(2, 2))):
-        with pytest.raises(ValueError):
-            call(**change)
-
-
 def test_train_loop_memory_does_not_grow_with_log_length():
     rng = np.random.default_rng(10)
     grid = HexGrid(5, 4)
@@ -411,26 +394,44 @@ def test_sigma_underflow_gives_finite_identical_weights(native_train_loop, monke
     assert models[0].weights.tobytes() == models[1].weights.tobytes()
 
 
-def test_wrapper_rejects_bad_input_before_c(native_train_loop):
+def test_wrapper_rejects_bad_input_before_c(native_libraries):
+    # pure.check_arguments is the one gate: the numpy loop and both C builds
+    # raise the same error, before any weight is read or written.
     kw = _workload(1, width=3, height=2, dim=2, n_rows=4, epochs=2)[0]
-
-    def call(**change):
+    impls = [pure.train_loop, *map(kernels.load, native_libraries.values())]
+    read_only = kw["weights"].copy()
+    read_only.setflags(write=False)
+    bad = [
+        (IndexError, dict(order=np.where(kw["order"] == 3, 4, kw["order"]))),
+        (IndexError, dict(order=np.where(kw["order"] == 0, -1, kw["order"]))),
+        (ValueError, dict(data=np.ascontiguousarray(kw["data"][:, :1]))),
+        (ValueError, dict(alphas=kw["alphas"][:-1].copy())),
+        (ValueError, dict(sigmas=kw["sigmas"][:-1].copy())),
+        (ValueError, dict(grid=HexGrid(2, 2))),
+        (TypeError, dict(order=kw["order"].astype(np.int32))),
+        (TypeError, dict(weights=kw["weights"].astype(np.float32))),
+        (TypeError, dict(weights=np.asfortranarray(kw["weights"]))),
+        (TypeError, dict(weights=read_only)),
+        (TypeError, dict(weights=kw["weights"][0].copy())),
+        (TypeError, dict(data=kw["data"].astype(np.float32))),
+        (TypeError, dict(data=kw["data"][::2])),
+        (TypeError, dict(alphas=kw["alphas"].astype(np.float32))),
+    ]
+    for impl in impls:
+        weights = kw["weights"].copy()
+        impl(weights, *(kw[a] for a in ARGS[1:]))
+        assert not np.array_equal(weights, kw["weights"])
+    for exc, change in bad:
         args = {**kw, "weights": kw["weights"].copy(), **change}
-        native_train_loop(*(args[a] for a in ARGS))
-
-    call()
-    for bad, index in ((3, 4), (0, -1)):
-        with pytest.raises(IndexError):
-            call(order=np.where(kw["order"] == bad, index, kw["order"]))
-    for change in (dict(data=np.ascontiguousarray(kw["data"][:, :1])),
-                   dict(alphas=kw["alphas"][:-1].copy()), dict(grid=HexGrid(2, 2))):
-        with pytest.raises(ValueError):
-            call(**change)
-    for change in (dict(order=kw["order"].astype(np.int32)),
-                   dict(weights=np.asfortranarray(kw["weights"])),
-                   dict(weights=kw["weights"][0].copy())):
-        with pytest.raises(TypeError):
-            call(**change)
+        before = args["weights"].tobytes()
+        messages = set()
+        for impl in impls:
+            with pytest.raises(exc) as err:
+                impl(*(args[a] for a in ARGS))
+            assert type(err.value) is exc
+            assert args["weights"].tobytes() == before, (impl, change)
+            messages.add(str(err.value))
+        assert len(messages) == 1, (change, messages)
 
 
 def test_load_of_missing_library_raises_oserror(tmp_path):
@@ -806,6 +807,44 @@ def test_quantization_error_is_the_sequential_row_sum():
     for x in rows:
         total += bmu_row(model.weights, x)[1]
     assert quantization_error(model, table) == total / len(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+def test_nearest_searches_any_codebook_as_its_float64_copy(dtype):
+    # The screen's margin bounds float64 rounding. Screened in float32, rows
+    # within a few float32 ulps of neurons 1 ulp apart took other winners in
+    # 955 of these 2000 rows.
+    rng = np.random.default_rng(13)
+    base = rng.random((20, 6)).astype(np.float32)
+    twin = base.copy()
+    twin[:, ::2] = np.nextafter(base[:, ::2], np.float32(1))
+    weights = np.vstack([base, twin])
+    X = np.repeat(weights, 50, axis=0)
+    X += (rng.random(X.shape, dtype=np.float32) - 0.5) * np.float32(4e-7)
+    if dtype is not np.float32:  # small integers: exact ties between rows and neurons
+        weights, X = (weights * 7).astype(dtype), (X * 7).astype(dtype)
+    got = kernels.nearest(weights, X)
+    expected = kernels.nearest(weights.astype(np.float64), X.astype(np.float64))
+    assert got[1].dtype == np.float64
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_nearest_holds_no_copy_of_the_codebook():
+    # The passes read views of the codebook, and a search the screen decides
+    # allocates no full-scan buffer: the screen matrix is the only scratch
+    # the size of the codebook. A transposed copy, a separate -2 w^T and an
+    # unused full-scan buffer held 3.3 codebooks.
+    rng = np.random.default_rng(14)
+    weights = rng.random((200 * 200, 8))
+    X = rng.random((500, 8))
+    kernels.nearest(weights, X)
+    tracemalloc.start()
+    try:
+        kernels.nearest(weights, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * weights.nbytes, peak / weights.nbytes
 
 
 def test_batched_bmu_memory_is_bounded():

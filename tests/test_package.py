@@ -1,5 +1,6 @@
 """The lazy public API: ``som_atlas`` loads a submodule only when one of its names is used."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -52,6 +53,19 @@ def test_grid_distances_come_only_from_the_hop_table():
     from som_atlas.hexgrid import HexGrid
 
     assert [q for q in ("distance", "neighbors", "to_rowcol", "to_index") if hasattr(HexGrid, q)] == []
+
+
+def test_kernels_take_the_hop_table_only_from_check_arguments():
+    # One gate: both loops get their checks and hop distances from
+    # ``pure.check_arguments``, so no kernel builds or reads the table itself.
+    callers = []
+    for path in sorted((SRC / "som_atlas" / "kernels").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                callers += [function.name for node in ast.walk(function)
+                            if isinstance(node, ast.Call) and ast.unparse(node.func) == "hop_table"]
+    assert callers == ["check_arguments"]
 
 
 def _loaded_after(statement: str, names=("numpy",)) -> set[str]:
