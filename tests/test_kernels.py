@@ -394,6 +394,30 @@ def test_sigma_underflow_gives_finite_identical_weights(native_train_loop, monke
     assert models[0].weights.tobytes() == models[1].weights.tobytes()
 
 
+def test_numpy_loop_rejects_what_the_wrapper_rejects():
+    # Runs without a C compiler; the test below compares the errors with the C builds'.
+    kw = _workload(1, width=3, height=2, dim=2, n_rows=4, epochs=2)[0]
+
+    def call(**change):
+        args = {**kw, "weights": kw["weights"].copy(), **change}
+        pure.train_loop(*(args[a] for a in ARGS))
+
+    call()
+    for bad, index in ((3, 4), (0, -1)):
+        with pytest.raises(IndexError):
+            call(order=np.where(kw["order"] == bad, index, kw["order"]))
+    for change in (dict(data=np.ascontiguousarray(kw["data"][:, :1])),
+                   dict(alphas=kw["alphas"][:-1]), dict(sigmas=kw["sigmas"][:-1]),
+                   dict(grid=HexGrid(2, 2))):
+        with pytest.raises(ValueError):
+            call(**change)
+    for change in (dict(order=kw["order"].astype(np.int32)),
+                   dict(weights=np.asfortranarray(kw["weights"])),
+                   dict(weights=kw["weights"][0].copy()), dict(data=kw["data"][:, :1])):
+        with pytest.raises(TypeError):
+            call(**change)
+
+
 def test_wrapper_rejects_bad_input_before_c(native_libraries):
     # pure.check_arguments is the one gate: the numpy loop and both C builds
     # raise the same error, before any weight is read or written.
