@@ -14,9 +14,7 @@ and uses a stable exit-code contract:
 from __future__ import annotations
 
 import argparse
-import errno
 import gc
-import os
 import re
 import shlex
 import sys
@@ -28,7 +26,7 @@ from pathlib import Path
 # ``analysis``, ``render`` and ``pulse`` when they run.
 from . import __version__, kernels
 from .errors import SomAtlasError
-from .fileio import atomic_write_bytes, atomic_write_csv
+from .fileio import atomic_write_bytes, atomic_write_csv, check_writable
 from .hexgrid import HexGrid
 from .ingest import append_time_counter, normalize, parse_csv
 from .model_io import check_attribute_names, load_model, save_model
@@ -209,11 +207,7 @@ def cmd_train(args) -> None:
     # The bound library in the cache names the build that trains.
     library = {} if kernels.LIBRARY is None else {"kernel_library": kernels.LIBRARY}
     _echo_config(args, seed=seed, sigma0=schedule.sigma0, kernel=kernels.BACKEND, **library)
-    # The save's own error, before reading or training rather than after.
-    directory = os.path.dirname(args.model) or "."
-    if not os.path.isdir(directory):
-        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-        raise OSError(code, os.strerror(code), args.model)
+    check_writable(args.model)  # the save's own error, before reading or training
 
     table = _read_table(args)
     if args.time_period is not None:
@@ -264,6 +258,7 @@ def cmd_classify(args) -> None:
     from .analysis import assignment_rows, classify
 
     _echo_config(args)
+    check_writable(args.output)
     model = load_model(args.model)
     table = _read_table(args)
     assignments = classify(model, table)
@@ -307,6 +302,7 @@ def cmd_correlate(args) -> None:
     from .analysis import STRONG_CORRELATION, correlation_rows, plane_correlation
 
     _echo_config(args)
+    check_writable(args.output)
     model = load_model(args.model)
     report = plane_correlation(model)
     atomic_write_csv(args.output, correlation_rows(report))
@@ -321,6 +317,7 @@ def cmd_features(args) -> None:
     from .pulse import curve_from_table, extract_pulse_features
 
     _echo_config(args)
+    check_writable(args.output)
     table = _read_table(args)
     curve = curve_from_table(table, args.t_open, args.t_close, args.regen_duration)
     feats = extract_pulse_features(curve)

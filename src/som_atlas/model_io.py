@@ -20,13 +20,13 @@ survive that round trip.
 ``_chunks`` is the one description of the file: it yields the header lines,
 then the neuron lines ``ROW_BLOCK`` at a time. ``save_model`` writes that
 stream of lines as it comes, so the text of the whole codebook is never held;
-``dumps_model`` joins it.
+``dumps_model`` joins it. ``load_model`` feeds the file's lines as it reads
+them to the one-pass reader that ``loads_model`` runs on a string.
 """
 
 from __future__ import annotations
 
 from array import array
-from pathlib import Path
 
 import numpy as np
 
@@ -128,16 +128,29 @@ def save_model(model: SomModel, path) -> None:
 
 
 def load_model(path) -> SomModel:
+    """Read a model file as a stream of lines, so its text is never held whole."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse(_file_lines(fh, path))
+
+
+def _file_lines(fh, path):
+    """The lines of the text file ``fh``: those ``str.splitlines`` gives of its whole text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        for physical in fh:
+            yield from physical.splitlines()
     except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a UTF-8 text file ({exc})") from None
-    return loads_model(text)
+        # Decoded in blocks ahead of the parser: no line to name.
+        raise ModelFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
 
 
 def loads_model(text: str) -> SomModel:
-    """Parse a model file in one pass; the error names the first bad line."""
-    lines = enumerate((line.split(" ") for line in text.splitlines()), start=1)
+    """Parse the text of a model file."""
+    return _parse(text.splitlines())
+
+
+def _parse(lines) -> SomModel:
+    """Parse an iterable of model-file lines in one pass; the error names the first bad line."""
+    lines = enumerate((line.split(" ") for line in lines), start=1)
     lineno = 0  # of the line last taken from ``lines``
     try:
         lineno, parts = next(lines)

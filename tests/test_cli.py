@@ -3,6 +3,7 @@
 import ast
 import csv
 import errno
+import inspect
 import io
 import os
 import shlex
@@ -377,6 +378,78 @@ def test_unsavable_model_path_exits_3_before_training(log_csv, tmp_path, capsys,
     assert errors[0] == errors[1] == (
         f"som-atlas: error: [Errno {code}] {os.strerror(code)}: {str(model)!r}\n"
     )
+
+
+@pytest.mark.parametrize("parent", ["absent", "file"])
+@pytest.mark.parametrize("command", ["classify", "correlate", "features"])
+def test_unwritable_output_exits_3_before_reading(tmp_path, capsys, monkeypatch, command, parent):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} read its input for an output it cannot write")
+
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "parse_csv", refuse)
+    (tmp_path / "file").write_text("")
+    argv = _argv(command, tmp_path / "in.csv", tmp_path / "m.model", tmp_path / parent)
+    assert cli.main(argv) == cli.EXIT_IO
+    output = argv[argv.index("--output") + 1]
+    code = errno.ENOENT if parent == "absent" else errno.ENOTDIR
+    assert capsys.readouterr().err == (
+        f"som-atlas: error: [Errno {code}] {os.strerror(code)}: {output!r}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_output_with_the_longest_legal_name_is_written(log_csv, tmp_path):
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    name = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv"
+    for out in ("a.csv", name):
+        argv = ["classify", "--model", str(tmp_path / "m.model"), "--input", str(log_csv),
+                "--output", str(tmp_path / out)]
+        assert cli.main(argv) == cli.EXIT_OK
+    assert (tmp_path / name).read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+
+def test_qe_initial_scores_the_codebook_train_starts_from(log_csv, tmp_path, capsys, monkeypatch):
+    # ``cmd_train`` draws the initial codebook itself to score it; the score
+    # must be of the codebook the first training call receives.
+    first = []
+
+    def recording(weights, *args):
+        if not first:
+            first.append(weights.copy())
+        return train_loop(weights, *args)
+
+    train_loop = kernels.train_loop
+    monkeypatch.setattr(kernels, "train_loop", recording)
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    model = load_model(tmp_path / "m.model")
+    start = SomModel(model.grid, first[0], model.schema, model.schedule)
+    qe = som.quantization_error(start, normalize(parse_csv(log_csv)))
+    trained = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("trained:"))
+    assert f" qe_initial={qe:.6f} " in trained
+
+
+def test_cli_defaults_are_the_library_defaults():
+    from som_atlas.analysis import kmeans_codebook
+    from som_atlas.render import render_cluster_map, render_plane
+
+    def defaults(function):
+        return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+    def parsed(*argv):
+        return vars(cli.build_parser().parse_args(argv))
+
+    kmeans = defaults(kmeans_codebook)
+    cluster = parsed("cluster", "--model", "m", "--k", "2", "--outdir", "o")
+    assert cli.DEFAULT_KMEANS_SEED == cluster["kmeans_seed"] == kmeans["kmeans_seed"]
+    assert cluster["max_iters"] == kmeans["max_iters"]
+    for args in (cluster, parsed("planes", "--model", "m", "--outdir", "o")):
+        for render in (render_plane, render_cluster_map):
+            assert args["radius"] == defaults(render)["cell_radius"]
+            assert args["format"] == defaults(render)["format"]
+    for command in ("train", "classify", "cluster", "features"):
+        args = parsed(*_argv(command, "in.csv", "m.model", Path("out")))
+        assert args["delimiter"] == defaults(parse_csv)["delimiter"]
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0"])

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from som_atlas.analysis import ASSIGNMENT, assignment_rows
-from som_atlas.fileio import atomic_write_bytes, atomic_write_csv, atomic_write_text
+from som_atlas.fileio import (
+    atomic_write_bytes,
+    atomic_write_csv,
+    atomic_write_text,
+    check_writable,
+)
 
 
 @pytest.fixture
@@ -103,6 +108,32 @@ def test_failed_create_or_rename_names_the_target(tmp_path):
             assert str(err.value) == f"[Errno {err.value.errno}] {err.value.strerror}: {str(target)!r}"
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
     assert not any((tmp_path / "dir").iterdir())
+
+
+def test_check_raises_the_error_of_the_write_and_leaves_the_directory_as_it_was(tmp_path):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "kept.out").write_bytes(b"kept")
+    for target in (tmp_path / "new.out", tmp_path / "kept.out"):
+        check_writable(target)
+    for target in (tmp_path / "absent" / "a.out", tmp_path / "file" / "a.out"):
+        with pytest.raises(OSError) as checked:
+            check_writable(target)
+        with pytest.raises(OSError) as written:
+            atomic_write_bytes(target, b"x")
+        assert type(checked.value) is type(written.value)
+        assert str(checked.value) == str(written.value)
+        assert checked.value.filename == str(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "kept.out"]
+    assert (tmp_path / "kept.out").read_bytes() == b"kept"
+
+
+def test_the_longest_legal_name_is_written(tmp_path):
+    # The temporary's name has a fixed length, so it fits wherever the target's
+    # does; one 14 bytes longer than the target's could not be created.
+    name = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv"
+    atomic_write_csv(tmp_path / name, [["x"]])
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text() == "x\n"
 
 
 def test_csv_memory_does_not_grow_with_the_rows(tmp_path):

@@ -136,6 +136,43 @@ def test_save_memory_does_not_grow_with_the_neurons(tmp_path):
     assert peak(16) - peak(2) < ROW_BLOCK * 8 * 8
 
 
+def test_load_memory_is_about_the_codebook(tmp_path):
+    # The file is read as a stream of lines, so little more than the codebook
+    # is held. Reading the whole text first took about 7 times the codebook.
+    grid = HexGrid(200, 200)
+    model = make_model(grid, np.random.default_rng(10).random((grid.n_nodes, 8)))
+    save_model(model, tmp_path / "m.som")
+    tracemalloc.start()
+    try:
+        loaded = load_model(tmp_path / "m.som")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.weights, model.weights)
+    assert peak <= 1.5 * model.weights.nbytes
+
+
+@pytest.mark.parametrize("separator", ["\r\n", "\r", "\x0c", "\x1c", "\u2028"], ids=repr)
+def test_file_lines_end_where_the_text_lines_end(trained_model, tmp_path, separator):
+    # ``str.splitlines`` ends a line at each of these, in a file as in a string.
+    text = dumps_model(trained_model).replace("\n", separator)
+    (tmp_path / "m.som").write_bytes(text.encode("utf-8"))
+    assert dumps_model(load_model(tmp_path / "m.som")) == dumps_model(loads_model(text))
+
+
+def test_undecodable_bytes_name_the_file(trained_model, tmp_path):
+    path = tmp_path / "m.som"
+    path.write_bytes(dumps_model(trained_model).encode("utf-8") + b"\xff\n")
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == f"{path}: not a UTF-8 text file (invalid start byte)"
+    # Blocks are decoded as the lines are read, so a malformed line a few
+    # blocks before the bad byte is met first.
+    path.write_bytes(b"not-a-model\n" + b"w\n" * 100_000 + b"\xff\n")
+    with pytest.raises(ModelFormatError, match=r"^line 1: expected header"):
+        load_model(path)
+
+
 @pytest.mark.parametrize(
     "mutate,expect",
     [
