@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 # Public names by the submodule that defines them.
 _EXPORTS = {
     "analysis": (
-        "AttributeRange", "AttributeStats", "ClusterModel", "CorrelationReport",
-        "ForwardPrediction", "classify", "cluster_stats", "component_plane",
-        "kmeans_codebook", "plane_correlation", "predict_forward", "predict_reverse",
+        "AttributeStats", "ClusterModel", "CorrelationReport", "classify", "cluster_stats",
+        "component_plane", "kmeans_codebook", "plane_correlation",
     ),
     "errors": (
         "CsvFormatError", "ModelFormatError", "RangeOverflowError", "SchemaMismatchError",
@@ -30,8 +29,8 @@ _EXPORTS = {
     ),
     "hexgrid": ("HexGrid",),
     "ingest": (
-        "AttributeSpec", "DataTable", "NormalizedTable", "append_time_counter", "denormalize",
-        "normalize", "parse_csv",
+        "AttributeSpec", "DataTable", "NormalizedTable", "append_time_counter", "normalize",
+        "parse_csv",
     ),
     "model_io": ("dumps_model", "load_model", "loads_model", "save_model"),
     "pulse": ("PulseCurve", "PulseFeatures", "curve_from_table", "extract_pulse_features"),

@@ -6,30 +6,26 @@ best matching unit with the batched ``kernels.bmu``, a chunk of rows at a
 time, straight into one structured ``ASSIGNMENT`` record: only that record,
 17 bytes a row, grows with the log. The ``*_rows`` functions yield the CSV
 tables one row at a time for ``fileio.atomic_write_csv``, so writing them
-out holds nothing more. Forward prediction uses the same two
-calls on one row of the given attributes and the codebook's columns of
-those attributes. A component plane is one attribute of the codebook as a
-``(height, width)`` array; the planes' pairwise Pearson coefficients (NaN
-for a constant plane) quantify the "two planes look alike" judgement,
+out holds nothing more. A component plane is one attribute of the codebook
+as a ``(height, width)`` array; the planes' pairwise Pearson coefficients
+(NaN for a constant plane) quantify the "two planes look alike" judgement,
 including inverse relations at r close to -1. K-means over the codebook
 groups neurons into operating regimes, on the squared sums of
 ``kernels.nearest``, the search under ``kernels.bmu``; ``cluster_stats``
-returns the data's statistics per cluster. The two prediction queries walk
-the pipeline forward (partial settings to the expected cluster and its
-statistics) and backward (cluster to the weight ranges that reach it).
+returns the data's statistics per cluster.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import SchemaMismatchError
-from .ingest import DataTable, apply_schema, denormalize
+from .ingest import DataTable, apply_schema
 from .som import SomModel
 
 # Rows normalized and searched per batch in ``classify``; bounds the
@@ -73,11 +69,6 @@ class AttributeStats:
     mean: float | None
     std: float | None
 
-    @property
-    def single_sample(self) -> bool:
-        """One member only: its std is 0 by definition, not by measurement."""
-        return self.count == 1
-
 
 @dataclass(frozen=True)
 class ClusterModel:
@@ -91,27 +82,6 @@ class ClusterModel:
     def k(self) -> int:
         """Number of clusters: one centroid each."""
         return self.centroids.shape[0]
-
-
-@dataclass(frozen=True)
-class ForwardPrediction:
-    neuron: int
-    distance: float
-    cluster: int
-    target: str
-    stats: AttributeStats
-    clamped: bool
-
-
-@dataclass(frozen=True)
-class AttributeRange:
-    """Raw-unit span of one attribute over a cluster's neurons."""
-
-    name: str
-    low: float
-    high: float
-    mean: float
-    quasi_constant: bool = False
 
 
 def classify(model: SomModel, table: DataTable) -> np.ndarray:
@@ -259,8 +229,8 @@ def cluster_stats(
 
     Returns ``stats[cluster][attribute]``. Each row inherits its neuron's
     cluster label. Means and sample standard deviations are over raw units; a
-    single-member cluster reports std 0 with a flag, an empty one reports
-    absent stats.
+    single-member cluster reports std 0 (``count`` 1), an empty one reports
+    absent stats (``count`` 0).
     """
     if len(assignments) != table.n_rows:
         raise ValueError(
@@ -285,82 +255,6 @@ def cluster_stats(
             per_attr = [AttributeStats(count, m, d) for m, d in zip(means, stds)]
         stats.append(tuple(per_attr))
     return tuple(stats)
-
-
-def predict_forward(
-    model: SomModel,
-    clusters: ClusterModel,
-    stats: Sequence[Sequence[AttributeStats]],
-    values: Mapping[str, float],
-    target: str,
-) -> ForwardPrediction:
-    """Partial settings in, expected cluster out.
-
-    ``values`` names any non-empty subset of schema attributes; the best
-    matching unit is found over those dimensions only, and the winning
-    neuron's cluster supplies the reported ``stats`` (as ``cluster_stats``
-    returns them) for ``target``.
-    """
-    if not values:
-        raise ValueError("at least one attribute value is required")
-    index_of = {a.name: i for i, a in enumerate(model.schema)}
-    if target not in index_of:
-        raise ValueError(f"unknown target attribute {target!r}")
-
-    for name, value in values.items():
-        if name not in index_of:
-            raise ValueError(f"unknown attribute {name!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"attribute {name!r}: non-finite value {value!r}")
-    mask = sorted(index_of[name] for name in values)
-    schema = [model.schema[i] for i in mask]
-    normalized, clamped = apply_schema(schema, [[values[spec.name] for spec in schema]])
-    idx, dist = kernels.bmu(model.weights[:, mask], normalized)
-    neuron = int(idx[0])
-    cluster = int(clusters.neuron_labels[neuron])
-    return ForwardPrediction(
-        neuron=neuron,
-        distance=float(dist[0]),
-        cluster=cluster,
-        target=target,
-        stats=stats[cluster][index_of[target]],
-        clamped=bool(clamped[0]),
-    )
-
-
-def predict_reverse(
-    model: SomModel, clusters: ClusterModel, target_cluster: int
-) -> list[AttributeRange]:
-    """Cluster in, candidate operating ranges out.
-
-    Reports, per attribute, the min/max/mean of the denormalized weights of
-    the neurons labeled ``target_cluster``: the settings region the map
-    associates with that cluster.
-    """
-    if not (0 <= target_cluster < clusters.k):
-        raise ValueError(f"cluster id {target_cluster} out of range for k={clusters.k}")
-    members = model.weights[clusters.neuron_labels == target_cluster]
-    if members.shape[0] == 0:
-        raise ValueError(f"cluster {target_cluster} has no neurons")
-
-    out = []
-    for i, spec in enumerate(model.schema):
-        if spec.quasi_constant:
-            value = (spec.raw_min + spec.raw_max) / 2.0
-            out.append(
-                AttributeRange(name=spec.name, low=value, high=value, mean=value, quasi_constant=True)
-            )
-            continue
-        col = members[:, i]
-        out.append(
-            AttributeRange(
-                name=spec.name,
-                low=denormalize(float(col.min()), spec),
-                high=denormalize(float(col.max()), spec),
-                mean=denormalize(float(col.mean()), spec),
-            )
-        )
-    return out
 
 
 def correlation_rows(report: CorrelationReport):

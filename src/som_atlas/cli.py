@@ -26,7 +26,7 @@ from pathlib import Path
 # ``analysis``, ``render`` and ``pulse`` when they run.
 from . import __version__, kernels
 from .errors import SomAtlasError
-from .fileio import atomic_write_bytes, atomic_write_csv, check_writable
+from .fileio import atomic_write_bytes, atomic_write_csv, check_directory, check_writable
 from .hexgrid import HexGrid
 from .ingest import append_time_counter, normalize, parse_csv
 from .model_io import check_attribute_names, load_model, save_model
@@ -242,6 +242,7 @@ def cmd_planes(args) -> None:
     from .render import render_plane
 
     _echo_config(args)
+    check_directory(args.outdir)
     model = load_model(args.model)
     outdir = Path(args.outdir)
     for i, spec in enumerate(model.schema):
@@ -272,6 +273,7 @@ def cmd_cluster(args) -> None:
     from .render import render_cluster_map
 
     _echo_config(args)
+    check_directory(args.outdir)
     model = load_model(args.model)
     table = None if args.input is None else _read_table(args)
     clusters = kmeans_codebook(model, args.k, kmeans_seed=args.kmeans_seed, max_iters=args.max_iters)

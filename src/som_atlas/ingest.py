@@ -269,13 +269,6 @@ def apply_schema(schema, rows) -> tuple[np.ndarray, np.ndarray]:
     return out, clamped
 
 
-def denormalize(value: float, spec: AttributeSpec) -> float:
-    """Map a [0, 1] value back to raw units; undefined for quasi-constant attributes."""
-    if spec.quasi_constant:
-        raise ValueError(f"attribute {spec.name!r} is quasi-constant; inverse undefined")
-    return spec.raw_min + value * (spec.raw_max - spec.raw_min)
-
-
 def append_time_counter(table: DataTable, period: float) -> DataTable:
     """Prepend a synthetic "Time" attribute counting 0, period, 2*period, ...
 

@@ -1,4 +1,4 @@
-"""Classification, planes, correlation, codebook k-means, prediction queries."""
+"""Classification, planes, correlation, codebook k-means, cluster statistics."""
 
 import itertools
 import math
@@ -20,13 +20,11 @@ from som_atlas.analysis import (
     correlation_rows,
     kmeans_codebook,
     plane_correlation,
-    predict_forward,
-    predict_reverse,
     stats_rows,
 )
 from som_atlas.fileio import atomic_write_csv
 from som_atlas.hexgrid import HexGrid
-from som_atlas.ingest import AttributeSpec, apply_schema, denormalize, normalize
+from som_atlas.ingest import AttributeSpec, apply_schema, normalize
 from som_atlas.som import SomModel, TrainingSchedule, train
 
 from conftest import bmu_row, make_model, make_table
@@ -38,13 +36,11 @@ def written(path, rows) -> str:
     return path.read_bytes().decode()
 
 
-def model_with(weights, names=None, ranges=None) -> SomModel:
-    """Model over a W x 1 row grid with an explicit codebook and schema."""
+def model_with(weights) -> SomModel:
+    """Model over a W x 1 row grid with an explicit codebook and unit ranges."""
     weights = np.asarray(weights, dtype=np.float64)
     n, dim = weights.shape
-    names = names or [f"a{i}" for i in range(dim)]
-    ranges = ranges or [(0.0, 1.0)] * dim
-    schema = tuple(AttributeSpec(name, lo, hi) for name, (lo, hi) in zip(names, ranges))
+    schema = tuple(AttributeSpec(f"a{i}", 0.0, 1.0) for i in range(dim))
     return SomModel(HexGrid(n, 1), weights, schema, TrainingSchedule(sigma0=1.0))
 
 
@@ -81,7 +77,9 @@ class TestClassify:
 
     def test_row_equal_to_neuron_hits_it(self, rng):
         table, model = self.fit(rng)
-        raw = np.array([denormalize(w, s) for w, s in zip(model.weights[5], model.schema)])
+        raw = np.array(
+            [s.raw_min + w * (s.raw_max - s.raw_min) for w, s in zip(model.weights[5], model.schema)]
+        )
         hit = make_table([raw], names=table.names)
         # keep the stored schema: classification uses the model's ranges
         a = classify(model, hit)[0]
@@ -449,7 +447,6 @@ class TestClusterStats:
         st = stats[0][0]
         assert st.count == 1
         assert st.std == 0.0
-        assert st.single_sample
 
     def test_empty_cluster_absent_stats(self, rng):
         rows = rng.random((10, 2))
@@ -530,128 +527,6 @@ def test_cluster_stats_match_per_column_reference(tmp_path, n_rows):
         assert written(tmp_path / "a.csv", stats_rows(fast, table.names)) == written(
             tmp_path / "b.csv", stats_rows(reference, table.names)
         )
-
-
-class TestPredict:
-    def fit(self, rng):
-        rows = np.column_stack(
-            [rng.random(50) * 10.0, rng.random(50) * 2.0, rng.random(50) * 100.0]
-        )
-        table = make_table(rows, names=["opening", "duration", "mass"])
-        model = train(normalize(table), HexGrid(4, 3), TrainingSchedule(epochs=5, seed=8))
-        cm = kmeans_codebook(model, 3, kmeans_seed=4)
-        return table, model, cm, cluster_stats(cm, classify(model, table), table)
-
-    def test_full_input_reproduces_classify(self, rng):
-        table, model, cm, stats = self.fit(rng)
-        row = table.rows[7]
-        expected = classify(model, make_table([row], names=table.names))[0]
-        pred = predict_forward(
-            model, cm, stats, dict(zip(table.names, row)), target="mass"
-        )
-        assert pred.neuron == expected["neuron"]
-        assert pred.distance == expected["distance"]
-        assert pred.cluster == int(cm.neuron_labels[expected["neuron"]])
-
-    def test_single_attribute_mask_matches_linear_scan(self, rng):
-        table, model, cm, stats = self.fit(rng)
-        spec = model.schema[0]
-        raw = 3.7
-        t = (raw - spec.raw_min) / (spec.raw_max - spec.raw_min)
-        scan = int(np.argmin(np.abs(model.weights[:, 0] - t)))
-        pred = predict_forward(model, cm, stats, {"opening": raw}, target="mass")
-        assert pred.neuron == scan
-
-    def test_partial_input_scans_only_the_named_columns(self, rng):
-        table, model, cm, stats = self.fit(rng)
-        raw = {"mass": 42.0, "opening": 3.7}
-        specs = [model.schema[0], model.schema[2]]
-        t = [(raw[s.name] - s.raw_min) / (s.raw_max - s.raw_min) for s in specs]
-        assert all(0.0 < v < 1.0 for v in t)
-        neuron, distance = bmu_row(model.weights[:, [0, 2]], t)
-        pred = predict_forward(model, cm, stats, raw, target="duration")
-        assert (pred.neuron, pred.distance.hex()) == (neuron, distance.hex())
-        assert pred.cluster == int(cm.neuron_labels[neuron])
-        assert not pred.clamped
-
-    def test_tie_on_the_named_columns_goes_to_the_lower_neuron(self):
-        # Neurons 1 and 3 agree on a and c. On b, left out, neuron 3 is the
-        # nearer to 0, so a search that counted it as 0 would pick 3.
-        weights = [[0.8, 0.5, 0.9], [0.2, 0.9, 0.4], [0.9, 0.2, 0.1], [0.2, 0.1, 0.4]]
-        m = model_with(weights, names=["a", "b", "c"])
-        table = make_table(weights, names=["a", "b", "c"])
-        cm = kmeans_codebook(m, 2, kmeans_seed=0)
-        stats = cluster_stats(cm, classify(m, table), table)
-        pred = predict_forward(m, cm, stats, {"c": 0.4, "a": 0.25}, target="b")
-        assert pred.neuron == 1
-        assert pred.distance.hex() == bmu_row(m.weights[:, [0, 2]], [0.25, 0.4])[1].hex()
-
-    def test_columns_and_target_are_found_by_schema_position(self):
-        # Column 0 is z and column 1 is a: a search or a target looked up by
-        # name order would read the other column.
-        weights = [[0.0, 1.0], [1.0, 0.0]]
-        m = model_with(weights, names=["z", "a"])
-        table = make_table(weights, names=["z", "a"])
-        cm = kmeans_codebook(m, 2, kmeans_seed=0)
-        stats = cluster_stats(cm, classify(m, table), table)
-        pred = predict_forward(m, cm, stats, {"a": 1.0}, target="z")
-        assert (pred.neuron, pred.distance) == (0, 0.0)
-        assert pred.stats.mean == 0.0
-
-    def test_unknown_names_rejected(self, rng):
-        table, model, cm, stats = self.fit(rng)
-        with pytest.raises(ValueError, match="valve"):
-            predict_forward(model, cm, stats, {"valve": 1.0}, target="mass")
-        with pytest.raises(ValueError, match="banana"):
-            predict_forward(model, cm, stats, {"opening": 1.0}, target="banana")
-        with pytest.raises(ValueError):
-            predict_forward(model, cm, stats, {}, target="mass")
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_input_rejected(self, rng, value):
-        # A NaN would otherwise normalize to 0 and land on a neuron unflagged.
-        table, model, cm, stats = self.fit(rng)
-        with pytest.raises(ValueError, match="'duration'"):
-            predict_forward(model, cm, stats, {"opening": 5.0, "duration": value}, target="mass")
-
-    def test_forward_reports_target_stats(self, rng):
-        table, model, cm, stats = self.fit(rng)
-        pred = predict_forward(model, cm, stats, {"opening": 5.0, "duration": 1.0}, target="mass")
-        st = stats[pred.cluster][2]
-        assert pred.stats == st
-        assert pred.target == "mass"
-
-    def test_reverse_single_neuron_cluster(self):
-        m = model_with(
-            [[0.2, 0.6], [0.8, 0.1]], names=["a", "b"], ranges=[(10.0, 20.0), (0.0, 1.0)]
-        )
-        cm = kmeans_codebook(m, 2, kmeans_seed=0)
-        target = int(cm.neuron_labels[0])
-        ranges = predict_reverse(m, cm, target)
-        assert ranges[0].low == ranges[0].high == pytest.approx(12.0, abs=1e-12)
-        assert ranges[0].mean == pytest.approx(12.0, abs=1e-12)
-
-    def test_reverse_k1_spans_codebook(self, rng):
-        weights = rng.random((8, 2))
-        m = model_with(weights, ranges=[(0.0, 1.0), (0.0, 1.0)])
-        cm = kmeans_codebook(m, 1, kmeans_seed=0)
-        ranges = predict_reverse(m, cm, 0)
-        assert ranges[0].low == pytest.approx(weights[:, 0].min(), abs=1e-15)
-        assert ranges[0].high == pytest.approx(weights[:, 0].max(), abs=1e-15)
-
-    def test_reverse_two_neuron_cluster_denormalizes(self):
-        m = model_with([[0.2], [0.6]], names=["p"], ranges=[(10.0, 20.0)])
-        cm = kmeans_codebook(m, 1, kmeans_seed=0)
-        (r,) = predict_reverse(m, cm, 0)
-        assert r.low == pytest.approx(12.0, abs=1e-12)
-        assert r.high == pytest.approx(16.0, abs=1e-12)
-        assert r.mean == pytest.approx(14.0, abs=1e-12)
-
-    def test_reverse_bad_cluster(self, rng):
-        m = model_with(rng.random((4, 2)))
-        cm = kmeans_codebook(m, 2, kmeans_seed=1)
-        with pytest.raises(ValueError):
-            predict_reverse(m, cm, 2)
 
 
 def test_duplicated_planes_correlate_exactly_after_training(rng):

@@ -380,7 +380,7 @@ def test_unsavable_model_path_exits_3_before_training(log_csv, tmp_path, capsys,
     )
 
 
-@pytest.mark.parametrize("parent", ["absent", "file"])
+@pytest.mark.parametrize("parent", ["absent", "file", "dir"])
 @pytest.mark.parametrize("command", ["classify", "correlate", "features"])
 def test_unwritable_output_exits_3_before_reading(tmp_path, capsys, monkeypatch, command, parent):
     def refuse(*args, **kwargs):
@@ -390,11 +390,48 @@ def test_unwritable_output_exits_3_before_reading(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "parse_csv", refuse)
     (tmp_path / "file").write_text("")
     argv = _argv(command, tmp_path / "in.csv", tmp_path / "m.model", tmp_path / parent)
-    assert cli.main(argv) == cli.EXIT_IO
     output = argv[argv.index("--output") + 1]
-    code = errno.ENOENT if parent == "absent" else errno.ENOTDIR
+    if parent == "dir":
+        os.makedirs(output)  # the output itself names a directory
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == cli.EXIT_IO
+    code = {"absent": errno.ENOENT, "file": errno.ENOTDIR, "dir": errno.EISDIR}[parent]
     assert capsys.readouterr().err == (
         f"som-atlas: error: [Errno {code}] {os.strerror(code)}: {output!r}\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_that_links_to_a_directory_replaces_the_link(log_csv, tmp_path):
+    # ``os.replace`` renames over the link itself, so the write succeeds.
+    assert train(log_csv, tmp_path / "m.model") == cli.EXIT_OK
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "dir")
+    for out in ("a.csv", "link.csv"):
+        argv = ["classify", "--model", str(tmp_path / "m.model"), "--input", str(log_csv),
+                "--output", str(tmp_path / out)]
+        assert cli.main(argv) == cli.EXIT_OK
+    assert not (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "link.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert not any((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("outdir", ["file/out", "file"])
+@pytest.mark.parametrize("command", ["planes", "cluster"])
+def test_unmakable_outdir_exits_3_before_reading(tmp_path, capsys, monkeypatch, command, outdir):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} read its input for an outdir it cannot make")
+
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "parse_csv", refuse)
+    (tmp_path / "file").write_text("")
+    argv = _argv(command, tmp_path / "in.csv", tmp_path / "m.model", tmp_path)
+    argv[argv.index("--outdir") + 1] = path = str(tmp_path / outdir)
+    assert cli.main(argv) == cli.EXIT_IO
+    # What ``mkdir(parents=True, exist_ok=True)`` raises for the same path.
+    code = errno.ENOTDIR if outdir == "file/out" else errno.EEXIST
+    assert capsys.readouterr().err == (
+        f"som-atlas: error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
     )
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 

@@ -1,5 +1,6 @@
 """Atomic writes: complete files with the usual mode, or nothing at all."""
 
+import errno
 import os
 import stat
 import tracemalloc
@@ -12,6 +13,7 @@ from som_atlas.fileio import (
     atomic_write_bytes,
     atomic_write_csv,
     atomic_write_text,
+    check_directory,
     check_writable,
 )
 
@@ -113,9 +115,11 @@ def test_failed_create_or_rename_names_the_target(tmp_path):
 def test_check_raises_the_error_of_the_write_and_leaves_the_directory_as_it_was(tmp_path):
     (tmp_path / "file").write_text("")
     (tmp_path / "kept.out").write_bytes(b"kept")
-    for target in (tmp_path / "new.out", tmp_path / "kept.out"):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "dir")
+    for target in (tmp_path / "new.out", tmp_path / "kept.out", tmp_path / "link"):
         check_writable(target)
-    for target in (tmp_path / "absent" / "a.out", tmp_path / "file" / "a.out"):
+    for target in (tmp_path / "absent" / "a.out", tmp_path / "file" / "a.out", tmp_path / "dir"):
         with pytest.raises(OSError) as checked:
             check_writable(target)
         with pytest.raises(OSError) as written:
@@ -123,8 +127,39 @@ def test_check_raises_the_error_of_the_write_and_leaves_the_directory_as_it_was(
         assert type(checked.value) is type(written.value)
         assert str(checked.value) == str(written.value)
         assert checked.value.filename == str(target)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "kept.out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "kept.out", "link"]
     assert (tmp_path / "kept.out").read_bytes() == b"kept"
+    assert not any((tmp_path / "dir").iterdir())
+
+
+def test_directory_check_raises_the_error_of_mkdir_and_creates_nothing(tmp_path):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "dir")
+    (tmp_path / "dangling").symlink_to(tmp_path / "absent")
+    for target in ("dir", "link", "absent", "absent/a/b", "dir/a"):
+        check_directory(tmp_path / target)
+    for target in ("file", "file/out", "file/a/b", "dangling", "dangling/out"):
+        with pytest.raises(OSError) as checked:
+            check_directory(tmp_path / target)
+        with pytest.raises(OSError) as made:
+            (tmp_path / target).mkdir(parents=True, exist_ok=True)
+        assert type(checked.value) is type(made.value)
+        assert str(checked.value) == str(made.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "dir", "file", "link"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
+def test_directory_check_probes_the_nearest_existing_directory(tmp_path, monkeypatch):
+    # Its error names the first directory ``mkdir`` would make, as mkdir's would.
+    def refuse(path, *args):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(os, "open", refuse)
+    for target, named in (("a/b", "a"), ("", "")):
+        with pytest.raises(PermissionError) as checked:
+            check_directory(tmp_path / target)
+        assert checked.value.filename == str(tmp_path / named)
 
 
 def test_the_longest_legal_name_is_written(tmp_path):

@@ -18,7 +18,6 @@ from som_atlas.ingest import (
     NormalizedTable,
     append_time_counter,
     apply_schema,
-    denormalize,
     normalize,
     parse_csv,
 )
@@ -407,20 +406,6 @@ def test_data_table_rejects_bad_names(names, match):
         DataTable(names=names, rows=[[1.0, 2.0]])
 
 
-def test_denormalize_endpoints_and_midpoint():
-    spec = AttributeSpec(name="p", raw_min=1.0, raw_max=12.0)
-    assert denormalize(0.0, spec) == 1.0
-    assert denormalize(1.0, spec) == 12.0
-    mid = AttributeSpec(name="q", raw_min=10.0, raw_max=20.0)
-    assert denormalize(0.5, mid) == 15.0
-
-
-def test_denormalize_quasi_constant_rejected():
-    spec = AttributeSpec(name="c", raw_min=5.0, raw_max=5.0)
-    with pytest.raises(ValueError, match="quasi-constant"):
-        denormalize(0.5, spec)
-
-
 @settings(max_examples=200)
 @given(
     values=st.lists(
@@ -444,7 +429,8 @@ def test_normalize_denormalize_round_trip(values):
     else:
         assert col.min() == 0.0 and col.max() == 1.0
         for normalized, original in zip(col, values):
-            assert abs(denormalize(float(normalized), spec) - original) <= 1e-12
+            inverse = spec.raw_min + float(normalized) * (spec.raw_max - spec.raw_min)
+            assert abs(inverse - original) <= 1e-12
 
 
 def test_time_counter_basic():

@@ -94,12 +94,12 @@ def test_cli_import_loads_only_what_train_needs():
     assert not loaded & {"som_atlas.analysis", "som_atlas.render", "som_atlas.pulse"}
 
 
-def test_prediction_loads_no_numpy_ma():
-    # numpy.ma takes 15-36 ms to import, and nothing a prediction runs needs it.
+def test_cluster_pipeline_loads_no_numpy_ma():
+    # numpy.ma takes 15-36 ms to import, and nothing `cluster` runs needs it.
     loaded = _loaded_after(textwrap.dedent(r"""
         import io
         import numpy as np
-        from som_atlas.analysis import classify, cluster_stats, kmeans_codebook, predict_forward
+        from som_atlas.analysis import classify, cluster_stats, kmeans_codebook
         from som_atlas.hexgrid import HexGrid
         from som_atlas.ingest import normalize, parse_csv
         from som_atlas.som import TrainingSchedule, train
@@ -107,8 +107,7 @@ def test_prediction_loads_no_numpy_ma():
         table = parse_csv(io.StringIO("a,b,c\n" + "\n".join(f"{a},{b},{c}" for a, b, c in rows)))
         model = train(normalize(table), HexGrid(4, 3), TrainingSchedule(epochs=3, seed=1))
         clusters = kmeans_codebook(model, 2, kmeans_seed=0)
-        stats = cluster_stats(clusters, classify(model, table), table)
-        predict_forward(model, clusters, stats, {"a": 0.5, "c": 0.2}, target="b")
+        cluster_stats(clusters, classify(model, table), table)
     """), ("numpy", "numpy.ma"))
     assert "som_atlas.analysis" in loaded
     assert "numpy.ma" not in loaded
@@ -142,6 +141,44 @@ def test_every_test_module_imports():
     assert not failed
 
 
+def test_every_exported_function_runs_in_a_command(tmp_path):
+    # The library is what the commands run: a public function that no command
+    # enters is pinned by no output. ``dumps_model`` and ``loads_model`` are
+    # the text forms the tests use as reference.
+    from som_atlas import cli
+
+    log, curve, model = tmp_path / "log.csv", tmp_path / "curve.csv", tmp_path / "m.model"
+    log.write_text("a,b,c\n" + "".join(f"{i % 7},{i * 3 % 11},{i * 5 % 13}\n" for i in range(20)))
+    curve.write_text("t,p\n0.0,5.0\n0.5,4.0\n1.0,3.0\n1.5,3.5\n2.0,4.5\n2.5,5.0\n")
+    grid = ["--width", "3", "--height", "2", "--epochs", "2"]
+    commands = [
+        ["train", "--input", log, "--model", model, *grid],
+        ["train", "--input", log, "--model", tmp_path / "t.model", *grid, "--time-period", "1"],
+        ["planes", "--model", model, "--outdir", tmp_path / "planes"],
+        ["classify", "--model", model, "--input", log, "--output", tmp_path / "a.csv"],
+        ["cluster", "--model", model, "--input", log, "--k", "2", "--outdir", tmp_path / "c"],
+        ["correlate", "--model", model, "--output", tmp_path / "r.csv"],
+        ["features", "--input", curve, "--t-open", "0.5", "--t-close", "1.5",
+         "--regen-duration", "1.0", "--output", tmp_path / "f.csv"],
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main([str(arg) for arg in argv]) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [cli.EXIT_OK] * len(commands)
+    functions = {name: getattr(som_atlas, name) for name in som_atlas.__all__}
+    unreached = {name for name, obj in functions.items()
+                 if inspect.isfunction(obj) and obj.__code__ not in entered}
+    assert sorted(unreached - {"dumps_model", "loads_model"}) == []
+
+
 def test_data_model_constructors_take_only_independent_values():
     from som_atlas.analysis import AttributeStats, ClusterModel
     from som_atlas.ingest import AttributeSpec, DataTable
@@ -163,7 +200,6 @@ def test_data_model_constructors_take_only_independent_values():
         (AttributeSpec, "quasi_constant"),
         (SomModel, "dim"),
         (ClusterModel, "k"),
-        (AttributeStats, "single_sample"),
     ]
     for cls, name in derived:
         attr = inspect.getattr_static(cls, name)
