@@ -32,7 +32,7 @@ _EXPORTS = {
         "AttributeSpec", "DataTable", "NormalizedTable", "append_time_counter", "normalize",
         "parse_csv",
     ),
-    "model_io": ("dumps_model", "load_model", "loads_model", "save_model"),
+    "model_io": ("load_model", "save_model"),
     "pulse": ("PulseCurve", "PulseFeatures", "curve_from_table", "extract_pulse_features"),
     "render": ("colormap", "render_cluster_map", "render_plane"),
     "som": (

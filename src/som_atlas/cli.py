@@ -237,6 +237,16 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
+def _check_outputs(outdir: Path, names) -> None:
+    """Raise the error writing any of ``names`` in ``outdir`` would raise, if it exists.
+
+    ``check_directory`` has checked ``outdir`` itself; a new one holds no file yet.
+    """
+    if outdir.is_dir():
+        for name in names:
+            check_writable(outdir / name)
+
+
 def cmd_planes(args) -> None:
     from .analysis import component_plane
     from .render import render_plane
@@ -245,13 +255,14 @@ def cmd_planes(args) -> None:
     check_directory(args.outdir)
     model = load_model(args.model)
     outdir = Path(args.outdir)
-    for i, spec in enumerate(model.schema):
+    names = [f"plane_{i}_{_sanitize(a.name)}.{args.format}" for i, a in enumerate(model.schema)]
+    _check_outputs(outdir, names)
+    for i, name in enumerate(names):
         values = component_plane(model, i)
         data = render_plane(values, model.grid, format=args.format, cell_radius=args.radius)
         # Made once an image is drawn, so rejected render arguments leave nothing.
         outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"plane_{i}_{_sanitize(spec.name)}.{args.format}"
-        atomic_write_bytes(path, data)
+        atomic_write_bytes(outdir / name, data)
     print(f"wrote {model.dim} plane images to {outdir}")
 
 
@@ -274,6 +285,11 @@ def cmd_cluster(args) -> None:
 
     _echo_config(args)
     check_directory(args.outdir)
+    outdir = Path(args.outdir)
+    names = ["neuron_clusters.csv", f"cluster_map.{args.format}"]
+    if args.input is not None:
+        names += ["assignments.csv", "cluster_stats.csv"]
+    _check_outputs(outdir, names)
     model = load_model(args.model)
     table = None if args.input is None else _read_table(args)
     clusters = kmeans_codebook(model, args.k, kmeans_seed=args.kmeans_seed, max_iters=args.max_iters)
@@ -285,17 +301,14 @@ def cmd_cluster(args) -> None:
     if table is not None:
         assignments = classify(model, table)
         stats = cluster_stats(clusters, assignments, table)
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    atomic_write_csv(
-        outdir / "neuron_clusters.csv", [("neuron", "cluster"), *enumerate(clusters.neuron_labels)]
-    )
-    atomic_write_bytes(outdir / f"cluster_map.{args.format}", image)
+    atomic_write_csv(outdir / names[0], [("neuron", "cluster"), *enumerate(clusters.neuron_labels)])
+    atomic_write_bytes(outdir / names[1], image)
 
     if table is not None:
-        atomic_write_csv(outdir / "assignments.csv", assignment_rows(assignments, clusters))
-        atomic_write_csv(outdir / "cluster_stats.csv", stats_rows(stats, table.names))
+        atomic_write_csv(outdir / names[2], assignment_rows(assignments, clusters))
+        atomic_write_csv(outdir / names[3], stats_rows(stats, table.names))
 
     print(f"k={clusters.k} inertia={clusters.inertia:.6f} outputs in {outdir}")
 

@@ -63,13 +63,13 @@ def hop_table(width: int, height: int) -> np.ndarray:
     """Hop distances in a ``width`` x ``height`` odd-r grid, by offset difference.
 
     Entry [p, dr + height - 1, dc + width - 1] of this (2, 2 height - 1,
-    2 width - 1) int64 table is ``hops(p, dr, dc)``. Both training loops read
+    2 width - 1) int32 table is ``hops(p, dr, dc)``. Both training loops read
     it; ``hop_row`` cuts one node's row from it. The table is read-only and
     cached: repeated calls return the same array.
     """
     dr = np.arange(1 - height, height, dtype=np.int64)[:, None]
     dc = np.arange(1 - width, width, dtype=np.int64)
-    table = np.empty((2, dr.size, dc.size), dtype=np.int64)
+    table = np.empty((2, dr.size, dc.size), dtype=np.int32)
     step = max(1, HOP_BLOCK // dc.size)
     for parity in (0, 1):
         for start in range(0, dr.size, step):

@@ -76,7 +76,7 @@ def load(path):
     block = ctypes.c_int64.in_dll(library, "block_neurons").value
     c_loop = library.train_loop
     c_loop.restype = None
-    c_loop.argtypes = [*pure.ARRAYS, ndpointer(np.int64, 3, flags="C_CONTIGUOUS"),
+    c_loop.argtypes = [*pure.ARRAYS, ndpointer(np.int32, 3, flags="C_CONTIGUOUS"),
                        *[_SCRATCH] * 4, *[ctypes.c_int64] * 7]
 
     def train_loop(weights, data, order, grid, alphas, sigmas, competitive_start):

@@ -80,7 +80,7 @@ const int64_t block_neurons = BLOCK; /* read by the wrapper to pad wt */
 
 DISPATCH
 void train_loop(double *w, const double *data, const int64_t *order,
-                const double *alphas, const double *sigmas, const int64_t *hops,
+                const double *alphas, const double *sigmas, const int32_t *hops,
                 double *restrict theta, double *restrict wt, double *restrict acc,
                 double *restrict coef, int64_t max_dist, int64_t width, int64_t height,
                 int64_t stride, int64_t dim, int64_t total, int64_t competitive_start)
@@ -146,7 +146,7 @@ void train_loop(double *w, const double *data, const int64_t *order,
             /* The winner's hop row: row offset -ur and column offset -uc
                reach node (0, 0); each map row is one table row further. */
             int64_t ur = u / width, uc = u % width;
-            const int64_t *hop = hops + ((ur & 1) * (2 * height - 1) + height - 1 - ur) * span
+            const int32_t *hop = hops + ((ur & 1) * (2 * height - 1) + height - 1 - ur) * span
                                  + width - 1 - uc;
             for (int64_t vr = 0; vr < height; vr++, hop += span)
                 for (int64_t vc = 0; vc < width; vc++)

@@ -19,9 +19,8 @@ survive that round trip.
 
 ``_chunks`` is the one description of the file: it yields the header lines,
 then the neuron lines ``ROW_BLOCK`` at a time. ``save_model`` writes that
-stream of lines as it comes, so the text of the whole codebook is never held;
-``dumps_model`` joins it. ``load_model`` feeds the file's lines as it reads
-them to the one-pass reader that ``loads_model`` runs on a string.
+stream of lines as it comes, so the text of the whole codebook is never held.
+``load_model`` feeds the file's lines as it reads them to a one-pass reader.
 """
 
 from __future__ import annotations
@@ -83,10 +82,6 @@ def _chunks(model: SomModel):
         )
 
 
-def dumps_model(model: SomModel) -> str:
-    return "".join(_chunks(model))
-
-
 def check_attribute_names(names) -> None:
     """Raise ``ValueError`` for the first attribute name that cannot round-trip."""
     for name in names:
@@ -141,11 +136,6 @@ def _file_lines(fh, path):
     except UnicodeDecodeError as exc:
         # Decoded in blocks ahead of the parser: no line to name.
         raise ModelFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
-
-
-def loads_model(text: str) -> SomModel:
-    """Parse the text of a model file."""
-    return _parse(text.splitlines())
 
 
 def _parse(lines) -> SomModel:

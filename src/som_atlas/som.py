@@ -112,31 +112,19 @@ def init_codebook(grid: HexGrid, dim: int, seed: int) -> np.ndarray:
     return rng.random((grid.n_nodes, dim))
 
 
-def train(
-    table: NormalizedTable,
-    grid: HexGrid,
-    schedule: TrainingSchedule,
-    initial_weights: np.ndarray | None = None,
-) -> SomModel:
+def train(table: NormalizedTable, grid: HexGrid, schedule: TrainingSchedule) -> SomModel:
     """Train a map on a normalized table.
 
     Rows are presented in a per-epoch shuffled order derived from the
     schedule seed (file order when ``shuffle`` is off), one
     ``kernels.train_loop`` call per epoch on ``grid``, starting from
-    ``init_codebook(grid, table.n_attrs, schedule.seed)``. ``initial_weights``,
-    copied and checked, replaces that codebook, to start from a prepared state.
+    ``init_codebook(grid, table.n_attrs, schedule.seed)``.
     """
     if table.n_rows == 0:
         raise ValueError("cannot train on an empty table")
     schedule = schedule.resolved(grid)
     n_rows = table.n_rows
-
-    if initial_weights is None:
-        weights = init_codebook(grid, table.n_attrs, schedule.seed)
-    else:
-        # Copied, because the kernel mutates it, then checked as a codebook of the table.
-        weights = np.array(initial_weights, dtype=np.float64)
-        weights = SomModel(grid, weights, table.schema, schedule).weights
+    weights = init_codebook(grid, table.n_attrs, schedule.seed)
 
     # Spawn key 1 keeps the shuffle stream independent of the codebook stream.
     rng = np.random.default_rng(np.random.SeedSequence(schedule.seed, spawn_key=(1,)))

@@ -3,12 +3,14 @@ import random
 import shlex
 import shutil
 import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from som_atlas import kernels
 from som_atlas.ingest import AttributeSpec, DataTable, NormalizedTable, _observed_spec
+from som_atlas.model_io import load_model, save_model
 from som_atlas.som import SomModel, TrainingSchedule, _rates
 
 
@@ -33,6 +35,20 @@ def make_model(grid, weights) -> SomModel:
     weights = np.asarray(weights, dtype=np.float64)
     schema = [AttributeSpec(f"a{i}", 0.0, 1.0) for i in range(weights.shape[-1])]
     return SomModel(grid, weights, schema, TrainingSchedule().resolved(grid))
+
+
+def model_text(model, directory) -> str:
+    """The text of the file ``save_model`` writes for ``model`` in ``directory``."""
+    path = Path(directory, "saved.model")
+    save_model(model, path)
+    return path.read_bytes().decode("utf-8")
+
+
+def text_model(text, directory) -> SomModel:
+    """``load_model`` of a file in ``directory`` that holds ``text`` as UTF-8."""
+    path = Path(directory, "loaded.model")
+    path.write_bytes(text.encode("utf-8"))
+    return load_model(path)
 
 
 def train_step(weights, grid, x, s, schedule, n_rows):

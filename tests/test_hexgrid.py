@@ -127,8 +127,8 @@ def test_hop_table_built_in_blocks_is_the_hops_formula(width, height):
     dc = np.arange(1 - width, width)[None, None, :]
     whole = hops(np.arange(2)[:, None, None], dr, dc)
     table = hop_table.__wrapped__(width, height)
-    assert table.dtype == np.int64
-    assert table.tobytes() == whole.tobytes()
+    assert table.dtype == np.int32
+    assert table.tobytes() == whole.astype(np.int32).tobytes()
 
 
 def test_hop_table_memory_is_the_table():

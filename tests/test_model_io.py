@@ -10,10 +10,10 @@ import pytest
 from som_atlas.errors import ModelFormatError
 from som_atlas.hexgrid import HexGrid
 from som_atlas.ingest import AttributeSpec, normalize
-from som_atlas.model_io import ROW_BLOCK, dumps_model, load_model, loads_model, save_model
+from som_atlas.model_io import ROW_BLOCK, load_model, save_model
 from som_atlas.som import SomModel, TrainingSchedule, train
 
-from conftest import make_model, make_table
+from conftest import make_model, make_table, model_text, text_model
 
 
 @pytest.fixture
@@ -25,8 +25,8 @@ def trained_model(rng):
     return train(normalize(table), grid, sched)
 
 
-def test_dumps_structure(trained_model):
-    text = dumps_model(trained_model)
+def test_dumps_structure(trained_model, tmp_path):
+    text = model_text(trained_model, tmp_path)
     lines = text.splitlines()
     assert lines[0] == "som-atlas-model v1"
     assert lines[1] == "grid 3 2 odd-r"
@@ -37,31 +37,31 @@ def test_dumps_structure(trained_model):
     assert text.endswith("\n")
 
 
-def test_text_round_trip_is_exact(trained_model):
-    text = dumps_model(trained_model)
-    clone = loads_model(text)
-    assert dumps_model(clone) == text
+def test_text_round_trip_is_exact(trained_model, tmp_path):
+    text = model_text(trained_model, tmp_path)
+    clone = text_model(text, tmp_path)
+    assert model_text(clone, tmp_path) == text
     assert np.array_equal(clone.weights, trained_model.weights)
     assert clone.schema == trained_model.schema
     assert clone.schedule == trained_model.schedule
     assert clone.grid == trained_model.grid
 
 
-def test_model_built_in_python_round_trips_with_attributes_numbered_by_position():
+def test_model_built_in_python_round_trips_with_attributes_numbered_by_position(tmp_path):
     schema = (AttributeSpec("b", 1.0, 2.0), AttributeSpec("a", 5.0, 5.0), AttributeSpec("c", -1.0, 0.0))
     model = SomModel(
         HexGrid(2, 1), [[0.1, 0.5, 0.9], [0.3, 0.5, 0.7]], schema=schema,
         schedule=TrainingSchedule(epochs=2, sigma0=1.0),
     )  # fmt: skip
-    text = dumps_model(model)
+    text = model_text(model, tmp_path)
     assert [ln for ln in text.splitlines() if ln.startswith("attr ")] == [
         "attr 0 b 1.0 2.0 0",
         "attr 1 a 5.0 5.0 1",
         "attr 2 c -1.0 0.0 0",
     ]
-    clone = loads_model(text)
+    clone = text_model(text, tmp_path)
     assert clone.schema == schema
-    assert dumps_model(clone) == text
+    assert model_text(clone, tmp_path) == text
 
 
 def test_file_round_trip_is_byte_exact(trained_model, tmp_path):
@@ -72,13 +72,13 @@ def test_file_round_trip_is_byte_exact(trained_model, tmp_path):
     assert path.read_bytes() == first
 
 
-def test_spaced_names_survive(trained_model):
-    clone = loads_model(dumps_model(trained_model))
+def test_spaced_names_survive(trained_model, tmp_path):
+    clone = text_model(model_text(trained_model, tmp_path), tmp_path)
     assert [a.name for a in clone.schema] == ["pressure in", "flow", "power"]
 
 
 def test_untrained_model_rejected():
-    # A bare codebook becomes a model, which ``dumps_model`` takes, only
+    # A bare codebook becomes a model, which ``save_model`` takes, only
     # with the schema and resolved schedule a model file records.
     from som_atlas.som import init_codebook
 
@@ -92,9 +92,9 @@ def _unsavable(model):
     return replace(model, schema=tuple(schema))
 
 
-def test_unrepresentable_name_rejected(trained_model):
+def test_unrepresentable_name_rejected(trained_model, tmp_path):
     with pytest.raises(ValueError, match="round-trip"):
-        dumps_model(_unsavable(trained_model))
+        model_text(_unsavable(trained_model), tmp_path)
 
 
 def test_unrepresentable_name_leaves_the_target_as_it_was(trained_model, tmp_path):
@@ -109,14 +109,12 @@ def test_saved_blocks_join_into_the_dumped_text(tmp_path):
     # Neuron lines are written ROW_BLOCK at a time; the last block is partial.
     grid = HexGrid(ROW_BLOCK + 1, 2)
     model = make_model(grid, np.random.default_rng(8).random((grid.n_nodes, 3)))
-    save_model(model, tmp_path / "m.som")
-    text = dumps_model(model)
-    assert (tmp_path / "m.som").read_bytes() == text.encode("utf-8")
+    text = model_text(model, tmp_path)
     lines = text.splitlines()
     assert lines[4 + model.dim :] == [
         f"w {i} " + " ".join(map(repr, row)) for i, row in enumerate(model.weights.tolist())
     ]
-    assert dumps_model(load_model(tmp_path / "m.som")) == text
+    assert model_text(text_model(text, tmp_path), tmp_path) == text
 
 
 def test_save_memory_does_not_grow_with_the_neurons(tmp_path):
@@ -155,14 +153,14 @@ def test_load_memory_is_about_the_codebook(tmp_path):
 @pytest.mark.parametrize("separator", ["\r\n", "\r", "\x0c", "\x1c", "\u2028"], ids=repr)
 def test_file_lines_end_where_the_text_lines_end(trained_model, tmp_path, separator):
     # ``str.splitlines`` ends a line at each of these, in a file as in a string.
-    text = dumps_model(trained_model).replace("\n", separator)
-    (tmp_path / "m.som").write_bytes(text.encode("utf-8"))
-    assert dumps_model(load_model(tmp_path / "m.som")) == dumps_model(loads_model(text))
+    text = model_text(trained_model, tmp_path)
+    model = text_model(text.replace("\n", separator), tmp_path)
+    assert model_text(model, tmp_path) == model_text(text_model(text, tmp_path), tmp_path)
 
 
 def test_undecodable_bytes_name_the_file(trained_model, tmp_path):
     path = tmp_path / "m.som"
-    path.write_bytes(dumps_model(trained_model).encode("utf-8") + b"\xff\n")
+    path.write_bytes(model_text(trained_model, tmp_path).encode("utf-8") + b"\xff\n")
     with pytest.raises(ModelFormatError) as excinfo:
         load_model(path)
     assert str(excinfo.value) == f"{path}: not a UTF-8 text file (invalid start byte)"
@@ -200,43 +198,43 @@ def test_undecodable_bytes_name_the_file(trained_model, tmp_path):
         (lambda ls: ls + ["w 99 0.0 0.0 0.0"], "trailing"),
     ],
 )
-def test_corruption_names_first_bad_line(trained_model, mutate, expect):
-    lines = dumps_model(trained_model).splitlines()
+def test_corruption_names_first_bad_line(trained_model, tmp_path, mutate, expect):
+    lines = model_text(trained_model, tmp_path).splitlines()
     broken = "\n".join(mutate(lines)) + "\n"
     with pytest.raises(ModelFormatError, match=expect):
-        loads_model(broken)
+        text_model(broken, tmp_path)
 
 
-def test_weight_out_of_range_rejected(trained_model):
-    lines = dumps_model(trained_model).splitlines()
+def test_weight_out_of_range_rejected(trained_model, tmp_path):
+    lines = model_text(trained_model, tmp_path).splitlines()
     parts = lines[-1].split(" ")
     parts[2] = "1.5"
     lines[-1] = " ".join(parts)
     with pytest.raises(ModelFormatError, match=r"\[0, 1\]"):
-        loads_model("\n".join(lines) + "\n")
+        text_model("\n".join(lines) + "\n", tmp_path)
 
 
-def test_repeated_attribute_name_names_the_second_line(trained_model):
-    text = dumps_model(trained_model).replace("\nattr 2 power ", "\nattr 2 flow ")
+def test_repeated_attribute_name_names_the_second_line(trained_model, tmp_path):
+    text = model_text(trained_model, tmp_path).replace("\nattr 2 power ", "\nattr 2 flow ")
     with pytest.raises(ModelFormatError, match=r"^line 7: attribute name 'flow' repeats$"):
-        loads_model(text)
+        text_model(text, tmp_path)
 
 
-def test_quasi_flag_consistency_checked(trained_model):
-    lines = dumps_model(trained_model).splitlines()
+def test_quasi_flag_consistency_checked(trained_model, tmp_path):
+    lines = model_text(trained_model, tmp_path).splitlines()
     attr_i = next(i for i, ln in enumerate(lines) if ln.startswith("attr 0 "))
     parts = lines[attr_i].split(" ")
     parts[-1] = "1"  # claim quasi-constant despite a real range
     lines[attr_i] = " ".join(parts)
     with pytest.raises(ModelFormatError, match="inconsistent"):
-        loads_model("\n".join(lines) + "\n")
+        text_model("\n".join(lines) + "\n", tmp_path)
 
 
-def _small_model_text():
+def _small_model_text(directory):
     # 2x2 neurons, 2 attributes: lines 1-4 head, 5-6 attributes, 7-10 weights.
     schema = (AttributeSpec("a", 0.0, 1.0), AttributeSpec("b", 0.0, 1.0))
     sched = TrainingSchedule(epochs=2, sigma0=1.0)
-    return dumps_model(SomModel(HexGrid(2, 2), np.full((4, 2), 0.5), schema, sched))
+    return model_text(SomModel(HexGrid(2, 2), np.full((4, 2), 0.5), schema, sched), directory)
 
 
 SCHEDULE_LINE = "schedule epochs=2 alpha0=0.5 alpha_end=0.01 sigma0=1.0 shuffle=1 seed=42"
@@ -268,35 +266,35 @@ SCHEDULE_LINE = "schedule epochs=2 alpha0=0.5 alpha_end=0.01 sigma0=1.0 shuffle=
          "quasi_constant flag inconsistent with range [0.0, 1.0]"),
     ],
 )  # fmt: skip
-def test_loader_messages(edits, message):
+def test_loader_messages(tmp_path, edits, message):
     if edits is None:
         text = ""
     else:
-        lines = _small_model_text().splitlines()
+        lines = _small_model_text(tmp_path).splitlines()
         for lineno, line in edits.items():
             lines[lineno - 1] = line
         text = "\n".join(lines) + "\n"
     with pytest.raises(ModelFormatError) as excinfo:
-        loads_model(text)
+        text_model(text, tmp_path)
     assert str(excinfo.value) == message
 
 
-def test_integer_valued_floats_are_written_as_floats_and_round_trip():
+def test_integer_valued_floats_are_written_as_floats_and_round_trip(tmp_path):
     model = SomModel(
         HexGrid(2, 2), np.full((4, 1), 0.5), (AttributeSpec("a", 0, 1),),
         TrainingSchedule(alpha0=1, alpha_end=1, sigma0=2),
     )  # fmt: skip
-    text = dumps_model(model)
+    text = model_text(model, tmp_path)
     lines = text.splitlines()
     assert lines[3] == "schedule epochs=200 alpha0=1.0 alpha_end=1.0 sigma0=2.0 shuffle=1 seed=42"
     assert lines[4] == "attr 0 a 0.0 1.0 0"
-    assert dumps_model(loads_model(text)) == text
+    assert model_text(text_model(text, tmp_path), tmp_path) == text
 
 
 @pytest.mark.parametrize("sigma0", ["inf", "nan"])
-def test_non_finite_sigma0_rejected(trained_model, sigma0):
-    text = dumps_model(trained_model)
+def test_non_finite_sigma0_rejected(trained_model, tmp_path, sigma0):
+    text = model_text(trained_model, tmp_path)
     broken = re.sub(r"sigma0=\S+", f"sigma0={sigma0}", text)
     assert broken != text
     with pytest.raises(ModelFormatError, match="line 4: sigma0"):
-        loads_model(broken)
+        text_model(broken, tmp_path)

@@ -143,8 +143,7 @@ def test_every_test_module_imports():
 
 def test_every_exported_function_runs_in_a_command(tmp_path):
     # The library is what the commands run: a public function that no command
-    # enters is pinned by no output. ``dumps_model`` and ``loads_model`` are
-    # the text forms the tests use as reference.
+    # enters is pinned by no output.
     from som_atlas import cli
 
     log, curve, model = tmp_path / "log.csv", tmp_path / "curve.csv", tmp_path / "m.model"
@@ -176,7 +175,7 @@ def test_every_exported_function_runs_in_a_command(tmp_path):
     functions = {name: getattr(som_atlas, name) for name in som_atlas.__all__}
     unreached = {name for name, obj in functions.items()
                  if inspect.isfunction(obj) and obj.__code__ not in entered}
-    assert sorted(unreached - {"dumps_model", "loads_model"}) == []
+    assert sorted(unreached) == []
 
 
 def test_data_model_constructors_take_only_independent_values():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from som_atlas.hexgrid import HexGrid, hop_row, hop_table
 from som_atlas.ingest import AttributeSpec, NormalizedTable, normalize
+from som_atlas import som
 from som_atlas.kernels import pure
 from som_atlas.som import (
     SomModel,
@@ -267,7 +268,7 @@ class TestTrain:
         m = train(table, HexGrid(1, 1), sched)
         assert np.array_equal(m.weights[0], rows[-1])
 
-    def test_duplicated_columns_stay_identical(self):
+    def test_duplicated_columns_stay_identical(self, monkeypatch):
         rng = np.random.default_rng(5)
         base = rng.random((40, 1))
         rows = np.hstack([base, base, rng.random((40, 1))])
@@ -276,7 +277,8 @@ class TestTrain:
         sched = TrainingSchedule(epochs=5, seed=11).resolved(grid)
         init = init_codebook(grid, 3, sched.seed)
         init[:, 1] = init[:, 0]
-        m = train(table, grid, sched, initial_weights=init)
+        monkeypatch.setattr(som, "init_codebook", lambda *args: init)
+        m = train(table, grid, sched)
         assert np.array_equal(m.weights[:, 0], m.weights[:, 1])
 
     def test_quantization_error_improves(self):
@@ -286,7 +288,7 @@ class TestTrain:
         sched = TrainingSchedule(epochs=20, seed=3).resolved(grid)
         start = init_codebook(grid, 2, sched.seed)
         qe_before = quantization_error(make_model(grid, start), table)
-        m = train(table, grid, sched, initial_weights=start)
+        m = train(table, grid, sched)
         qe_after = quantization_error(m, table)
         assert qe_after <= qe_before
 
@@ -308,25 +310,6 @@ class TestTrain:
         b = train(table, grid, TrainingSchedule(epochs=4, seed=2))
         assert not np.array_equal(a.weights, b.weights)
 
-    def test_nan_initial_weights_rejected(self):
-        table = unit_table([[0.5, 0.5]])
-        init = np.full((4, 2), 0.5)
-        init[2, 1] = math.nan
-        with pytest.raises(ValueError):
-            train(table, HexGrid(2, 2), TrainingSchedule(epochs=1), initial_weights=init)
-
-    def test_initial_weights_are_checked_and_copied(self):
-        table = unit_table([[0.5, 0.5], [0.1, 0.9]])
-        sched = TrainingSchedule(epochs=2)
-        with pytest.raises(ValueError, match="shape"):
-            train(table, HexGrid(2, 2), sched, initial_weights=np.full((3, 2), 0.5))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            train(table, HexGrid(2, 2), sched, initial_weights=np.full((4, 2), 1.5))
-        init = np.full((4, 2), 0.5)
-        model = train(table, HexGrid(2, 2), sched, initial_weights=init)
-        assert not np.array_equal(model.weights, init)
-        assert np.array_equal(init, np.full((4, 2), 0.5))
-
     def test_empty_table_rejected(self):
         table = NormalizedTable(schema=unit_table([[0.5]]).schema, rows=np.empty((0, 1)))
         with pytest.raises(ValueError):
@@ -338,7 +321,7 @@ class TestTrain:
         grid = HexGrid(4, 3)
         sched = TrainingSchedule(epochs=3, alpha0=0.8, alpha_end=0.02, shuffle=False, seed=5)
         init = init_codebook(grid, 3, sched.seed)
-        trained = train(unit_table(rows), grid, sched, initial_weights=init)
+        trained = train(unit_table(rows), grid, sched)
         weights = init.copy()
         for s in range(sched.epochs * len(rows)):
             train_step(weights, grid, rows[s % len(rows)], s, sched, len(rows))
@@ -358,7 +341,7 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 16e6
 
-    def test_mirror_columns_stay_mirrored(self):
+    def test_mirror_columns_stay_mirrored(self, monkeypatch):
         rng = np.random.default_rng(7)
         base = rng.random((60, 1))
         rows = np.hstack([base, 1.0 - base])
@@ -367,7 +350,8 @@ class TestTrain:
         sched = TrainingSchedule(epochs=10, seed=21).resolved(grid)
         init = init_codebook(grid, 2, sched.seed)
         init[:, 1] = 1.0 - init[:, 0]
-        m = train(table, grid, sched, initial_weights=init)
+        monkeypatch.setattr(som, "init_codebook", lambda *args: init)
+        m = train(table, grid, sched)
         assert np.max(np.abs((1.0 - m.weights[:, 1]) - m.weights[:, 0])) < 1e-12
 
 
